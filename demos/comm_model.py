@@ -33,13 +33,7 @@ rng = np.random.default_rng(0)
 T = 32_000
 experts = rng.integers(0, 16, T)
 source = rng.integers(0, D, T)
-outcome = RoutingOutcome(
-    expert_of_token=experts,
-    gate_value=np.ones(T),
-    dropped=np.zeros(T, dtype=bool),
-    f=np.bincount(experts, minlength=16) / T,
-    P=np.bincount(experts, minlength=16) / T,
-)
+outcome = RoutingOutcome(expert_of_token=experts, probs=np.eye(16)[experts])
 volume = build_volume_matrix(outcome, placement, token_bytes, source)
 print(f"Dispatch matrix: {volume.sum() / 2**20:.1f} MiB total, "
       f"{volume[topo.node_of(np.arange(D))[:, None] != topo.node_of(np.arange(D))[None, :]].sum() / volume.sum():.0%} inter-node")

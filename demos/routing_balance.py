@@ -32,14 +32,14 @@ print(f"  pairwise dot products all zero: {np.all((weights @ weights.T - np.diag
 batch = sample_unit_sphere(SphereSampleConfig(dim=DIM, n_samples=TOKENS, seed=0))
 
 print("\nAssignment fractions over uniform sphere tokens (target 1/8 = 0.125):")
-scored = route_top1(gate_scores(batch, weights))
+scored = route_top1(gate_scores(batch.tokens, weights))
 print(f"  block gating : {scored.f.round(4)}")
 
 hashed = hash_route(batch.token_ids, N_EXPERTS)
 print(f"  hash         : {hashed.f.round(4)}")
 
 rng = np.random.default_rng(1)
-dense = switch_route(batch, rng.standard_normal((N_EXPERTS, DIM)) / np.sqrt(DIM))
+dense = switch_route(batch.tokens, rng.standard_normal((N_EXPERTS, DIM)) / np.sqrt(DIM))
 print(f"  random dense : {dense.f.round(4)}   (no symmetry guarantee)")
 
 # --- capacity enforcement ---------------------------------------------------

@@ -1,16 +1,21 @@
 """moelab: a desk-scale workbench for locality-aware mixture-of-experts
 routing.
 
-Subpackages by concern:
+Modules by concern:
 
-* :mod:`moelab.router`   - block-orthogonal gating, top-1 routing,
-  capacity enforcement, hash and dense baselines.
-* :mod:`moelab.losses`   - load-balance, locality (KL), cross-entropy and
-  task losses, with analytic gradients and a finite-difference checker.
+* :mod:`moelab.router`   - the one routing core: block-orthogonal gating,
+  top-1 routing into a :class:`RoutingOutcome` (probabilities,
+  assignment, gate, ``f`` and ``P``), capacity enforcement, hash and
+  dense baselines.
+* :mod:`moelab.losses`   - load-balance, locality (KL) and cross-entropy
+  losses, with analytic gradients and a finite-difference checker.
+* :mod:`moelab.special`  - erf/erfc and the regularized incomplete beta
+  function, implemented in-repo.
 * :mod:`moelab.capacity` - expert-capacity theory (assignment probability,
   capacity lower bound) plus Monte Carlo and quadrature oracles.
 * :mod:`moelab.toymoe`   - a trainable toy MoE over synthetic clustered
-  corpora comparing hash / switch / locality routing.
+  corpora comparing hash / switch / locality routing; training and
+  :func:`moe_forward` consume the router's outcomes.
 * :mod:`moelab.commsim`  - two-tier cluster All-to-All / All-Gather cost
   model and the group-wise exchange.
 * :mod:`moelab.cli`      - the ``moelab`` command-line entry point.
@@ -47,7 +52,6 @@ from .commsim import (
 from .losses import (
     GradCheckReport,
     LossConfig,
-    TaskLoss,
     aux_loss,
     aux_loss_grad_p,
     cross_entropy,
@@ -57,7 +61,6 @@ from .losses import (
     locality_loss_grad_logits,
     make_local_target,
     mean_cross_entropy,
-    task_loss,
 )
 from .router import (
     RouterConfig,
@@ -84,10 +87,7 @@ from .toymoe import (
     forward_flops,
     gelu,
     gelu_grad,
-    block_router,
-    hash_router,
     make_synthetic_corpus,
     moe_forward,
-    switch_router,
     train,
 )

@@ -31,7 +31,15 @@ from .commsim import (
     groupwise_alltoall_cost,
 )
 from .losses import LossConfig
-from .router import RouterConfig, apply_capacity, gate_scores, hash_route, route_top1, build_block_gating
+from .router import (
+    RouterConfig,
+    apply_capacity,
+    build_block_gating,
+    gate_scores,
+    hash_route,
+    route_top1,
+    switch_route,
+)
 from .toymoe import (
     SyntheticCorpusConfig,
     assignment_report,
@@ -96,13 +104,20 @@ def _write_csv(path: Path, rows, seed, config: dict, force: bool):
     )
 
 
+def _read_json(path: str):
+    """Parse a JSON input file; malformed JSON is a usage error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise UsageError(f"config file {path} does not exist")
-    return json.loads(p.read_text())
+    return _read_json(path)
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -211,13 +226,11 @@ def cmd_route_sim(args) -> int:
         capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
     )
     if router == "block":
-        cfg = RouterConfig(n_experts=experts, dim=dim, noise_std=noise_std)
-        weights = build_block_gating(cfg)
-        outcome = route_top1(gate_scores(batch, weights, noise_std, seed=seed))
+        weights = build_block_gating(RouterConfig(n_experts=experts, dim=dim))
+        outcome = route_top1(gate_scores(batch.tokens, weights, noise_std, seed=seed))
     elif router == "switch":
-        rng = np.random.default_rng(seed)
-        weights = rng.standard_normal((experts, dim)) / np.sqrt(dim)
-        outcome = route_top1(batch.tokens @ weights.T)
+        weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
+        outcome = switch_route(batch.tokens, weights)
     elif router == "hash":
         weights = None
         outcome = hash_route(batch.token_ids, experts)
@@ -249,7 +262,7 @@ def cmd_route_sim(args) -> int:
 def _topology_from_json(path: str | None) -> ClusterTopology:
     if path is None:
         return defaults.DEFAULT_TOPOLOGY
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path)
     return ClusterTopology(
         n_nodes=raw["n_nodes"],
         devices_per_node=raw["devices_per_node"],
@@ -263,7 +276,7 @@ def _topology_from_json(path: str | None) -> ClusterTopology:
 def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopology) -> ExpertPlacement:
     if path is None:
         return defaults.default_placement(n_experts, topology)
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path)
     devices = raw["device_of_expert"] if isinstance(raw, dict) else raw
     return ExpertPlacement(tuple(int(d) for d in devices))
 
@@ -531,7 +544,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,9 +82,15 @@ def round_robin_placement(n_experts: int, topology: ClusterTopology) -> ExpertPl
 
 @dataclass(frozen=True)
 class CommPhase:
+    """One exchange phase and the bytes it moves.
+
+    For ``all_to_all`` ``volume`` is the D x D device-to-device byte
+    matrix; for ``all_gather`` it is a length-D vector holding the bytes
+    each device sends to its successor on its group's ring.
+    """
+
     kind: str  # "all_to_all" or "all_gather"
-    participants: tuple[int, ...]
-    volume: np.ndarray  # D x D bytes moved in this phase
+    volume: np.ndarray
 
     @property
     def total_bytes(self) -> float:
@@ -187,25 +193,19 @@ def groupwise_alltoall_cost(
     inter = topology.node_of(devices)[:, None] != topology.node_of(devices)[None, :]
     sharded = np.where(inter, volume / g, volume)
     phase1_cost = alltoall_cost(sharded, topology)
-    phases = [CommPhase(kind="all_to_all", participants=tuple(range(d)), volume=sharded)]
+    phases = [CommPhase(kind="all_to_all", volume=sharded)]
 
-    group_of = devices // g  # consecutive devices within a node form a group
-    received = np.where(inter, sharded, 0.0).sum(axis=0)  # remote bytes landing per device
     phase2_cost = 0.0
     if g > 1:
-        for gid in np.unique(group_of):
-            members = devices[group_of == gid]
-            gathered = float(received[members].sum())
-            cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
-            phase2_cost = max(phase2_cost, cost)
-            ring_volume = np.zeros((d, d))
-            nxt = np.roll(members, -1)
-            # each member's accumulated shards pass over its outgoing ring edge;
-            # the shard originating at the edge's head never crosses it
-            ring_volume[members, nxt] = gathered - received[nxt]
-            phases.append(
-                CommPhase(kind="all_gather", participants=tuple(int(m) for m in members), volume=ring_volume)
-            )
+        # consecutive devices within a node form a group: one row per group
+        received = np.where(inter, sharded, 0.0).sum(axis=0).reshape(-1, g)
+        gathered = received.sum(axis=1)
+        cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
+        phase2_cost = float(cost.max())
+        # each member's accumulated shards pass over its edge to the next
+        # member; the shard originating at the edge's head never crosses it
+        edges = gathered[:, None] - np.roll(received, -1, axis=1)
+        phases.append(CommPhase(kind="all_gather", volume=edges.reshape(-1)))
     return phase1_cost + phase2_cost, CommPlan(phases=tuple(phases))
 
 

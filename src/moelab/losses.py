@@ -1,6 +1,5 @@
-"""Training losses: load-balance penalty, locality KL penalty, token
-cross-entropy, and their combination, plus analytic gradients with a
-finite-difference checker.
+"""Training losses: load-balance penalty, locality KL penalty and token
+cross-entropy, plus analytic gradients with a finite-difference checker.
 
 Distributions over experts are plain 1-d numpy arrays that sum to one.
 The locality target assigns mass ``1 - epsilon_smooth`` uniformly to the
@@ -10,7 +9,6 @@ experts so the KL divergence stays finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +31,6 @@ class LossConfig:
             raise ValueError(
                 f"epsilon_smooth must lie in (0, 1), got {self.epsilon_smooth}"
             )
-
-
-@dataclass(frozen=True)
-class TaskLoss:
-    """Total training loss and its components, for logging."""
-
-    aux: float
-    loc: float
-    cross: float
-    total: float
 
 
 def _check_distribution(p: np.ndarray, name: str, tol: float = 1e-6) -> np.ndarray:
@@ -165,14 +153,6 @@ def cross_entropy_grad(logits, targets) -> np.ndarray:
     grad = softmax(logits)
     grad[np.arange(logits.shape[0]), targets] -= 1.0
     return grad
-
-
-def task_loss(aux: float, loc: float, cross: float) -> TaskLoss:
-    """Combine the three components into the total training loss."""
-    parts = (aux, loc, cross)
-    if not all(math.isfinite(p) for p in parts):
-        raise ValueError(f"non-finite loss component in {parts}")
-    return TaskLoss(aux=aux, loc=loc, cross=cross, total=aux + loc + cross)
 
 
 @dataclass(frozen=True)

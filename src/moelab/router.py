@@ -1,6 +1,11 @@
 """Token routing: block-orthogonal gating, scored top-1 selection with
 capacity enforcement, and hash / learnable-dense baseline routers.
 
+This is the one place where scores become probabilities, an assignment,
+a gate and the batch statistics ``f`` and ``P``: every router returns a
+:class:`RoutingOutcome`, and training, ``route-sim`` and ``moe_forward``
+consume it as is.
+
 The gating matrix built here scores expert ``i`` by the mean of the
 ``i``-th coordinate block of the token, which is equivalent to a fixed
 dense layer whose rows are mutually orthogonal indicator blocks scaled by
@@ -10,7 +15,7 @@ inputs plus an explicit seed, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +36,6 @@ class RouterConfig:
 
     n_experts: int
     dim: int
-    noise_std: float = 0.0
-    capacity_factor: float = 1.0
-    tie_break: str = "lowest_index"
 
     def __post_init__(self):
         if self.n_experts < 1:
@@ -45,14 +47,6 @@ class RouterConfig:
                 f"dim={self.dim} is not divisible by n_experts={self.n_experts}; "
                 "block gating requires dim to be an exact multiple of n_experts"
             )
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.capacity_factor <= 0:
-            raise ValueError(
-                f"capacity_factor must be > 0, got {self.capacity_factor}"
-            )
-        if self.tie_break != "lowest_index":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass
@@ -101,17 +95,30 @@ class TokenBatch:
 class RoutingOutcome:
     """Per-token routing decisions plus the batch statistics they induce.
 
-    ``f`` is the fraction of tokens assigned to each expert and ``P`` the
-    mean routing probability per expert, both computed over all
-    assignments before any capacity drop (dropping only affects which
-    tokens an expert actually executes).
+    ``probs`` holds each token's (T, n) routing distribution and
+    ``expert_of_token`` the expert it is sent to.  Everything else is
+    derived once, at construction: ``gate_value`` is the probability of
+    the chosen expert, ``f`` the fraction of tokens assigned to each
+    expert and ``P`` the mean routing probability per expert.  ``f`` and
+    ``P`` count all assignments before any capacity drop (dropping only
+    affects which tokens an expert actually executes); ``dropped``
+    defaults to no drops.
     """
 
     expert_of_token: np.ndarray
-    gate_value: np.ndarray
-    dropped: np.ndarray
-    f: np.ndarray
-    P: np.ndarray
+    probs: np.ndarray
+    dropped: np.ndarray | None = None
+    gate_value: np.ndarray = field(init=False)
+    f: np.ndarray = field(init=False)
+    P: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        t, n = self.probs.shape
+        if self.dropped is None:
+            self.dropped = np.zeros(t, dtype=bool)
+        self.gate_value = self.probs[np.arange(t), self.expert_of_token]
+        self.f = np.bincount(self.expert_of_token, minlength=n) / t
+        self.P = self.probs.mean(axis=0)
 
     @property
     def n_experts(self) -> int:
@@ -143,24 +150,27 @@ def build_block_gating(cfg: RouterConfig) -> np.ndarray:
 
 
 def gate_scores(
-    batch: TokenBatch,
+    tokens: np.ndarray,
     weights: np.ndarray,
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> np.ndarray:
     """Pre-softmax gating scores: relu(w_i . x_m + eps_i) per (token, expert).
 
-    The optional noise is zero-mean Gaussian drawn as one (T, n) array from
-    a generator seeded by ``seed``, so entry (m, i) is a pure function of
-    (seed, m, i) regardless of evaluation order.  ``noise_std=0`` is fully
+    ``tokens`` is the (T, d) token array.  The optional noise is zero-mean
+    Gaussian drawn as one (T, n) array from a generator seeded by
+    ``seed``, so entry (m, i) is a pure function of (seed, m, i)
+    regardless of evaluation order.  ``noise_std=0`` is fully
     deterministic.
     """
+    if noise_std < 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     weights = np.asarray(weights, dtype=float)
-    if batch.dim != weights.shape[1]:
+    if tokens.shape[1] != weights.shape[1]:
         raise ValueError(
-            f"token dim {batch.dim} does not match gating dim {weights.shape[1]}"
+            f"token dim {tokens.shape[1]} does not match gating dim {weights.shape[1]}"
         )
-    scores = batch.tokens @ weights.T
+    scores = tokens @ weights.T
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         scores = scores + rng.normal(0.0, noise_std, size=scores.shape)
@@ -188,18 +198,17 @@ def route_top1(scores: np.ndarray) -> RoutingOutcome:
         raise ValueError(f"scores must be 2-d, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite entries")
-    t, n = scores.shape
-    probs = softmax(scores)
-    expert = np.argmax(scores, axis=1)
-    gate = probs[np.arange(t), expert]
-    f = np.bincount(expert, minlength=n) / t
-    return RoutingOutcome(
-        expert_of_token=expert,
-        gate_value=gate,
-        dropped=np.zeros(t, dtype=bool),
-        f=f,
-        P=probs.mean(axis=0),
-    )
+    return top1(scores)
+
+
+def top1(scores: np.ndarray) -> RoutingOutcome:
+    """The top-1 step of :func:`route_top1` without its input check.
+
+    For callers that computed the (T, n) float scores themselves and must
+    see non-finite values propagate (training reports divergence from the
+    loss rather than failing inside the router).
+    """
+    return RoutingOutcome(expert_of_token=np.argmax(scores, axis=1), probs=softmax(scores))
 
 
 def apply_capacity(outcome: RoutingOutcome, cap: int) -> RoutingOutcome:
@@ -238,27 +247,21 @@ def fnv1a64(token_ids) -> np.ndarray:
 def hash_route(token_ids, n_experts: int) -> RoutingOutcome:
     """Stateless balanced-hash baseline: expert = fnv1a64(id) mod n.
 
-    Deterministic across runs and platforms; every token is served with
-    gate value 1.  Since each token's routing distribution is a point
-    mass, the mean routing probability P coincides with f.
+    Deterministic across runs and platforms.  Each token's routing
+    distribution is a point mass (one-hot ``probs``), so every token is
+    served with gate value 1 and the mean routing probability P coincides
+    with f.
     """
     if n_experts < 1:
         raise ValueError(f"n_experts must be >= 1, got {n_experts}")
     ids = np.atleast_1d(np.asarray(token_ids, dtype=np.int64))
     expert = (fnv1a64(ids) % np.uint64(n_experts)).astype(np.int64)
-    t = expert.shape[0]
-    f = np.bincount(expert, minlength=n_experts) / t
-    return RoutingOutcome(
-        expert_of_token=expert,
-        gate_value=np.ones(t),
-        dropped=np.zeros(t, dtype=bool),
-        f=f,
-        P=f.copy(),
-    )
+    return RoutingOutcome(expert_of_token=expert, probs=np.eye(n_experts)[expert])
 
 
-def switch_route(batch: TokenBatch, learnable_weights: np.ndarray) -> RoutingOutcome:
-    """Top-1 routing over a trainable dense gating matrix.
+def switch_route(tokens: np.ndarray, learnable_weights: np.ndarray) -> RoutingOutcome:
+    """Top-1 routing of the (T, d) ``tokens`` over a trainable dense
+    gating matrix.
 
     Identical mechanics to :func:`route_top1` but the scores are raw inner
     products (no relu), softmaxed directly.
@@ -266,9 +269,9 @@ def switch_route(batch: TokenBatch, learnable_weights: np.ndarray) -> RoutingOut
     learnable_weights = np.asarray(learnable_weights, dtype=float)
     if not np.isfinite(learnable_weights).all():
         raise ValueError("gating matrix contains non-finite entries")
-    if batch.dim != learnable_weights.shape[1]:
+    if tokens.shape[1] != learnable_weights.shape[1]:
         raise ValueError(
-            f"token dim {batch.dim} does not match gating dim "
+            f"token dim {tokens.shape[1]} does not match gating dim "
             f"{learnable_weights.shape[1]}"
         )
-    return route_top1(batch.tokens @ learnable_weights.T)
+    return route_top1(tokens @ learnable_weights.T)

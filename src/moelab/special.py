@@ -5,10 +5,9 @@ continued fractions in double precision) so the test suite can check the
 results against direct numeric quadrature instead of trusting a library.
 
 erf/erfc follow W. J. Cody's three-interval rational approximations and
-are vectorized over numpy arrays.  The incomplete gamma and incomplete
-beta functions use the classic series / continued-fraction split (modified
-Lentz iteration) and operate on scalars, which is all the capacity theory
-needs.
+are vectorized over numpy arrays.  The regularized incomplete beta
+function uses the classic continued fraction (modified Lentz iteration)
+and operates on scalars, which is all the capacity theory needs.
 """
 
 from __future__ import annotations
@@ -155,73 +154,9 @@ def erf(x):
     return out
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF via erfc, elementwise."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / math.sqrt(2.0))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-_GAMMA_EPS = 3e-16
-_GAMMA_ITMAX = 2000
+_CF_EPS = 3e-16
+_CF_ITMAX = 2000
 _FPMIN = 1e-300
-
-
-def _gamma_series(a, x):
-    """Regularized lower gamma P(a, x) by series; valid for x < a + 1."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"gamma series failed to converge for a={a}, x={x}")
-
-
-def _gamma_cf(a, x):
-    """Regularized upper gamma Q(a, x) by continued fraction; x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"gamma continued fraction failed for a={a}, x={x}")
-
-
-def reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got s={s}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_series(s, x)
-    return 1.0 - _gamma_cf(s, x)
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """Unregularized lower incomplete gamma, integral of t^(s-1) e^-t on [0, x]."""
-    return reg_lower_gamma(s, x) * math.exp(math.lgamma(s))
 
 
 def _beta_cf(a, b, x):
@@ -235,7 +170,7 @@ def _beta_cf(a, b, x):
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _GAMMA_ITMAX + 1):
+    for m in range(1, _CF_ITMAX + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -256,7 +191,7 @@ def _beta_cf(a, b, x):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
+        if abs(delta - 1.0) < _CF_EPS:
             return h
     raise RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
 

@@ -45,9 +45,8 @@ from .router import (
     build_block_gating,
     gate_scores,
     hash_route,
-    route_top1,
     softmax,
-    switch_route,
+    top1,
 )
 from .special import erf
 
@@ -196,54 +195,26 @@ def _experts_apply(tokens, expert_of_token, dropped, experts):
     return out, caches
 
 
-def moe_forward(batch: TokenBatch, router, experts: list[ExpertParams], cap: int | None = None):
-    """Route, apply capacity, and mix expert outputs.
+def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, experts: list[ExpertParams]):
+    """Mix expert outputs for a routed batch.
 
-    ``router`` is any callable TokenBatch -> RoutingOutcome.  Served
-    tokens produce gate * w_out . gelu(w_in . x); dropped tokens pass
-    through unchanged.  Returns (outputs, outcome).
+    ``outcome`` is the batch's routing (with any capacity already applied
+    by :func:`apply_capacity`).  Served tokens produce
+    gate * w_out . gelu(w_in . x); dropped tokens pass through unchanged.
     """
-    outcome = router(batch)
-    if cap is not None:
-        outcome = apply_capacity(outcome, cap)
+    if outcome.expert_of_token.shape != (batch.n_tokens,):
+        raise ValueError("batch and routing outcome disagree on token count")
     for p in experts:
         if p.w_in.shape[1] != batch.dim:
             raise ValueError(
                 f"expert expects dim {p.w_in.shape[1]}, batch has {batch.dim}"
             )
     raw, _ = _experts_apply(batch.tokens, outcome.expert_of_token, outcome.dropped, experts)
-    y = np.where(
+    return np.where(
         outcome.dropped[:, None],
         batch.tokens,
         outcome.gate_value[:, None] * raw,
     )
-    return y, outcome
-
-
-def block_router(cfg: RouterConfig, weights=None, seed: int = 0):
-    """Router callable: scored top-1 over the fixed block gating matrix."""
-    w = build_block_gating(cfg) if weights is None else np.asarray(weights, dtype=float)
-
-    def _route(batch: TokenBatch) -> RoutingOutcome:
-        return route_top1(gate_scores(batch, w, cfg.noise_std, seed))
-
-    return _route
-
-
-def hash_router(n_experts: int):
-    def _route(batch: TokenBatch) -> RoutingOutcome:
-        return hash_route(batch.token_ids, n_experts)
-
-    return _route
-
-
-def switch_router(weights):
-    weights = np.asarray(weights, dtype=float)
-
-    def _route(batch: TokenBatch) -> RoutingOutcome:
-        return switch_route(batch, weights)
-
-    return _route
 
 
 def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
@@ -274,40 +245,25 @@ class _TrainSetup:
     n_nodes: int
 
 
-def _routing_forward(state, setup: _TrainSetup, tokens):
-    """Scores, probabilities, assignment and gate for one batch."""
+def _scores(state, setup: _TrainSetup, tokens):
+    """Router scores of the learnable routers: dense inner products for
+    switch, block gating over the pre-gating projection for loc."""
+    proj = tokens @ state["gating"].T
     if setup.router_kind == "switch":
-        raw = tokens @ state["gating"].T
-        scores = raw
-    elif setup.router_kind == "loc":
-        proj = tokens @ state["gating"].T
-        raw = proj @ setup.block_weights.T
-        scores = np.maximum(raw, 0.0)
-    else:
-        raise AssertionError(setup.router_kind)
-    probs = softmax(scores)
-    assign = np.argmax(scores, axis=1)
-    gate = probs[np.arange(tokens.shape[0]), assign]
-    return raw, scores, probs, assign, gate
+        return proj
+    return gate_scores(proj, setup.block_weights)
 
 
 def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
     """Objective (aux + locality + mean cross-entropy) plus caches."""
-    t = tokens.shape[0]
     n = setup.local_targets.shape[1]
     if setup.router_kind == "hash":
-        # routing is fixed; reuse the cached hash assignment
-        assign = state["hash_assign"]
-        gate = np.ones(t)
-        probs = np.zeros((t, n))
-        probs[np.arange(t), assign] = 1.0
-        raw = scores = None
+        scores, outcome = None, state["hash"]  # routing is fixed
     else:
-        raw, scores, probs, assign, gate = _routing_forward(state, setup, tokens)
-
-    f = np.bincount(assign, minlength=n) / t
-    p_mean = probs.mean(axis=0)
-    l_aux = aux_loss(f, p_mean, setup.alpha)
+        scores = _scores(state, setup, tokens)
+        outcome = top1(scores)
+    probs = outcome.probs
+    l_aux = aux_loss(outcome.f, outcome.P, setup.alpha)
 
     # one KL term per source node holding tokens; empty nodes contribute nothing
     node_dc = np.zeros((setup.n_nodes, n))
@@ -321,19 +277,17 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
         locality_loss(node_dc[v], setup.local_targets[v], setup.mu) for v in occupied
     )
 
-    expert_raw, caches = _experts_apply(tokens, assign, np.zeros(t, dtype=bool), state["experts"])
-    y = gate[:, None] * expert_raw
+    expert_raw, caches = _experts_apply(
+        tokens, outcome.expert_of_token, outcome.dropped, state["experts"]
+    )
+    y = outcome.gate_value[:, None] * expert_raw
     logits = y @ state["head"].T
     l_cross_mean = mean_cross_entropy(logits, labels)
 
     objective = l_aux + l_loc + l_cross_mean
     cache = {
-        "raw": raw,
-        "probs": probs,
-        "assign": assign,
-        "gate": gate,
-        "f": f,
-        "P": p_mean,
+        "scores": scores,
+        "outcome": outcome,
         "node_dc": node_dc,
         "occupied_nodes": occupied,
         "expert_raw": expert_raw,
@@ -352,9 +306,8 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     """Analytic gradients of the training objective for every tensor."""
     t = tokens.shape[0]
     n = setup.local_targets.shape[1]
-    probs = cache["probs"]
-    assign = cache["assign"]
-    gate = cache["gate"]
+    outcome = cache["outcome"]
+    probs = outcome.probs
 
     d_logits = softmax(cache["logits"])
     d_logits[np.arange(t), labels] -= 1.0
@@ -362,7 +315,7 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     grads = {"head": d_logits.T @ cache["y"]}
     d_y = d_logits @ state["head"]
 
-    d_expert_raw = gate[:, None] * d_y
+    d_expert_raw = outcome.gate_value[:, None] * d_y
     d_gate = np.einsum("ij,ij->i", d_y, cache["expert_raw"])
 
     g_in, g_out = [], []
@@ -385,9 +338,9 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
         return grads
 
     d_probs = np.zeros_like(probs)
-    d_probs[np.arange(t), assign] += d_gate
+    d_probs[np.arange(t), outcome.expert_of_token] += d_gate
     # balance penalty: dL/dP_i = alpha * n * f_i, and P is the batch mean
-    d_probs += (setup.alpha * n * cache["f"]) / t
+    d_probs += (setup.alpha * n * outcome.f) / t
     # locality penalty: one KL term per occupied source node; where the
     # node's mean probability is exactly zero the KL is locally flat, so
     # those components get no push (guards against log(0) poisoning)
@@ -407,7 +360,7 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     if setup.router_kind == "switch":
         grads["gating"] = d_scores.T @ tokens
     else:  # loc: scores = relu(proj @ W.T), proj = tokens @ M.T
-        d_raw = d_scores * (cache["raw"] > 0)
+        d_raw = d_scores * (cache["scores"] > 0)
         d_proj = d_raw @ setup.block_weights
         grads["gating"] = d_proj.T @ tokens
     return grads
@@ -446,12 +399,9 @@ def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng,
     return worst
 
 
-def _select_probe(tokens, scores_fn, n_probe: int = 4):
+def _select_probe(scores, n_probe: int = 4):
     """Pick probe tokens whose routing sits away from argmax ties and relu
     kinks so finite differences stay on one smooth piece."""
-    scores = scores_fn(tokens)
-    if scores is None:
-        return np.arange(min(n_probe, tokens.shape[0]))
     part = np.sort(scores, axis=1)
     margin = part[:, -1] - part[:, -2]
     away_from_kink = np.abs(scores).min(axis=1) > 1e-3
@@ -459,7 +409,7 @@ def _select_probe(tokens, scores_fn, n_probe: int = 4):
     if ok.size < n_probe:
         ok = np.flatnonzero(margin > 1e-3)
     if ok.size < n_probe:
-        ok = np.arange(tokens.shape[0])
+        ok = np.arange(scores.shape[0])
     return ok[:n_probe]
 
 
@@ -538,7 +488,7 @@ def train(
         block_w = build_block_gating(RouterConfig(n_experts=n_experts, dim=dim))
         state["gating"] = loc_gain * np.eye(dim)
     else:
-        state["hash_assign"] = hash_route(corpus.token_ids, n_experts).expert_of_token
+        state["hash"] = hash_route(corpus.token_ids, n_experts)
 
     setup = _TrainSetup(
         router_kind=router_kind,
@@ -553,15 +503,9 @@ def train(
     if check_gradients:
         if router_kind == "hash":
             probe_idx = np.arange(min(4, t))
+            probe_state = dict(state, hash=hash_route(corpus.token_ids[probe_idx], n_experts))
         else:
-            probe_idx = _select_probe(
-                tokens,
-                lambda x: _routing_forward(state, setup, x)[1],
-            )
-        if router_kind == "hash":
-            probe_state = dict(state)
-            probe_state["hash_assign"] = state["hash_assign"][probe_idx]
-        else:
+            probe_idx = _select_probe(_scores(state, setup, tokens))
             probe_state = state
         probe_err = _probe_grad_check(
             probe_state,
@@ -583,13 +527,7 @@ def train(
         objective, cache = _train_forward(state, setup, tokens, labels, node_of_token)
         l_cross_sum = cache["l_cross_mean"] * t
 
-        outcome = RoutingOutcome(
-            expert_of_token=cache["assign"],
-            gate_value=cache["gate"],
-            dropped=np.zeros(t, dtype=bool),
-            f=cache["f"],
-            P=cache["P"],
-        )
+        outcome = cache["outcome"]
         if capacity is not None:
             outcome = apply_capacity(outcome, capacity)
         record = TrainRecord(
@@ -597,8 +535,8 @@ def train(
             step=0,
             router_kind=router_kind,
             counts=outcome.assigned_counts(),
-            f=cache["f"].copy(),
-            P=cache["P"].copy(),
+            f=outcome.f.copy(),
+            P=outcome.P.copy(),
             l_aux=cache["l_aux"],
             l_loc=cache["l_loc"],
             l_cross=l_cross_sum,

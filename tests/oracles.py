@@ -36,20 +36,6 @@ def erfc_quad(x):
     return 1.0 - erf_quad(x)
 
 
-def lower_gamma_quad(s, x):
-    """gamma(s, x) = integral of t^(s-1) e^-t over [0, x].
-
-    Substituting t = u^2 maps the integrand to 2 u^(2s-1) exp(-u^2),
-    which is smooth at the origin for every s >= 1/2 (all the
-    half-integer shapes exercised here).
-    """
-    if x == 0:
-        return 0.0
-    return 2.0 * gl_integral(
-        lambda u: u ** (2.0 * s - 1.0) * np.exp(-u * u), 0.0, math.sqrt(x)
-    )
-
-
 def reg_beta_quad(x, a, b):
     """I_x(a, b) by quadrature of the defining integral.
 
@@ -124,3 +110,26 @@ def ring_alltoall_reference(volume, n_nodes, devices_per_node,
             worst = max(worst, cost)
         total += worst
     return total
+
+
+def ring_allgather_edges_reference(volume, n_nodes, devices_per_node, g):
+    """Straight-line All-Gather ring bytes of the group-wise exchange.
+
+    Each device receives 1/g of every inter-node byte addressed to it; in
+    its g-device group (consecutive device ids) member i sends to member
+    i+1 (mod g) every gathered shard except the one originating at that
+    successor.
+    """
+    d = n_nodes * devices_per_node
+    received = [0.0] * d
+    for s in range(d):
+        for t in range(d):
+            if s // devices_per_node != t // devices_per_node:
+                received[t] += volume[s][t] / g
+    edges = [0.0] * d
+    for base in range(0, d, g):
+        members = list(range(base, base + g))
+        for i, m in enumerate(members):
+            nxt = members[(i + 1) % g]
+            edges[m] = sum(received[k] for k in members if k != nxt)
+    return edges

@@ -47,12 +47,20 @@ from moelab.losses import (
     locality_loss,
     locality_loss_grad_logits,
 )
-from moelab.router import RouterConfig, TokenBatch, softmax
+from moelab.router import (
+    RouterConfig,
+    TokenBatch,
+    apply_capacity,
+    build_block_gating,
+    gate_scores,
+    hash_route,
+    route_top1,
+    softmax,
+)
 from moelab.toymoe import (
     entropy,
     flops_per_served_token,
     forward_flops,
-    block_router,
     init_experts,
     make_synthetic_corpus,
     moe_forward,
@@ -268,13 +276,7 @@ def test_criterion_7_communication_model(default_runs):
     src = rng.integers(0, d, 8000)
     from moelab.router import RoutingOutcome
 
-    out = RoutingOutcome(
-        expert_of_token=experts,
-        gate_value=np.ones(8000),
-        dropped=np.zeros(8000, dtype=bool),
-        f=np.bincount(experts, minlength=16) / 8000,
-        P=np.bincount(experts, minlength=16) / 8000,
-    )
+    out = RoutingOutcome(expert_of_token=experts, probs=np.eye(16)[experts])
     volume = build_volume_matrix(out, placement, 4096, src)
     devices = placement.devices()
     nodes = topo.node_of(devices)
@@ -346,8 +348,9 @@ def test_criterion_9_forward_oracle_and_flop_invariance():
         d, h, n = 8, 12, 4
         experts = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((8, d)), token_ids=np.arange(8))
-        router = block_router(RouterConfig(n_experts=n, dim=d))
-        y, outcome = moe_forward(batch, router, experts, cap=3)
+        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 3)
+        y = moe_forward(batch, outcome, experts)
         oracle = straight_line_moe_forward(
             batch.tokens, outcome.expert_of_token, outcome.gate_value,
             outcome.dropped, experts,
@@ -356,11 +359,7 @@ def test_criterion_9_forward_oracle_and_flop_invariance():
     per_token = set()
     for n in (2, 4, 8, 16):
         d, h = 16, 32
-        experts = init_experts(n, d, h, rng)
-        batch = TokenBatch(tokens=rng.standard_normal((64, d)), token_ids=np.arange(64))
-        from moelab.toymoe import hash_router
-
-        _, outcome = moe_forward(batch, hash_router(n), experts)
+        outcome = hash_route(np.arange(64), n)
         per_token.add(forward_flops(outcome, d, h) // int((~outcome.dropped).sum()))
     ok = worst <= 1e-10 and len(per_token) == 1
     report(

@@ -188,7 +188,7 @@ class TestBalancedAssignment:
         w = build_block_gating(cfg)
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=t, seed=3))
         raw = batch.tokens @ w.T
-        scored = route_top1(gate_scores(batch, w))
+        scored = route_top1(gate_scores(batch.tokens, w))
         keep = raw.max(axis=1) > 0
         assert np.array_equal(
             scored.expert_of_token[keep], np.argmax(raw, axis=1)[keep]
@@ -230,7 +230,7 @@ class TestCosineHistograms:
         from moelab.router import TokenBatch
 
         batch = TokenBatch(tokens=np.tile(w, (3, 1)), token_ids=np.arange(12))
-        outcome = route_top1(gate_scores(batch, w))
+        outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w)
         for i in range(4):
             counts = hist.pair_counts[i, i]
@@ -244,7 +244,7 @@ class TestCosineHistograms:
         )
         cfg = RouterConfig(n_experts=8, dim=64)
         w = build_block_gating(cfg)
-        outcome = route_top1(gate_scores(corpus, w))
+        outcome = route_top1(gate_scores(corpus.tokens, w))
         hist = cosine_histograms(corpus, outcome, w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
 
@@ -270,7 +270,7 @@ class TestCosineHistograms:
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=600, seed=6))
         cfg = RouterConfig(n_experts=8, dim=d)
         w = build_block_gating(cfg)
-        outcome = route_top1(gate_scores(batch, w))
+        outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
         total = hist.pair_counts.sum(axis=(0, 1))
@@ -288,7 +288,7 @@ class TestCosineHistograms:
         batch = TokenBatch(
             tokens=np.tile(w[0], (5, 1)), token_ids=np.arange(5)
         )
-        outcome = route_top1(gate_scores(batch, w))
+        outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w)
         assert hist.pair_counts[1, 1].sum() == 0
         assert hist.pair_counts[1, 2].sum() == 0
@@ -299,7 +299,7 @@ class TestCosineHistograms:
         from moelab.router import TokenBatch
 
         batch = TokenBatch(tokens=np.tile(w, (2, 1)), token_ids=np.arange(4))
-        outcome = route_top1(gate_scores(batch, w))
+        outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w, n_bins=16)
         rows = list(hist.iter_rows())
         assert len(rows) == 2 * 2 * 16 + 2 * 16 * 2

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from moelab.cli import main
 
 
@@ -118,6 +120,15 @@ class TestTrainToyCommand:
         assert meta["seed"] == 2
         assert meta["config"]["router"] == "loc"
 
+    def test_divergence_is_a_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        with np.errstate(all="ignore"):
+            code = run(["train-toy", "--router", "switch", "--lr", "1e9", "--epochs", "20",
+                        "--tokens-per-cluster", "64", "--out", str(out)])
+        assert code == 1
+        assert "error: non-finite objective" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = ["train-toy", "--router", "hash", "--epochs", "1",
@@ -165,6 +176,18 @@ class TestCommSimCommand:
     def test_missing_volumes_is_usage_error(self, tmp_path, capsys):
         assert run(["comm-sim", "--out", str(tmp_path / "c.csv")]) == 2
         assert "volumes" in capsys.readouterr().err
+
+    def test_malformed_json_inputs_are_usage_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        out = str(tmp_path / "c.csv")
+        for argv in (
+            ["comm-sim", "--config", str(bad), "--out", out],
+            ["comm-sim", "--topology", str(bad), "--volumes", "v.csv", "--out", out],
+            ["comm-sim", "--compare-routers", "--placement", str(bad), "--out", out],
+        ):
+            assert run(argv) == 2
+            assert "not valid JSON" in capsys.readouterr().err
 
     def test_compare_routers_pipeline(self, tmp_path):
         out = tmp_path / "cmp.csv"

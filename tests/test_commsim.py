@@ -13,7 +13,7 @@ from moelab.commsim import (
 )
 from moelab.router import RoutingOutcome
 
-from oracles import ring_alltoall_reference
+from oracles import ring_allgather_edges_reference, ring_alltoall_reference
 
 TOPO = ClusterTopology(
     n_nodes=2, devices_per_node=8,
@@ -25,15 +25,11 @@ D = TOPO.total_devices
 
 def outcome_for(experts, dropped=None, n_experts=None):
     experts = np.asarray(experts, dtype=np.int64)
-    t = experts.shape[0]
     n = n_experts or int(experts.max()) + 1
-    f = np.bincount(experts, minlength=n) / t
     return RoutingOutcome(
         expert_of_token=experts,
-        gate_value=np.ones(t),
-        dropped=np.zeros(t, dtype=bool) if dropped is None else np.asarray(dropped, bool),
-        f=f,
-        P=f.copy(),
+        probs=np.eye(n)[experts],
+        dropped=None if dropped is None else np.asarray(dropped, bool),
     )
 
 
@@ -174,6 +170,18 @@ class TestGroupwise:
         assert gathered == pytest.approx((g - 1) / g * inter, rel=1e-12)
         # thin dispatch plus all-gather replication re-create the input total
         assert dispatch + gathered == pytest.approx(vol.sum(), rel=1e-12)
+
+    def test_allgather_ring_edges_match_straight_line_reference(self):
+        # integer byte counts divisible by every g keep all sums exact
+        rng = np.random.default_rng(8)
+        vol = rng.integers(0, 1000, (D, D)).astype(float) * 8 * 4096
+        for g in (2, 4, 8):
+            _, plan = groupwise_alltoall_cost(vol, TOPO, g)
+            assert [p.kind for p in plan.phases] == ["all_to_all", "all_gather"]
+            edges = plan.phases[1].volume
+            ref = ring_allgather_edges_reference(vol, TOPO.n_nodes, TOPO.devices_per_node, g)
+            assert edges.shape == (D,)
+            assert np.array_equal(edges, ref)
 
     def test_non_dividing_group_size(self):
         with pytest.raises(ValueError, match="divide"):

@@ -15,7 +15,6 @@ from moelab.losses import (
     locality_loss_grad_logits,
     make_local_target,
     mean_cross_entropy,
-    task_loss,
 )
 from moelab.router import softmax
 
@@ -157,27 +156,6 @@ class TestCrossEntropy:
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="range"):
             cross_entropy(np.zeros((2, 3)), [0, 3])
-
-
-class TestTaskLoss:
-    def test_alpha_case(self):
-        total = task_loss(0.01, 0.0, 0.0)
-        assert total.total == 0.01
-
-    def test_plain_addition(self):
-        total = task_loss(0.01, 0.02, 3.0)
-        assert total.total == pytest.approx(3.03, abs=1e-15)
-        assert (total.aux, total.loc, total.cross) == (0.01, 0.02, 3.0)
-
-    def test_total_at_least_max_component(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a, l, c = rng.uniform(0, 5, 3)
-            assert task_loss(a, l, c).total >= max(a, l, c) - 1e-12
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            task_loss(np.inf, 0.0, 0.0)
 
 
 class TestGradCheck:

@@ -19,25 +19,19 @@ from moelab.capacity import SphereSampleConfig, sample_unit_sphere
 from oracles import fnv1a64_reference, softmax_reference
 
 
-def batch_from(tokens, ids=None, **kw):
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=float))
-    if ids is None:
-        ids = np.arange(tokens.shape[0])
-    return TokenBatch(tokens=tokens, token_ids=ids, **kw)
-
-
 class TestConfig:
     def test_rejects_non_divisible_dim(self):
         with pytest.raises(ValueError, match="7.*not divisible.*3|dim=7"):
             RouterConfig(n_experts=3, dim=7)
 
     def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError):
-            RouterConfig(n_experts=2, dim=4, noise_std=-0.1)
+        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        with pytest.raises(ValueError, match="noise_std must be >= 0, got -0.1"):
+            gate_scores(np.zeros((1, 4)), w, noise_std=-0.1)
 
     def test_unit_norm_validation(self):
         with pytest.raises(ValueError, match="norm"):
-            batch_from([[1.0, 1.0]], unit_norm=True)
+            TokenBatch(tokens=[[1.0, 1.0]], token_ids=[0], unit_norm=True)
 
 
 class TestGrapWeights:
@@ -70,12 +64,12 @@ class TestGrapWeights:
 class TestGateScores:
     def test_basis_vector(self):
         w = build_block_gating(RouterConfig(n_experts=2, dim=4))
-        x = batch_from([[1.0, 0.0, 0.0, 0.0]])
+        x = np.array([[1.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(gate_scores(x, w), [[0.5, 0.0]])
 
     def test_relu_floor_on_negative_tokens(self):
         w = build_block_gating(RouterConfig(n_experts=2, dim=4))
-        x = batch_from([[-1.0, -2.0, -0.5, -3.0]])
+        x = np.array([[-1.0, -2.0, -0.5, -3.0]])
         assert np.array_equal(gate_scores(x, w), [[0.0, 0.0]])
 
     def test_blockwise_mean_oracle(self):
@@ -86,13 +80,13 @@ class TestGateScores:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
-        scores = gate_scores(batch_from([x]), w)[0]
+        scores = gate_scores(x[None, :], w)[0]
         expected = np.maximum(x.reshape(n, d // n).mean(axis=1), 0.0)
         assert np.allclose(scores, expected, atol=1e-15)
 
     def test_noise_is_seed_deterministic(self):
         w = build_block_gating(RouterConfig(n_experts=4, dim=8))
-        x = batch_from(np.random.default_rng(0).standard_normal((5, 8)))
+        x = np.random.default_rng(0).standard_normal((5, 8))
         a = gate_scores(x, w, noise_std=0.3, seed=11)
         b = gate_scores(x, w, noise_std=0.3, seed=11)
         c = gate_scores(x, w, noise_std=0.3, seed=12)
@@ -102,7 +96,7 @@ class TestGateScores:
     def test_dimension_mismatch(self):
         w = build_block_gating(RouterConfig(n_experts=2, dim=4))
         with pytest.raises(ValueError, match="dim"):
-            gate_scores(batch_from([[1.0, 2.0]]), w)
+            gate_scores(np.array([[1.0, 2.0]]), w)
 
 
 class TestRouteTop1:
@@ -132,6 +126,9 @@ class TestRouteTop1:
         assert np.all((out.P >= 0) & (out.P <= 1))
         assert np.all(out.gate_value > 0) and np.all(out.gate_value <= 1)
         assert not out.dropped.any()
+        # gate, f and P all derive from the outcome's per-token probs
+        assert np.array_equal(out.gate_value, out.probs[np.arange(1000), out.expert_of_token])
+        assert np.array_equal(out.P, out.probs.mean(axis=0))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -233,6 +230,7 @@ class TestHashRoute:
 
     def test_p_equals_f(self):
         out = hash_route(np.arange(500), 4)
+        assert np.array_equal(out.probs, np.eye(4)[out.expert_of_token])
         assert np.array_equal(out.P, out.f)
         assert abs(out.P.sum() - 1.0) <= 1e-12
 
@@ -242,25 +240,24 @@ class TestSwitchRoute:
         cfg = RouterConfig(n_experts=4, dim=8)
         w = build_block_gating(cfg)
         rng = np.random.default_rng(10)
-        batch = batch_from(np.abs(rng.standard_normal((50, 8))))
-        relu_based = route_top1(gate_scores(batch, w))
-        dense = switch_route(batch, w)
+        tokens = np.abs(rng.standard_normal((50, 8)))
+        relu_based = route_top1(gate_scores(tokens, w))
+        dense = switch_route(tokens, w)
         assert np.array_equal(relu_based.expert_of_token, dense.expert_of_token)
 
     def test_zero_matrix_routes_to_expert_zero(self):
-        batch = batch_from(np.random.default_rng(1).standard_normal((6, 4)))
-        out = switch_route(batch, np.zeros((3, 4)))
+        tokens = np.random.default_rng(1).standard_normal((6, 4))
+        out = switch_route(tokens, np.zeros((3, 4)))
         assert np.all(out.expert_of_token == 0)
         assert np.allclose(out.gate_value, 1 / 3)
 
     def test_softmax_monotonicity(self):
         rng = np.random.default_rng(12)
-        batch = batch_from(rng.standard_normal((100, 6)))
+        tokens = rng.standard_normal((100, 6))
         w = rng.standard_normal((5, 6))
-        out = switch_route(batch, w)
-        assert np.array_equal(out.expert_of_token, np.argmax(batch.tokens @ w.T, axis=1))
+        out = switch_route(tokens, w)
+        assert np.array_equal(out.expert_of_token, np.argmax(tokens @ w.T, axis=1))
 
     def test_rejects_non_finite_weights(self):
-        batch = batch_from([[1.0, 2.0]])
         with pytest.raises(ValueError):
-            switch_route(batch, np.array([[np.nan, 1.0]]))
+            switch_route(np.array([[1.0, 2.0]]), np.array([[np.nan, 1.0]]))

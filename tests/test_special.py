@@ -1,19 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from moelab.special import (
     erf,
     erfc,
-    lower_incomplete_gamma,
     reg_incomplete_beta,
     reg_incomplete_beta_complement,
-    reg_lower_gamma,
-    std_normal_cdf,
 )
 
-from oracles import erf_quad, erfc_quad, lower_gamma_quad, reg_beta_quad
+from oracles import erfc_quad, reg_beta_quad
 
 
 class TestErf:
@@ -41,35 +36,6 @@ class TestErf:
         scal = np.array([erf(float(x)) for x in xs])
         assert np.array_equal(vec, scal)
         assert np.array_equal(erfc(xs), np.array([erfc(float(x)) for x in xs]))
-
-    def test_normal_cdf_limits(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert std_normal_cdf(40.0) == 1.0
-        assert std_normal_cdf(-40.0) == 0.0
-
-
-class TestIncompleteGamma:
-    def test_half_half_is_erf_one_over_sqrt2(self):
-        # gamma(1/2, 1/2) / Gamma(1/2) = erf(1/sqrt(2)); quadrature oracle
-        value = lower_incomplete_gamma(0.5, 0.5) / math.gamma(0.5)
-        assert value == pytest.approx(erf_quad(1.0 / math.sqrt(2.0)), abs=1e-12)
-        assert value == pytest.approx(0.682689, abs=1e-6)
-
-    def test_against_quadrature(self):
-        for s, x in [(0.5, 0.25), (0.5, 2.0), (1.0, 1.0), (2.5, 3.0), (7.0, 4.0)]:
-            assert lower_incomplete_gamma(s, x) == pytest.approx(
-                lower_gamma_quad(s, x), abs=1e-12
-            )
-
-    def test_regularized_limits(self):
-        assert reg_lower_gamma(0.5, 0.0) == 0.0
-        assert reg_lower_gamma(0.5, 60.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_lower_gamma(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_lower_gamma(0.5, -0.5)
 
 
 class TestIncompleteBeta:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from moelab.commsim import ClusterTopology, round_robin_placement
-from moelab.router import RouterConfig, TokenBatch
+from moelab.router import (
+    RouterConfig,
+    TokenBatch,
+    apply_capacity,
+    build_block_gating,
+    gate_scores,
+    hash_route,
+    route_top1,
+    switch_route,
+)
 from moelab.toymoe import (
     ExpertParams,
     SyntheticCorpusConfig,
@@ -15,12 +24,9 @@ from moelab.toymoe import (
     forward_flops,
     gelu,
     gelu_grad,
-    block_router,
-    hash_router,
     init_experts,
     make_synthetic_corpus,
     moe_forward,
-    switch_router,
     train,
 )
 
@@ -66,8 +72,8 @@ class TestMoeForward:
             for _ in range(n)
         ]
         batch = TokenBatch(tokens=rng.standard_normal((10, d)), token_ids=np.arange(10))
-        router = switch_router(rng.standard_normal((n, d)))
-        y, outcome = moe_forward(batch, router, experts, cap=1)
+        outcome = apply_capacity(switch_route(batch.tokens, rng.standard_normal((n, d))), 1)
+        y = moe_forward(batch, outcome, experts)
         served = ~outcome.dropped
         assert np.all(y[served] == 0.0)
         assert np.array_equal(y[~served], batch.tokens[~served])
@@ -77,8 +83,8 @@ class TestMoeForward:
         d, h = 6, 12
         p = ExpertParams(w_in=rng.standard_normal((h, d)), w_out=rng.standard_normal((d, h)))
         batch = TokenBatch(tokens=rng.standard_normal((4, d)), token_ids=np.arange(4))
-        router = hash_router(1)  # single expert, gate exactly 1
-        y, outcome = moe_forward(batch, router, [p])
+        outcome = hash_route(batch.token_ids, 1)  # single expert, gate exactly 1
+        y = moe_forward(batch, outcome, [p])
         expected = gelu(batch.tokens @ p.w_in.T) @ p.w_out.T
         assert np.allclose(y, expected, atol=1e-12)
         assert np.all(outcome.gate_value == 1.0)
@@ -88,8 +94,9 @@ class TestMoeForward:
         d, h, n, t = 8, 12, 4, 8
         experts = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((t, d)), token_ids=np.arange(t))
-        router = block_router(RouterConfig(n_experts=n, dim=d))
-        y, outcome = moe_forward(batch, router, experts, cap=2)
+        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 2)
+        y = moe_forward(batch, outcome, experts)
         oracle = straight_line_moe_forward(
             batch.tokens, outcome.expert_of_token, outcome.gate_value,
             outcome.dropped, experts,
@@ -101,7 +108,8 @@ class TestMoeForward:
         d, n = 8, 2
         experts = init_experts(n, d, 16, rng)
         batch = TokenBatch(tokens=rng.standard_normal((20, d)), token_ids=np.arange(20))
-        y, outcome = moe_forward(batch, switch_router(np.zeros((n, d))), experts, cap=1)
+        outcome = apply_capacity(switch_route(batch.tokens, np.zeros((n, d))), 1)
+        y = moe_forward(batch, outcome, experts)
         dropped = outcome.dropped
         assert dropped.sum() == 19  # everything ties to expert 0, cap 1
         assert np.array_equal(y[dropped], batch.tokens[dropped])
@@ -113,7 +121,7 @@ class TestMoeForward:
         per_token = []
         for n in (2, 4, 8):
             experts = init_experts(n, d, h, rng)
-            _, outcome = moe_forward(batch, hash_router(n), experts)
+            outcome = hash_route(batch.token_ids, n)
             served = int((~outcome.dropped).sum())
             per_token.append(forward_flops(outcome, d, h) / served)
         assert per_token[0] == per_token[1] == per_token[2] == flops_per_served_token(d, h)
@@ -122,7 +130,10 @@ class TestMoeForward:
         experts = init_experts(2, 8, 16, np.random.default_rng(6))
         batch = TokenBatch(tokens=np.zeros((3, 4)), token_ids=np.arange(3))
         with pytest.raises(ValueError):
-            moe_forward(batch, hash_router(2), experts)
+            moe_forward(batch, hash_route(batch.token_ids, 2), experts)
+        batch = TokenBatch(tokens=np.zeros((3, 8)), token_ids=np.arange(3))
+        with pytest.raises(ValueError, match="token count"):
+            moe_forward(batch, hash_route(np.arange(5), 2), experts)
 
 
 class TestSyntheticCorpus:
@@ -175,6 +186,28 @@ class TestTraining:
             assert np.array_equal(rec.counts, first.counts)
             assert rec.l_task == first.l_task
             assert rec.l_aux == first.l_aux
+
+    def test_training_routes_through_the_public_core(self):
+        # with lr=0 the logged statistics and final gate are exactly what
+        # router.py's public functions give on the run's parameters
+        corpus = small_corpus()
+        placement = round_robin_placement(8, TOPO)
+        block_w = build_block_gating(RouterConfig(n_experts=8, dim=corpus.dim))
+        for kind in ("hash", "switch", "loc"):
+            run = train(corpus, kind, 8, placement, TOPO, epochs=2, lr=0.0, seed=0,
+                        check_gradients=False)
+            if kind == "hash":
+                ref = hash_route(corpus.token_ids, 8)
+            elif kind == "switch":
+                ref = switch_route(corpus.tokens, run.params["gating"])
+            else:
+                proj = corpus.tokens @ run.params["gating"].T
+                ref = route_top1(gate_scores(proj, block_w))
+            rec = run.records[0]
+            assert np.array_equal(rec.f, ref.f)
+            assert np.array_equal(rec.P, ref.P)
+            assert np.array_equal(rec.counts, ref.assigned_counts())
+            assert np.array_equal(run.final_outcome.gate_value, ref.gate_value)
 
     def test_gradient_check_passes_for_all_routers(self):
         corpus = small_corpus()
