@@ -34,7 +34,7 @@ T = 32_000
 experts = rng.integers(0, 16, T)
 source = rng.integers(0, D, T)
 outcome = RoutingOutcome(expert_of_token=experts, probs=np.eye(16)[experts])
-volume = build_volume_matrix(outcome, placement, token_bytes, source)
+volume = build_volume_matrix(outcome, placement, token_bytes, source, topo)
 print(f"Dispatch matrix: {volume.sum() / 2**20:.1f} MiB total, "
       f"{volume[topo.node_of(np.arange(D))[:, None] != topo.node_of(np.arange(D))[None, :]].sum() / volume.sum():.0%} inter-node")
 print(f"Baseline locality fraction: {locality_fraction(outcome, placement, source, topo):.3f}")

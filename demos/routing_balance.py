@@ -12,7 +12,6 @@ import numpy as np
 
 from moelab.capacity import SphereSampleConfig, cosine_histograms, sample_unit_sphere
 from moelab.router import (
-    RouterConfig,
     apply_capacity,
     build_block_gating,
     gate_scores,
@@ -23,8 +22,7 @@ from moelab.router import (
 
 N_EXPERTS, DIM, TOKENS = 8, 64, 50_000
 
-cfg = RouterConfig(n_experts=N_EXPERTS, dim=DIM)
-weights = build_block_gating(cfg)
+weights = build_block_gating(N_EXPERTS, DIM)
 print("Gating matrix: rows are disjoint blocks of value n/d,")
 print(f"  row norms  : {np.linalg.norm(weights, axis=1).round(6)}")
 print(f"  pairwise dot products all zero: {np.all((weights @ weights.T - np.diag(np.diag(weights @ weights.T))) == 0)}")

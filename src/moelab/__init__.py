@@ -58,12 +58,12 @@ from .losses import (
     cross_entropy_grad,
     grad_check,
     locality_loss,
+    locality_loss_grad,
     locality_loss_grad_logits,
     make_local_target,
     mean_cross_entropy,
 )
 from .router import (
-    RouterConfig,
     RoutingOutcome,
     TokenBatch,
     apply_capacity,

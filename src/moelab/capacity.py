@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .router import RouterConfig, RoutingOutcome, TokenBatch, build_block_gating
+from .router import RoutingOutcome, TokenBatch, build_block_gating
 from .special import erfc, reg_incomplete_beta_complement
 
 
@@ -86,10 +86,11 @@ def p_delta(inp: CapacityTheoryInput) -> float:
 def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
     """Capacity lower bound in all three printed forms.
 
-    The exact value is 1 / (n * p_delta).  The code asserts the provable
+    The exact value is 1 / (n * p_delta).  The code checks the provable
     leg of the chain, erfc form > exponential form, which reduces to
-    exp(y^2) * erfc(y) < 1 for y > 0.  The exact and erfc forms are both
-    reported so their (approximation-order) gap can be inspected.
+    exp(y^2) * erfc(y) < 1 for y > 0, and raises RuntimeError if it
+    fails.  The exact and erfc forms are both reported so their
+    (approximation-order) gap can be inspected.
     """
     n = inp.n_experts
     p = p_delta(inp)
@@ -103,9 +104,10 @@ def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
     except OverflowError:
         exp_bound = math.inf
     if 0.0 < y and math.isfinite(erfc_bound) and math.isfinite(exp_bound):
-        assert erfc_bound > exp_bound, (
-            f"erfc-form bound {erfc_bound} not above exp-form {exp_bound}"
-        )
+        if not erfc_bound > exp_bound:
+            raise RuntimeError(
+                f"erfc-form bound {erfc_bound} not above exp-form {exp_bound}"
+            )
     return CapacityTheoryResult(
         p_delta=p,
         ec_min=ec,
@@ -127,11 +129,12 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
     return math.ceil(batch_size * capacity_factor / (expert_parallel * n_experts))
 
 
-def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, float]]:
-    """Exact capacity bound along a grid of cosine thresholds.
+def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, CapacityTheoryResult]]:
+    """Capacity bounds along a grid of cosine thresholds, as
+    ``(delta, ec_min result)`` pairs.
 
-    The grid must be strictly increasing inside (0, 1); the resulting
-    curve is non-decreasing because p_delta is decreasing in delta.
+    The grid must be strictly increasing inside (0, 1); the exact bound is
+    then non-decreasing along it because p_delta is decreasing in delta.
     """
     grid = np.asarray(delta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -140,11 +143,10 @@ def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, fl
         raise ValueError("delta grid values must lie strictly inside (0, 1)")
     if (np.diff(grid) <= 0).any():
         raise ValueError("delta grid must be strictly increasing")
-    out = []
-    for delta in grid:
-        res = ec_min(CapacityTheoryInput(delta=float(delta), dim=dim, n_experts=n_experts))
-        out.append((float(delta), res.ec_min))
-    return out
+    return [
+        (float(delta), ec_min(CapacityTheoryInput(delta=float(delta), dim=dim, n_experts=n_experts)))
+        for delta in grid
+    ]
 
 
 def sample_unit_sphere(cfg: SphereSampleConfig) -> TokenBatch:
@@ -193,8 +195,7 @@ def mc_assignment_fractions(dim: int, n_experts: int, n_samples: int, seed: int 
     spherical-symmetry prediction f_i = 1/n is what is actually measured).
     Returns (f, sigma) with sigma the binomial std of each f_i estimate.
     """
-    cfg = RouterConfig(n_experts=n_experts, dim=dim)
-    weights = build_block_gating(cfg)
+    weights = build_block_gating(n_experts, dim)
     batch = sample_unit_sphere(SphereSampleConfig(dim=dim, n_samples=n_samples, seed=seed))
     assign = np.argmax(batch.tokens @ weights.T, axis=1)
     f = np.bincount(assign, minlength=n_experts) / n_samples

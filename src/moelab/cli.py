@@ -32,7 +32,6 @@ from .commsim import (
 )
 from .losses import LossConfig
 from .router import (
-    RouterConfig,
     apply_capacity,
     build_block_gating,
     gate_scores,
@@ -121,12 +120,17 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
+    """Flag value if given, else config-file value (of the flag's type; an
+    int also serves a float flag and is kept as given), else default."""
+    dest = key.replace("-", "_")
+    value = getattr(args, dest, None)
     if value is not None:
         return value
     if key in config:
-        return config[key]
+        value, kind = config[key], args.flag_types[dest]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
+        return value
     return default
 
 
@@ -157,14 +161,13 @@ def cmd_capacity(args) -> int:
 
     if args.grid:
         grid = _parse_grid(args.grid)
-        resolved = {"dim": dim, "experts": experts, "grid": args.grid, "seed": seed}
-        rows = [["delta", "p_delta", "ec_min", "erfc_bound", "exp_bound", "degenerate", "unbounded"]]
-        for delta in grid:
-            res = capacity.ec_min(capacity.CapacityTheoryInput(float(delta), dim, experts))
-            rows.append([float(delta), res.p_delta, res.ec_min, res.erfc_bound,
-                         res.exp_bound, res.degenerate, res.unbounded])
         if out is None:
             raise UsageError("--grid output is CSV; pass --out")
+        resolved = {"dim": dim, "experts": experts, "grid": args.grid, "seed": seed}
+        rows = [["delta", "p_delta", "ec_min", "erfc_bound", "exp_bound", "degenerate", "unbounded"]]
+        for delta, res in capacity.capacity_curve(dim, experts, grid):
+            rows.append([delta, res.p_delta, res.ec_min, res.erfc_bound,
+                         res.exp_bound, res.degenerate, res.unbounded])
         _write_csv(out, rows, seed, resolved, args.force)
         return 0
 
@@ -226,7 +229,7 @@ def cmd_route_sim(args) -> int:
         capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
     )
     if router == "block":
-        weights = build_block_gating(RouterConfig(n_experts=experts, dim=dim))
+        weights = build_block_gating(experts, dim)
         outcome = route_top1(gate_scores(batch.tokens, weights, noise_std, seed=seed))
     elif router == "switch":
         weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
@@ -364,7 +367,7 @@ def cmd_train_toy(args) -> int:
     _write_csv(out.with_name(out.stem + ".report.csv"), report, seed, resolved, args.force)
 
     volume = build_volume_matrix(
-        run.final_outcome, placement, defaults.DEFAULT_TOKEN_BYTES, run.source_device
+        run.final_outcome, placement, defaults.DEFAULT_TOKEN_BYTES, run.source_device, topology
     )
     vrows = [[f"to_dev_{j}" for j in range(volume.shape[1])]]
     vrows.extend(list(row) for row in volume)
@@ -423,20 +426,21 @@ def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
     """Paired hash/switch/loc training runs compared under the cost model."""
     epochs = _resolve(args, config, "epochs", defaults.DEFAULT_EPOCHS)
     experts = _resolve(args, config, "experts", defaults.DEFAULT_N_EXPERTS)
+    tokens_per_cluster = _resolve(args, config, "tokens-per-cluster",
+                                  defaults.DEFAULT_CORPUS.tokens_per_cluster)
     placement = _placement_from_json(args.placement, experts, topology)
     corpus = make_synthetic_corpus(
         SyntheticCorpusConfig(
             n_clusters=defaults.DEFAULT_CORPUS.n_clusters,
             dim=defaults.DEFAULT_CORPUS.dim,
-            tokens_per_cluster=_resolve(args, config, "tokens-per-cluster",
-                                        defaults.DEFAULT_CORPUS.tokens_per_cluster),
+            tokens_per_cluster=tokens_per_cluster,
             concentration=defaults.DEFAULT_CORPUS.concentration,
             seed=seed,
         )
     )
     resolved = {
         "compare_routers": True, "epochs": epochs, "experts": experts,
-        "tp_group": tp_group, "seed": seed,
+        "tokens_per_cluster": tokens_per_cluster, "tp_group": tp_group, "seed": seed,
         "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
     }
     runs = {}
@@ -530,6 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experts", type=int, default=None)
     p.add_argument("--tokens-per-cluster", type=int, default=None)
     p.set_defaults(fn=cmd_comm_sim)
+
+    for p in sub.choices.values():  # what _resolve checks config values against
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
     return parser
 
 

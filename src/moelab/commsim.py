@@ -106,14 +106,15 @@ class CommPlan:
         return float(sum(p.total_bytes for p in self.phases))
 
 
-def build_volume_matrix(outcome, placement: ExpertPlacement, token_bytes: int, source_map) -> np.ndarray:
+def build_volume_matrix(outcome, placement: ExpertPlacement, token_bytes: int, source_map,
+                        topology: ClusterTopology) -> np.ndarray:
     """Device-to-device dispatch bytes implied by a routing outcome.
 
-    Entry (s, t) counts token_bytes for every served token whose source
-    device is s and whose expert lives on device t.  Dropped tokens never
-    travel.  The diagonal (token served where it originates) is kept; the
-    cost model charges it nothing because ring rounds never pair a device
-    with itself.
+    The matrix is D x D over the topology's D devices.  Entry (s, t)
+    counts token_bytes for every served token whose source device is s and
+    whose expert lives on device t.  Dropped tokens never travel.  The
+    diagonal (token served where it originates) is kept; the cost model
+    charges it nothing because ring rounds never pair a device with itself.
     """
     source = np.asarray(source_map, dtype=np.int64)
     expert = outcome.expert_of_token
@@ -125,7 +126,9 @@ def build_volume_matrix(outcome, placement: ExpertPlacement, token_bytes: int, s
             f"routing references expert {int(expert.max())} but placement "
             f"covers only {devices.shape[0]} experts"
         )
-    n_dev = int(max(source.max(), devices.max())) + 1
+    n_dev = topology.total_devices
+    if min(source.min(), devices.min()) < 0 or max(source.max(), devices.max()) >= n_dev:
+        raise ValueError(f"a source or expert device lies outside the {n_dev} devices")
     keep = ~outcome.dropped
     dest = devices[expert[keep]]
     src = source[keep]
@@ -229,28 +232,25 @@ def compare_strategies(
     topology: ClusterTopology,
     token_bytes: int,
     tp_group_size: int = 8,
-    compute_seconds: float | None = None,
     overlap_ratio: float = 0.5,
 ) -> list[dict]:
     """Model communication for the final assignment of each training run.
 
-    ``runs`` maps a router name to an object exposing ``final_outcome``
-    and ``source_device`` (a toy-training run).  For each router the
-    report carries plain and group-wise modeled seconds, the locality
-    fraction, and the visible communication share of a modeled epoch,
-    where visible = max(0, comm - overlap_ratio * compute); the overlap
+    ``runs`` maps a router name to an object exposing ``final_outcome``,
+    ``source_device`` and ``modeled_compute_seconds`` (a toy-training
+    run).  For each router the report carries plain and group-wise modeled
+    seconds, the locality fraction, and the visible communication share of
+    a modeled epoch, where visible = max(0, comm - overlap_ratio * compute); the overlap
     term is a deliberately coarse stand-in for interleaved execution.
     """
-    if compute_seconds is not None and compute_seconds < 0:
-        raise ValueError("compute_seconds must be >= 0")
     rows = []
     for name, run in runs.items():
         outcome = run.final_outcome
-        volume = build_volume_matrix(outcome, placement, token_bytes, run.source_device)
+        volume = build_volume_matrix(outcome, placement, token_bytes, run.source_device, topology)
         plain = alltoall_cost(volume, topology)
         grouped, _ = groupwise_alltoall_cost(volume, topology, tp_group_size)
         frac = locality_fraction(outcome, placement, run.source_device, topology)
-        compute = run.modeled_compute_seconds if compute_seconds is None else compute_seconds
+        compute = run.modeled_compute_seconds
         visible = max(0.0, plain - overlap_ratio * compute)
         rows.append(
             {

@@ -30,7 +30,6 @@ DEFAULT_N_EXPERTS = 16
 DEFAULT_TOKEN_BYTES = 4096
 DEFAULT_TP_GROUP_SIZE = 8
 DEFAULT_OVERLAP_RATIO = 0.5
-DEFAULT_DEVICE_FLOPS = 1e12
 
 DEFAULT_CORPUS = SyntheticCorpusConfig(
     n_clusters=4,

@@ -105,17 +105,26 @@ def locality_loss(d_c, d_l, mu: float) -> float:
     return mu * kl
 
 
+def locality_loss_grad(d_c, d_l, mu: float) -> np.ndarray:
+    """d(locality_loss)/d(d_c_i) = mu * (ln(d_c_i / d_l_i) + 1), and 0 where
+    d_c_i is 0: there 0 ln 0 = 0 keeps the KL term locally flat."""
+    d_c = np.asarray(d_c, dtype=float)
+    d_l = np.asarray(d_l, dtype=float)
+    support = d_c > 0
+    safe = np.where(support, d_c, 1.0)
+    return np.where(support, mu * (np.log(safe / d_l) + 1.0), 0.0)
+
+
 def locality_loss_grad_logits(logits, d_l, mu: float) -> np.ndarray:
     """Gradient of locality_loss(softmax(logits), d_l, mu) w.r.t. logits.
 
-    With s = softmax(logits) and t_i = ln(s_i / d_l_i) + 1 this is
-    mu * s_k (t_k - sum_i s_i t_i); identically zero when s == d_l.
+    The softmax chain rule over :func:`locality_loss_grad`: with
+    s = softmax(logits) and g its gradient at s, this is s (g - s . g);
+    identically zero when s == d_l.
     """
-    logits = np.asarray(logits, dtype=float)
-    d_l = np.asarray(d_l, dtype=float)
-    s = softmax(logits[None, :])[0]
-    t = np.log(s / d_l) + 1.0
-    return mu * s * (t - np.dot(s, t))
+    s = softmax(np.asarray(logits, dtype=float)[None, :])[0]
+    g = locality_loss_grad(s, d_l, mu)
+    return s * (g - np.dot(s, g))
 
 
 def cross_entropy(logits, targets) -> float:

@@ -25,30 +25,6 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Static routing configuration.
-
-    ``dim`` must be an exact multiple of ``n_experts`` so the gating rows
-    can be disjoint equal-size coordinate blocks; anything else would give
-    the rows unequal norms and is rejected rather than padded.
-    """
-
-    n_experts: int
-    dim: int
-
-    def __post_init__(self):
-        if self.n_experts < 1:
-            raise ValueError(f"n_experts must be >= 1, got {self.n_experts}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.dim % self.n_experts != 0:
-            raise ValueError(
-                f"dim={self.dim} is not divisible by n_experts={self.n_experts}; "
-                "block gating requires dim to be an exact multiple of n_experts"
-            )
-
-
 @dataclass
 class TokenBatch:
     """A batch of token activation vectors plus stable integer ids.
@@ -102,7 +78,8 @@ class RoutingOutcome:
     expert and ``P`` the mean routing probability per expert.  ``f`` and
     ``P`` count all assignments before any capacity drop (dropping only
     affects which tokens an expert actually executes); ``dropped``
-    defaults to no drops.
+    defaults to no drops.  A batch without tokens is rejected, since ``f``
+    and ``P`` are means over its tokens.
     """
 
     expert_of_token: np.ndarray
@@ -114,6 +91,8 @@ class RoutingOutcome:
 
     def __post_init__(self):
         t, n = self.probs.shape
+        if t == 0:
+            raise ValueError("routing needs at least one token")
         if self.dropped is None:
             self.dropped = np.zeros(t, dtype=bool)
         self.gate_value = self.probs[np.arange(t), self.expert_of_token]
@@ -133,18 +112,28 @@ class RoutingOutcome:
         return np.bincount(self.expert_of_token, minlength=self.n_experts)
 
 
-def build_block_gating(cfg: RouterConfig) -> np.ndarray:
+def build_block_gating(n_experts: int, dim: int) -> np.ndarray:
     """Build the fixed block gating matrix.
 
     Row ``i`` holds ``n/d`` on coordinates ``[i*d/n, (i+1)*d/n)`` and zero
     elsewhere, so rows are pairwise orthogonal with equal norms
-    ``sqrt(n/d)`` by construction.
+    ``sqrt(n/d)`` by construction.  ``dim`` must be an exact multiple of
+    ``n_experts`` so the blocks have equal size; anything else would give
+    the rows unequal norms and is rejected rather than padded.
     """
-    n, d = cfg.n_experts, cfg.dim
-    block = d // n
-    weights = np.zeros((n, d))
-    value = n / d
-    for i in range(n):
+    if n_experts < 1:
+        raise ValueError(f"n_experts must be >= 1, got {n_experts}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim % n_experts != 0:
+        raise ValueError(
+            f"dim={dim} is not divisible by n_experts={n_experts}; "
+            "block gating requires dim to be an exact multiple of n_experts"
+        )
+    block = dim // n_experts
+    weights = np.zeros((n_experts, dim))
+    value = n_experts / dim
+    for i in range(n_experts):
         weights[i, i * block : (i + 1) * block] = value
     return weights
 

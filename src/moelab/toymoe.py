@@ -2,9 +2,10 @@
 corpora.
 
 The layer is a top-1 routed bank of two-layer GeLU feed-forward experts
-(dropped tokens pass through unchanged), trained by plain full-batch
-gradient descent against a cluster-classification head.  Three router
-kinds are supported:
+(tokens over an expert's capacity pass through unchanged), trained by
+plain full-batch gradient descent against a cluster-classification head.
+Training and :func:`moe_forward` run the same layer, capacity included.
+Three router kinds are supported:
 
 * ``hash``   - stateless balanced hash of the token id; nothing routable
                is learned.
@@ -18,8 +19,9 @@ The optimizer descends on aux + locality + per-token-mean cross-entropy.
 The summed cross-entropy and its task-loss total are computed and logged
 alongside; the mean is used for the descent direction because the summed
 form scales with the token count and drowns the O(1) regularizers at any
-realistic batch size.  All gradients are hand-derived and validated
-against central finite differences on a probe batch at run start.
+realistic batch size.  The loss gradients come from :mod:`moelab.losses`
+and are back-propagated by hand; :func:`moelab.losses.grad_check` checks
+the whole chain on a probe batch at run start.
 """
 
 from __future__ import annotations
@@ -33,19 +35,21 @@ from .commsim import ClusterTopology, ExpertPlacement, locality_fraction
 from .losses import (
     LossConfig,
     aux_loss,
+    aux_loss_grad_p,
+    cross_entropy_grad,
+    grad_check,
     locality_loss,
+    locality_loss_grad,
     make_local_target,
     mean_cross_entropy,
 )
 from .router import (
-    RouterConfig,
     RoutingOutcome,
     TokenBatch,
     apply_capacity,
     build_block_gating,
     gate_scores,
     hash_route,
-    softmax,
     top1,
 )
 from .special import erf
@@ -127,6 +131,10 @@ class TrainingDiverged(RuntimeError):
 TRAIN_ALPHA_DEFAULT = 0.2
 TRAIN_MU_DEFAULT = 0.1
 
+# the loc pre-gating projection starts at LOC_GAIN * I: a useful softmax temperature
+LOC_GAIN = 0.2
+DEVICE_FLOPS = 1e12  # illustrative per-device flop/s behind modeled compute time
+
 
 @dataclass
 class TrainRun:
@@ -178,21 +186,23 @@ def init_experts(n_experts: int, dim: int, hidden: int, rng) -> list[ExpertParam
     ]
 
 
-def _experts_apply(tokens, expert_of_token, dropped, experts):
-    """Run each expert on its served tokens; returns outputs plus caches
-    (token index list, pre-activation, activation) per expert."""
-    out = np.zeros_like(tokens)
+def _moe_apply(tokens, outcome: RoutingOutcome, experts):
+    """The MoE layer; returns its output, the ungated expert output (0 where
+    dropped) and per-expert caches (token indices, pre-activation, activation)."""
+    raw = np.zeros_like(tokens)
     caches = []
     for e, p in enumerate(experts):
-        idx = np.flatnonzero((expert_of_token == e) & ~dropped)
+        idx = np.flatnonzero((outcome.expert_of_token == e) & ~outcome.dropped)
         if idx.size == 0:
             caches.append(None)
             continue
         z = tokens[idx] @ p.w_in.T
         a = gelu(z)
-        out[idx] = a @ p.w_out.T
+        raw[idx] = a @ p.w_out.T
         caches.append((idx, z, a))
-    return out, caches
+    y = outcome.gate_value[:, None] * raw
+    y[outcome.dropped] = tokens[outcome.dropped]
+    return y, raw, caches
 
 
 def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, experts: list[ExpertParams]):
@@ -209,12 +219,7 @@ def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, experts: list[Expert
             raise ValueError(
                 f"expert expects dim {p.w_in.shape[1]}, batch has {batch.dim}"
             )
-    raw, _ = _experts_apply(batch.tokens, outcome.expert_of_token, outcome.dropped, experts)
-    return np.where(
-        outcome.dropped[:, None],
-        batch.tokens,
-        outcome.gate_value[:, None] * raw,
-    )
+    return _moe_apply(batch.tokens, outcome, experts)[0]
 
 
 def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
@@ -243,6 +248,7 @@ class _TrainSetup:
     mu: float
     local_targets: np.ndarray  # (n_nodes, n_experts)
     n_nodes: int
+    capacity: int | None
 
 
 def _scores(state, setup: _TrainSetup, tokens):
@@ -262,6 +268,8 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
     else:
         scores = _scores(state, setup, tokens)
         outcome = top1(scores)
+    if setup.capacity is not None:
+        outcome = apply_capacity(outcome, setup.capacity)
     probs = outcome.probs
     l_aux = aux_loss(outcome.f, outcome.P, setup.alpha)
 
@@ -277,10 +285,7 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
         locality_loss(node_dc[v], setup.local_targets[v], setup.mu) for v in occupied
     )
 
-    expert_raw, caches = _experts_apply(
-        tokens, outcome.expert_of_token, outcome.dropped, state["experts"]
-    )
-    y = outcome.gate_value[:, None] * expert_raw
+    y, expert_raw, caches = _moe_apply(tokens, outcome, state["experts"])
     logits = y @ state["head"].T
     l_cross_mean = mean_cross_entropy(logits, labels)
 
@@ -305,18 +310,15 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
 def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, cache):
     """Analytic gradients of the training objective for every tensor."""
     t = tokens.shape[0]
-    n = setup.local_targets.shape[1]
     outcome = cache["outcome"]
     probs = outcome.probs
 
-    d_logits = softmax(cache["logits"])
-    d_logits[np.arange(t), labels] -= 1.0
-    d_logits /= t
+    d_logits = cross_entropy_grad(cache["logits"], labels) / t
     grads = {"head": d_logits.T @ cache["y"]}
     d_y = d_logits @ state["head"]
 
     d_expert_raw = outcome.gate_value[:, None] * d_y
-    d_gate = np.einsum("ij,ij->i", d_y, cache["expert_raw"])
+    d_gate = np.einsum("ij,ij->i", d_y, cache["expert_raw"])  # 0 where dropped
 
     g_in, g_out = [], []
     for e, p in enumerate(state["experts"]):
@@ -339,19 +341,13 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
 
     d_probs = np.zeros_like(probs)
     d_probs[np.arange(t), outcome.expert_of_token] += d_gate
-    # balance penalty: dL/dP_i = alpha * n * f_i, and P is the batch mean
-    d_probs += (setup.alpha * n * outcome.f) / t
-    # locality penalty: one KL term per occupied source node; where the
-    # node's mean probability is exactly zero the KL is locally flat, so
-    # those components get no push (guards against log(0) poisoning)
+    # P and each node's d_c are token means, so every token gets 1/T of the
+    # balance gradient and 1/T_v of its node's locality gradient
+    d_probs += aux_loss_grad_p(outcome.f, setup.alpha) / t
     for v in cache["occupied_nodes"]:
         sel = node_of_token == v
         t_v = int(sel.sum())
-        dc = cache["node_dc"][v]
-        safe = np.where(dc > 0, dc, 1.0)
-        dkl = np.where(
-            dc > 0, setup.mu * (np.log(safe / setup.local_targets[v]) + 1.0), 0.0
-        )
+        dkl = locality_loss_grad(cache["node_dc"][v], setup.local_targets[v], setup.mu)
         d_probs[sel] += dkl / t_v
 
     inner = np.einsum("ij,ij->i", d_probs, probs)
@@ -367,35 +363,31 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
 
 
 def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng,
-                      coords_per_tensor: int = 24, step: float = 1e-5) -> float:
-    """Sampled-coordinate finite-difference check of the analytic gradients."""
+                      coords_per_tensor: int = 24) -> float:
+    """Sampled-coordinate finite-difference check of the analytic gradients:
+    :func:`losses.grad_check` on a random sub-vector of each tensor."""
     _, cache = _train_forward(state, setup, tokens, labels, node_of_token)
     grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
 
-    tensors = [("head", state["head"], grads["head"])]
-    if setup.router_kind in ("switch", "loc"):
-        tensors.append(("gating", state["gating"], grads["gating"]))
-    for e in range(len(state["experts"])):
-        tensors.append((f"w_in[{e}]", state["experts"][e].w_in, grads["experts_in"][e]))
-        tensors.append((f"w_out[{e}]", state["experts"][e].w_out, grads["experts_out"][e]))
+    tensors = [(state["head"], grads["head"])]
+    if "gating" in grads:
+        tensors.append((state["gating"], grads["gating"]))
+    for p, g_in, g_out in zip(state["experts"], grads["experts_in"], grads["experts_out"]):
+        tensors += [(p.w_in, g_in), (p.w_out, g_out)]
 
     worst = 0.0
-    for _name, tensor, grad in tensors:
+    for tensor, grad in tensors:
         flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
-        n_coords = min(coords_per_tensor, flat.size)
-        picks = rng.choice(flat.size, size=n_coords, replace=False)
-        for i in picks:
-            orig = flat[i]
-            flat[i] = orig + step
-            hi, _ = _train_forward(state, setup, tokens, labels, node_of_token)
-            flat[i] = orig - step
-            lo, _ = _train_forward(state, setup, tokens, labels, node_of_token)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            analytic = gflat[i]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+        picks = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+        orig = flat[picks]
+
+        def objective(values):
+            flat[picks] = values
+            return _train_forward(state, setup, tokens, labels, node_of_token)[0]
+
+        report = grad_check(objective, lambda _: grad.reshape(-1)[picks], orig)
+        flat[picks] = orig
+        worst = max(worst, report.max_rel_err)
     return worst
 
 
@@ -422,13 +414,10 @@ def train(
     epochs: int = 50,
     lr: float = 1.0,
     loss_cfg: LossConfig | None = None,
-    hidden: int | None = None,
     seed: int = 0,
     capacity: int | None = None,
     check_gradients: bool = True,
     grad_check_tol: float = 1e-4,
-    device_flops: float = 1e12,
-    loc_gain: float = 0.2,
 ) -> TrainRun:
     """Train the toy MoE with the chosen router on a labeled corpus.
 
@@ -437,9 +426,9 @@ def train(
     data-parallel ranks hold different shards.  Expert and head
     initializations are drawn before any router-specific parameters,
     which makes paired runs with different routers share them exactly for
-    a given seed.  ``loc_gain`` scales the initial (identity) pre-gating
-    projection so the block gating scores start at a useful softmax
-    temperature.
+    a given seed.  Experts have hidden width ``4 * dim``.  With
+    ``capacity`` set, each step serves at most that many tokens per
+    expert (in batch order) and the rest pass through the layer unchanged.
     """
     if router_kind not in ("hash", "switch", "loc"):
         raise ValueError(f"unknown router kind {router_kind!r}")
@@ -453,8 +442,7 @@ def train(
     tokens = corpus.tokens
     labels = corpus.labels
     t, dim = tokens.shape
-    if hidden is None:
-        hidden = 4 * dim
+    hidden = 4 * dim
     n_classes = int(labels.max()) + 1
 
     # contiguous corpus shards per device, as data-parallel ranks would hold:
@@ -485,8 +473,8 @@ def train(
     if router_kind == "switch":
         state["gating"] = rng.standard_normal((n_experts, dim)) / math.sqrt(dim)
     elif router_kind == "loc":
-        block_w = build_block_gating(RouterConfig(n_experts=n_experts, dim=dim))
-        state["gating"] = loc_gain * np.eye(dim)
+        block_w = build_block_gating(n_experts, dim)
+        state["gating"] = LOC_GAIN * np.eye(dim)
     else:
         state["hash"] = hash_route(corpus.token_ids, n_experts)
 
@@ -497,6 +485,7 @@ def train(
         mu=loss_cfg.mu,
         local_targets=local_targets,
         n_nodes=topology.n_nodes,
+        capacity=capacity,
     )
 
     probe_err = 0.0
@@ -528,8 +517,6 @@ def train(
         l_cross_sum = cache["l_cross_mean"] * t
 
         outcome = cache["outcome"]
-        if capacity is not None:
-            outcome = apply_capacity(outcome, capacity)
         record = TrainRecord(
             epoch=epoch,
             step=0,
@@ -560,7 +547,7 @@ def train(
             if "gating" in grads:
                 state["gating"] -= lr * grads["gating"]
 
-    compute_s = forward_flops(final_outcome, dim, hidden) / (device_flops * n_dev)
+    compute_s = forward_flops(final_outcome, dim, hidden) / (DEVICE_FLOPS * n_dev)
     params = {"head": state["head"], "experts": state["experts"]}
     if router_kind in ("switch", "loc"):
         params["gating"] = state["gating"]

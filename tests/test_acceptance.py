@@ -48,7 +48,6 @@ from moelab.losses import (
     locality_loss_grad_logits,
 )
 from moelab.router import (
-    RouterConfig,
     TokenBatch,
     apply_capacity,
     build_block_gating,
@@ -277,7 +276,7 @@ def test_criterion_7_communication_model(default_runs):
     from moelab.router import RoutingOutcome
 
     out = RoutingOutcome(expert_of_token=experts, probs=np.eye(16)[experts])
-    volume = build_volume_matrix(out, placement, 4096, src)
+    volume = build_volume_matrix(out, placement, 4096, src, topo)
     devices = placement.devices()
     nodes = topo.node_of(devices)
     cost = alltoall_cost(volume, topo)
@@ -348,7 +347,7 @@ def test_criterion_9_forward_oracle_and_flop_invariance():
         d, h, n = 8, 12, 4
         experts = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((8, d)), token_ids=np.arange(8))
-        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        w = build_block_gating(n, d)
         outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 3)
         y = moe_forward(batch, outcome, experts)
         oracle = straight_line_moe_forward(

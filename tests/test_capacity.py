@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moelab
 from moelab.capacity import (
     CapacityTheoryInput,
     CapacityTheoryResult,
@@ -17,10 +22,12 @@ from moelab.capacity import (
     p_delta,
     sample_unit_sphere,
 )
-from moelab.router import RouterConfig, build_block_gating, gate_scores, route_top1
+from moelab.router import build_block_gating, gate_scores, route_top1
 from moelab.toymoe import SyntheticCorpusConfig, make_synthetic_corpus
 
 from oracles import reg_beta_quad
+
+SRC = str(Path(moelab.__file__).resolve().parents[1])
 
 
 def theory(delta, dim, n=16):
@@ -104,6 +111,20 @@ class TestEcMin:
         res = ec_min(theory(1.0, 64, n=4))
         assert res.unbounded and res.ec_min == math.inf
 
+    def test_broken_invariant_raises_even_under_optimize(self):
+        # with erfc replaced by 1 the erfc form drops below the exp form;
+        # the check must survive python -O, which strips asserts
+        code = (
+            "import moelab.capacity as c; c.erfc = lambda y: 1.0; "
+            "c.ec_min(c.CapacityTheoryInput(0.1, 512, 16))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "RuntimeError: erfc-form bound" in proc.stderr
+
     def test_exp_bound_is_lower_bound_of_exact(self):
         # ec_min >= exp_bound whenever the chain applies
         for dim in (256, 1024, 4096):
@@ -135,17 +156,17 @@ class TestEmpiricalCapacity:
 class TestCapacityCurve:
     def test_monotone_non_decreasing(self):
         curve = capacity_curve(512, 16, np.linspace(0.01, 0.5, 50))
-        values = [v for _, v in curve]
+        values = [res.ec_min for _, res in curve]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_small_delta_limit(self):
         curve = capacity_curve(512, 16, [1e-9, 1e-6])
-        assert curve[0][1] == pytest.approx(1 / 16, rel=1e-6)
+        assert curve[0][1].ec_min == pytest.approx(1 / 16, rel=1e-6)
 
     def test_spot_value_vs_quadrature(self):
-        (delta, value), = capacity_curve(512, 16, [0.1])
+        (delta, res), = capacity_curve(512, 16, [0.1])
         p = 1.0 - reg_beta_quad(0.01, 0.5, 255.5)
-        assert value == pytest.approx(1.0 / (16 * p), rel=1e-9)
+        assert res.ec_min == pytest.approx(1.0 / (16 * p), rel=1e-9)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -184,8 +205,7 @@ class TestBalancedAssignment:
 
     def test_matches_scored_router_when_any_score_positive(self):
         n, d, t = 8, 64, 5000
-        cfg = RouterConfig(n_experts=n, dim=d)
-        w = build_block_gating(cfg)
+        w = build_block_gating(n, d)
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=t, seed=3))
         raw = batch.tokens @ w.T
         scored = route_top1(gate_scores(batch.tokens, w))
@@ -225,8 +245,7 @@ class TestCapAreaIdentity:
 
 class TestCosineHistograms:
     def test_tokens_equal_to_gating_rows_concentrate_at_one(self):
-        cfg = RouterConfig(n_experts=4, dim=8)
-        w = build_block_gating(cfg)
+        w = build_block_gating(4, 8)
         from moelab.router import TokenBatch
 
         batch = TokenBatch(tokens=np.tile(w, (3, 1)), token_ids=np.arange(12))
@@ -242,8 +261,7 @@ class TestCosineHistograms:
             SyntheticCorpusConfig(n_clusters=4, dim=64, tokens_per_cluster=200,
                                   concentration=10.0, seed=5)
         )
-        cfg = RouterConfig(n_experts=8, dim=64)
-        w = build_block_gating(cfg)
+        w = build_block_gating(8, 64)
         outcome = route_top1(gate_scores(corpus.tokens, w))
         hist = cosine_histograms(corpus, outcome, w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
@@ -268,8 +286,7 @@ class TestCosineHistograms:
     def test_uniform_sphere_cosines_concentrate_near_zero(self):
         d = 64
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=600, seed=6))
-        cfg = RouterConfig(n_experts=8, dim=d)
-        w = build_block_gating(cfg)
+        w = build_block_gating(8, d)
         outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
@@ -283,8 +300,7 @@ class TestCosineHistograms:
     def test_empty_expert_bucket_is_empty_histogram(self):
         from moelab.router import TokenBatch
 
-        cfg = RouterConfig(n_experts=4, dim=8)
-        w = build_block_gating(cfg)
+        w = build_block_gating(4, 8)
         batch = TokenBatch(
             tokens=np.tile(w[0], (5, 1)), token_ids=np.arange(5)
         )
@@ -294,8 +310,7 @@ class TestCosineHistograms:
         assert hist.pair_counts[1, 2].sum() == 0
 
     def test_row_iterator_shape(self):
-        cfg = RouterConfig(n_experts=2, dim=4)
-        w = build_block_gating(cfg)
+        w = build_block_gating(2, 4)
         from moelab.router import TokenBatch
 
         batch = TokenBatch(tokens=np.tile(w, (2, 1)), token_ids=np.arange(4))

@@ -120,6 +120,21 @@ class TestTrainToyCommand:
         assert meta["seed"] == 2
         assert meta["config"]["router"] == "loc"
 
+    def test_config_values_must_have_the_flag_type(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        out = tmp_path / "run.csv"
+        for bad in ({"epochs": "5"}, {"epochs": 2.0}, {"epochs": True}, {"lr": "1"}):
+            config.write_text(json.dumps(bad))
+            assert run(["train-toy", "--config", str(config), "--out", str(out)]) == 2
+            assert "is not of type" in capsys.readouterr().err
+            assert not out.exists()
+        # an int serves a float flag and is recorded as given
+        config.write_text(json.dumps({"lr": 1, "epochs": 1, "tokens-per-cluster": 16}))
+        assert run(["train-toy", "--router", "hash", "--config", str(config),
+                    "--out", str(out)]) == 0
+        meta = (tmp_path / "run.csv.meta.json").read_text()
+        assert '"lr": 1,' in meta
+
     def test_divergence_is_a_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         with np.errstate(all="ignore"):
@@ -188,6 +203,13 @@ class TestCommSimCommand:
         ):
             assert run(argv) == 2
             assert "not valid JSON" in capsys.readouterr().err
+
+    def test_compare_routers_meta_records_tokens_per_cluster(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--epochs", "1",
+                    "--tokens-per-cluster", "16", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
+        assert meta["config"]["tokens_per_cluster"] == 16
 
     def test_compare_routers_pipeline(self, tmp_path):
         out = tmp_path / "cmp.csv"

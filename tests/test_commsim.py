@@ -51,13 +51,13 @@ class TestVolumeMatrix:
         placement = round_robin_placement(16, TOPO)
         # token i originates on device i and routes to the expert hosted there
         out = outcome_for(np.arange(16))
-        vol = build_volume_matrix(out, placement, 4096, np.arange(16))
+        vol = build_volume_matrix(out, placement, 4096, np.arange(16), TOPO)
         assert np.array_equal(np.diag(np.diag(vol)), vol)
 
     def test_single_token_entry(self):
         placement = round_robin_placement(16, TOPO)
         out = outcome_for([3], n_experts=16)
-        vol = build_volume_matrix(out, placement, 4096, np.array([0]))
+        vol = build_volume_matrix(out, placement, 4096, np.array([0]), TOPO)
         expected = np.zeros((16, 16))
         expected[0, 3] = 4096.0
         assert np.array_equal(vol, expected)
@@ -69,16 +69,32 @@ class TestVolumeMatrix:
         dropped = rng.random(4000) < 0.1
         out = outcome_for(experts, dropped=dropped)
         src = rng.integers(0, D, 4000)
-        vol = build_volume_matrix(out, placement, 4096, src)
+        vol = build_volume_matrix(out, placement, 4096, src, TOPO)
         served = out.served_counts()
         # experts map one-to-one onto devices here
         assert np.array_equal(vol.sum(axis=0), served * 4096.0)
+
+    def test_matrix_is_sized_by_the_topology(self):
+        # 8 experts on devices 0..7 and every token on device 0 leave
+        # devices 8..15 idle; the matrix still covers all 16
+        placement = round_robin_placement(8, TOPO)
+        out = outcome_for(np.arange(8).repeat(4))
+        vol = build_volume_matrix(out, placement, 4096, np.zeros(32, dtype=np.int64), TOPO)
+        assert vol.shape == (D, D)
+        assert vol[0, :8].tolist() == [4 * 4096.0] * 8
+        assert alltoall_cost(vol, TOPO) > 0
+
+    def test_device_outside_topology_raises(self):
+        placement = round_robin_placement(16, TOPO)
+        out = outcome_for([0], n_experts=16)
+        with pytest.raises(ValueError, match="outside"):
+            build_volume_matrix(out, placement, 4096, np.array([D]), TOPO)
 
     def test_unplaced_expert_raises(self):
         placement = ExpertPlacement((0, 1))
         out = outcome_for([5], n_experts=6)
         with pytest.raises(ValueError, match="placement"):
-            build_volume_matrix(out, placement, 128, np.array([0]))
+            build_volume_matrix(out, placement, 128, np.array([0]), TOPO)
 
 
 class TestAllToAllCost:
@@ -221,7 +237,7 @@ class TestRelocationMonotonicity:
         src = rng.integers(0, D, 8000)
         out = outcome_for(experts)
         token_bytes = 4096
-        vol = build_volume_matrix(out, placement, token_bytes, src)
+        vol = build_volume_matrix(out, placement, token_bytes, src, TOPO)
         devices = placement.devices()
         nodes = TOPO.node_of(devices)
         cost = alltoall_cost(vol, TOPO)

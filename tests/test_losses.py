@@ -12,6 +12,7 @@ from moelab.losses import (
     cross_entropy_grad,
     grad_check,
     locality_loss,
+    locality_loss_grad,
     locality_loss_grad_logits,
     make_local_target,
     mean_cross_entropy,
@@ -185,6 +186,30 @@ class TestGradCheck:
             lambda z: locality_loss(softmax(z[None, :])[0], d_l, 0.7),
             lambda z: locality_loss_grad_logits(z, d_l, 0.7),
             rng.normal(0, 1, 5),
+        )
+        assert report.passed
+
+    def test_locality_gradient_is_zero_off_the_support(self):
+        d_c = np.array([0.5, 0.0, 0.5])
+        d_l = np.array([0.2, 0.3, 0.5])
+        grad = locality_loss_grad(d_c, d_l, 0.5)
+        assert grad[1] == 0.0
+        assert grad[0] == pytest.approx(0.5 * (math.log(0.5 / 0.2) + 1.0), rel=1e-15)
+        assert np.all(np.isfinite(grad))
+
+    def test_locality_gradient_through_softmax_matches_fd(self):
+        rng = np.random.default_rng(5)
+        d_l = rng.dirichlet(np.ones(6)) + 1e-3
+        d_l /= d_l.sum()
+
+        def grad_logits(z):  # softmax Jacobian diag(s) - s s^T times the gradient
+            s = softmax(z[None, :])[0]
+            return (np.diag(s) - np.outer(s, s)) @ locality_loss_grad(s, d_l, 0.3)
+
+        report = grad_check(
+            lambda z: locality_loss(softmax(z[None, :])[0], d_l, 0.3),
+            grad_logits,
+            rng.normal(0, 1, 6),
         )
         assert report.passed
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moelab.router import (
-    RouterConfig,
     TokenBatch,
     apply_capacity,
     build_block_gating,
@@ -22,10 +21,10 @@ from oracles import fnv1a64_reference, softmax_reference
 class TestConfig:
     def test_rejects_non_divisible_dim(self):
         with pytest.raises(ValueError, match="7.*not divisible.*3|dim=7"):
-            RouterConfig(n_experts=3, dim=7)
+            build_block_gating(3, 7)
 
     def test_rejects_negative_noise(self):
-        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        w = build_block_gating(2, 4)
         with pytest.raises(ValueError, match="noise_std must be >= 0, got -0.1"):
             gate_scores(np.zeros((1, 4)), w, noise_std=-0.1)
 
@@ -36,15 +35,15 @@ class TestConfig:
 
 class TestGrapWeights:
     def test_two_by_four(self):
-        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        w = build_block_gating(2, 4)
         assert np.array_equal(w, [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
 
     def test_identity_case(self):
-        w = build_block_gating(RouterConfig(n_experts=1, dim=1))
+        w = build_block_gating(1, 1)
         assert np.array_equal(w, [[1.0]])
 
     def test_four_by_eight_orthogonal(self):
-        w = build_block_gating(RouterConfig(n_experts=4, dim=8))
+        w = build_block_gating(4, 8)
         assert np.all(np.sum(w != 0, axis=1) == 2)
         assert np.all(w[w != 0] == 0.5)
         gram = w @ w.T
@@ -53,7 +52,7 @@ class TestGrapWeights:
     def test_rows_orthogonal_equal_norm(self):
         # pairwise dots exactly zero, norms sqrt(n/d) to 1e-12
         for n, d in [(2, 4), (8, 64), (16, 128), (5, 20)]:
-            w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+            w = build_block_gating(n, d)
             gram = w @ w.T
             off = gram - np.diag(np.diag(gram))
             assert np.all(off == 0.0)
@@ -63,20 +62,19 @@ class TestGrapWeights:
 
 class TestGateScores:
     def test_basis_vector(self):
-        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        w = build_block_gating(2, 4)
         x = np.array([[1.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(gate_scores(x, w), [[0.5, 0.0]])
 
     def test_relu_floor_on_negative_tokens(self):
-        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        w = build_block_gating(2, 4)
         x = np.array([[-1.0, -2.0, -0.5, -3.0]])
         assert np.array_equal(gate_scores(x, w), [[0.0, 0.0]])
 
     def test_blockwise_mean_oracle(self):
         # scores equal clipped means of coordinate blocks, scaled by n/d
         n, d = 8, 64
-        cfg = RouterConfig(n_experts=n, dim=d)
-        w = build_block_gating(cfg)
+        w = build_block_gating(n, d)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
@@ -85,7 +83,7 @@ class TestGateScores:
         assert np.allclose(scores, expected, atol=1e-15)
 
     def test_noise_is_seed_deterministic(self):
-        w = build_block_gating(RouterConfig(n_experts=4, dim=8))
+        w = build_block_gating(4, 8)
         x = np.random.default_rng(0).standard_normal((5, 8))
         a = gate_scores(x, w, noise_std=0.3, seed=11)
         b = gate_scores(x, w, noise_std=0.3, seed=11)
@@ -94,7 +92,7 @@ class TestGateScores:
         assert not np.array_equal(a, c)
 
     def test_dimension_mismatch(self):
-        w = build_block_gating(RouterConfig(n_experts=2, dim=4))
+        w = build_block_gating(2, 4)
         with pytest.raises(ValueError, match="dim"):
             gate_scores(np.array([[1.0, 2.0]]), w)
 
@@ -134,11 +132,18 @@ class TestRouteTop1:
         with pytest.raises(ValueError, match="finite"):
             route_top1(np.array([[1.0, np.inf]]))
 
+    def test_rejects_empty_batch(self):
+        # f and P are means over tokens: an empty batch has none to give
+        with pytest.raises(ValueError, match="at least one token"):
+            route_top1(np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="at least one token"):
+            hash_route(np.zeros(0, dtype=np.int64), 4)
+
     def test_minimum_angle_selection_matches_argmax(self):
         # with equal-norm rows, the raw-score argmax is the minimum-angle
         # expert; checked on tokens whose best score is positive
         n, d = 8, 64
-        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        w = build_block_gating(n, d)
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=2000, seed=1))
         raw = batch.tokens @ w.T
         keep = raw.max(axis=1) > 0
@@ -152,7 +157,7 @@ class TestRouteTop1:
         # spherical symmetry: assignment fractions near 1/n (small-scale
         # version of the acceptance check, via the raw-score argmax)
         n, d, t = 8, 64, 20000
-        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        w = build_block_gating(n, d)
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=t, seed=2))
         assign = np.argmax(batch.tokens @ w.T, axis=1)
         f = np.bincount(assign, minlength=n) / t
@@ -237,8 +242,7 @@ class TestHashRoute:
 
 class TestSwitchRoute:
     def test_matches_block_gating_on_nonnegative_tokens(self):
-        cfg = RouterConfig(n_experts=4, dim=8)
-        w = build_block_gating(cfg)
+        w = build_block_gating(4, 8)
         rng = np.random.default_rng(10)
         tokens = np.abs(rng.standard_normal((50, 8)))
         relu_based = route_top1(gate_scores(tokens, w))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from moelab.commsim import ClusterTopology, round_robin_placement
+from moelab.losses import mean_cross_entropy
 from moelab.router import (
-    RouterConfig,
     TokenBatch,
     apply_capacity,
     build_block_gating,
@@ -94,7 +94,7 @@ class TestMoeForward:
         d, h, n, t = 8, 12, 4, 8
         experts = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((t, d)), token_ids=np.arange(t))
-        w = build_block_gating(RouterConfig(n_experts=n, dim=d))
+        w = build_block_gating(n, d)
         outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 2)
         y = moe_forward(batch, outcome, experts)
         oracle = straight_line_moe_forward(
@@ -192,7 +192,7 @@ class TestTraining:
         # router.py's public functions give on the run's parameters
         corpus = small_corpus()
         placement = round_robin_placement(8, TOPO)
-        block_w = build_block_gating(RouterConfig(n_experts=8, dim=corpus.dim))
+        block_w = build_block_gating(8, corpus.dim)
         for kind in ("hash", "switch", "loc"):
             run = train(corpus, kind, 8, placement, TOPO, epochs=2, lr=0.0, seed=0,
                         check_gradients=False)
@@ -215,6 +215,30 @@ class TestTraining:
         for kind in ("hash", "switch", "loc"):
             run = train(corpus, kind, 8, placement, TOPO, epochs=1, lr=0.5, seed=0,
                         check_gradients=True)
+            assert run.probe_grad_rel_err <= 1e-4
+
+    def test_training_runs_the_pass_through_forward(self):
+        # with capacity 1 almost every token is dropped, and the logged loss
+        # is exactly the one moe_forward gives, where dropped tokens pass
+        # through the layer unchanged
+        corpus = small_corpus()
+        placement = round_robin_placement(8, TOPO)
+        for kind in ("hash", "switch", "loc"):
+            run = train(corpus, kind, 8, placement, TOPO, epochs=1, lr=0.0, seed=0,
+                        capacity=1, check_gradients=False)
+            assert run.final_outcome.dropped.sum() >= corpus.n_tokens - 8
+            y = moe_forward(corpus, run.final_outcome, run.params["experts"])
+            want = mean_cross_entropy(y @ run.params["head"].T, corpus.labels)
+            assert run.records[0].l_cross_mean == want
+
+    def test_gradient_check_passes_where_capacity_binds(self):
+        # with two experts the four probe tokens share an expert under every
+        # router, so capacity 1 drops some of them inside the probe too
+        corpus = small_corpus()
+        placement = round_robin_placement(2, TOPO)
+        for kind in ("hash", "switch", "loc"):
+            run = train(corpus, kind, 2, placement, TOPO, epochs=1, lr=0.5, seed=0,
+                        capacity=1, check_gradients=True)
             assert run.probe_grad_rel_err <= 1e-4
 
     def test_hash_counts_are_constant_and_balanced(self):
