@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,23 @@ def _load_config_file(path: str | None) -> dict:
     return _read_json(path)
 
 
+def _is_a(value, kind) -> bool:
+    """JSON value type check: an int also serves a float, a bool never a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _json_fields(path: str, raw, fields: dict, what: str) -> dict:
+    """The named fields of a JSON object, each checked against its type."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: expected a JSON object of {what} fields, got {type(raw).__name__}")
+    for name, kind in fields.items():
+        if name not in raw:
+            raise UsageError(f"{path}: {what} field {name!r} is missing")
+        if not _is_a(raw[name], kind):
+            raise UsageError(f"{path}: {what} field {name}={raw[name]!r} is not of type {kind.__name__}")
+    return {name: raw[name] for name in fields}
+
+
 def _resolve(args, config: dict, key: str, default):
     """Flag value if given, else config-file value (of the flag's type; an
     int also serves a float flag and is kept as given), else default."""
@@ -128,7 +147,7 @@ def _resolve(args, config: dict, key: str, default):
         return value
     if key in config:
         value, kind = config[key], args.flag_types[dest]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        if not _is_a(value, kind):
             raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
         return value
     return default
@@ -265,23 +284,22 @@ def cmd_route_sim(args) -> int:
 def _topology_from_json(path: str | None) -> ClusterTopology:
     if path is None:
         return defaults.DEFAULT_TOPOLOGY
-    raw = _read_json(path)
-    return ClusterTopology(
-        n_nodes=raw["n_nodes"],
-        devices_per_node=raw["devices_per_node"],
-        intra_bw=raw["intra_bw"],
-        inter_bw=raw["inter_bw"],
-        intra_latency=raw["intra_latency"],
-        inter_latency=raw["inter_latency"],
-    )
+    fields = typing.get_type_hints(ClusterTopology)  # name -> int or float
+    return ClusterTopology(**_json_fields(path, _read_json(path), fields, "topology"))
 
 
 def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopology) -> ExpertPlacement:
+    """From {"device_of_expert": [...]} or the bare list of device ids."""
     if path is None:
         return defaults.default_placement(n_experts, topology)
     raw = _read_json(path)
-    devices = raw["device_of_expert"] if isinstance(raw, dict) else raw
-    return ExpertPlacement(tuple(int(d) for d in devices))
+    if isinstance(raw, list):
+        raw = {"device_of_expert": raw}
+    devices = _json_fields(path, raw, {"device_of_expert": list}, "placement")["device_of_expert"]
+    for d in devices:
+        if not _is_a(d, int):
+            raise UsageError(f"{path}: placement device id {d!r} is not of type int")
+    return ExpertPlacement(tuple(devices))
 
 
 def cmd_train_toy(args) -> int:
@@ -303,16 +321,10 @@ def cmd_train_toy(args) -> int:
         raise UsageError("train-toy requires --out")
     out = Path(args.out)
 
-    base = defaults.DEFAULT_TOPOLOGY
-    devices_per_node = _resolve(args, config, "devices-per-node", base.devices_per_node)
-    topology = ClusterTopology(
-        n_nodes=nodes,
-        devices_per_node=devices_per_node,
-        intra_bw=base.intra_bw,
-        inter_bw=base.inter_bw,
-        intra_latency=base.intra_latency,
-        inter_latency=base.inter_latency,
-    )
+    devices_per_node = _resolve(args, config, "devices-per-node",
+                                defaults.DEFAULT_TOPOLOGY.devices_per_node)
+    topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=nodes,
+                                   devices_per_node=devices_per_node)
     placement = defaults.default_placement(experts, topology)
     corpus = make_synthetic_corpus(
         SyntheticCorpusConfig(
@@ -430,13 +442,7 @@ def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
                                   defaults.DEFAULT_CORPUS.tokens_per_cluster)
     placement = _placement_from_json(args.placement, experts, topology)
     corpus = make_synthetic_corpus(
-        SyntheticCorpusConfig(
-            n_clusters=defaults.DEFAULT_CORPUS.n_clusters,
-            dim=defaults.DEFAULT_CORPUS.dim,
-            tokens_per_cluster=tokens_per_cluster,
-            concentration=defaults.DEFAULT_CORPUS.concentration,
-            seed=seed,
-        )
+        dataclasses.replace(defaults.DEFAULT_CORPUS, tokens_per_cluster=tokens_per_cluster, seed=seed)
     )
     resolved = {
         "compare_routers": True, "epochs": epochs, "experts": experts,

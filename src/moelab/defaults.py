@@ -8,12 +8,7 @@ desk-scale calibration the shipped demos and acceptance checks run with.
 from __future__ import annotations
 
 from .commsim import ClusterTopology, ExpertPlacement, round_robin_placement
-from .losses import LossConfig
-from .toymoe import (
-    TRAIN_ALPHA_DEFAULT,
-    TRAIN_MU_DEFAULT,
-    SyntheticCorpusConfig,
-)
+from .toymoe import TRAIN_LOSSES, SyntheticCorpusConfig
 
 DEFAULT_SEED = 2
 
@@ -41,7 +36,7 @@ DEFAULT_CORPUS = SyntheticCorpusConfig(
 
 DEFAULT_EPOCHS = 50
 DEFAULT_LR = 1.0
-DEFAULT_TRAIN_LOSSES = LossConfig(alpha=TRAIN_ALPHA_DEFAULT, mu=TRAIN_MU_DEFAULT)
+DEFAULT_TRAIN_LOSSES = TRAIN_LOSSES
 
 
 def default_placement(n_experts: int = DEFAULT_N_EXPERTS, topology: ClusterTopology = DEFAULT_TOPOLOGY) -> ExpertPlacement:

@@ -4,10 +4,12 @@ Everything here is implemented in-repo (rational approximations and
 continued fractions in double precision) so the test suite can check the
 results against direct numeric quadrature instead of trusting a library.
 
-erf/erfc follow W. J. Cody's three-interval rational approximations and
-are vectorized over numpy arrays.  The regularized incomplete beta
-function uses the classic continued fraction (modified Lentz iteration)
-and operates on scalars, which is all the capacity theory needs.
+erf/erfc follow W. J. Cody's rational approximations (Math. Comp. 23,
+1969): one kernel evaluates each of his three intervals of |x| once, and
+erf and erfc are sign and complement arithmetic over it, elementwise over
+arrays.  The regularized incomplete beta function uses the classic
+continued fraction (modified Lentz iteration) and operates on scalars,
+which is all the capacity theory needs.
 """
 
 from __future__ import annotations
@@ -73,85 +75,77 @@ _ERFC_Q = (
     2.33520497626869185e-3,
 )
 
+_ERF_SMALL = 0.46875  # Cody's interval edges in y = |x|
+_ERFC_MID = 4.0
 _ERFC_XBIG = 26.543  # erfc underflows to 0 beyond this
 
 
-def _erf_small(z):
-    """erf on |x| <= 0.46875; z = x**2, returns erf(x)/x."""
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return (num + _ERF_A[3]) / (den + _ERF_B[3])
+def _horner(t, p, q):
+    """Numerator and denominator of Cody's rational form in t: p[-1] leads
+    the numerator, the denominator is monic, and the order is his."""
+    num = p[-1] * t
+    den = t
+    for a, b in zip(p[: len(q) - 1], q[:-1]):
+        num = (num + a) * t
+        den = (den + b) * t
+    return num + p[len(q) - 1], den + q[-1]
 
 
-def _erfc_mid(y):
-    """erfc on 0.46875 < y <= 4 (y = |x|)."""
-    num = _ERFC_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * y
-        den = (den + _ERFC_D[i]) * y
-    frac = (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    # Split the exponential for full accuracy near the underflow region.
+def _exp_neg_sq(y, frac):
+    """exp(-y*y) * frac, with y*y split at y rounded down to 1/16."""
     ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
     return np.exp(-ysq * ysq) * np.exp(-delta) * frac
 
 
-def _erfc_large(y):
-    """erfc on y > 4 (y = |x|)."""
-    z = 1.0 / (y * y)
-    num = _ERFC_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    frac = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    frac = (_SQRT_PI_INV - frac) / y
-    ysq = np.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    out = np.exp(-ysq * ysq) * np.exp(-delta) * frac
-    return np.where(y > _ERFC_XBIG, 0.0, out)
+def _cody(y):
+    """Cody's kernel on a 1-d array y = |x|: returns (out, small), out being
+    erf(y) where the mask small (y <= 0.46875) is set and erfc(y) elsewhere.
+    Each interval is evaluated once on its own index set; erfc is 0 beyond
+    26.543 (no inf - inf at infinity) and NaN stays NaN."""
+    out = np.zeros(y.shape)
+    small = y <= _ERF_SMALL
+    t = y[small]
+    if t.size:
+        num, den = _horner(t * t, _ERF_A, _ERF_B)
+        out[small] = t * (num / den)
+    rest = (~small).nonzero()[0]
+    big = y[rest] > _ERFC_MID
+    idx = rest[~big]  # the mid interval, and NaN
+    if idx.size:
+        t = y[idx]
+        num, den = _horner(t, _ERFC_C, _ERFC_D)
+        out[idx] = _exp_neg_sq(t, num / den)
+    idx = rest[big]
+    idx = idx[y[idx] <= _ERFC_XBIG]
+    if idx.size:
+        t = y[idx]
+        z = 1.0 / (t * t)
+        num, den = _horner(z, _ERFC_P, _ERFC_Q)
+        out[idx] = _exp_neg_sq(t, (_SQRT_PI_INV - z * num / den) / t)
+    return out, small
 
 
 def erfc(x):
     """Complementary error function, elementwise over arrays."""
     x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    out = np.empty_like(y)
-    if small.any():
-        z = y[small] ** 2
-        out[small] = 1.0 - y[small] * _erf_small(z)
-    if mid.any():
-        out[mid] = _erfc_mid(y[mid])
-    large = ~(small | mid)
-    if large.any():
-        out[large] = _erfc_large(y[large])
-    out = np.where(x < 0.0, 2.0 - out, out)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    flat = x.ravel()
+    out, small = _cody(np.abs(flat))
+    out[small] = 1.0 - out[small]
+    neg = flat < 0.0
+    out[neg] = 2.0 - out[neg]
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def erf(x):
     """Error function, elementwise over arrays."""
     x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    small = y <= 0.46875
-    out = np.empty_like(y)
-    if small.any():
-        xs = x[small] if np.ndim(x) else np.asarray(x)
-        out[small] = xs * _erf_small(np.asarray(y[small]) ** 2)
-    big = ~small
-    if big.any():
-        out[big] = np.sign(x[big]) * (1.0 - erfc(y[big]))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    flat = x.ravel()
+    out, small = _cody(np.abs(flat))
+    rest = ~small
+    out[rest] = 1.0 - out[rest]
+    np.copysign(out, flat, out=out)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 _CF_EPS = 3e-16

@@ -128,8 +128,7 @@ class TrainingDiverged(RuntimeError):
 # regime.  The loss-module defaults (0.01) are tuned for full-scale language
 # model training; against this small classification proxy they are two
 # orders of magnitude too weak to steer routing within 50 epochs.
-TRAIN_ALPHA_DEFAULT = 0.2
-TRAIN_MU_DEFAULT = 0.1
+TRAIN_LOSSES = LossConfig(alpha=0.2, mu=0.1)
 
 # the loc pre-gating projection starts at LOC_GAIN * I: a useful softmax temperature
 LOC_GAIN = 0.2
@@ -413,7 +412,7 @@ def train(
     topology: ClusterTopology,
     epochs: int = 50,
     lr: float = 1.0,
-    loss_cfg: LossConfig | None = None,
+    loss_cfg: LossConfig = TRAIN_LOSSES,
     seed: int = 0,
     capacity: int | None = None,
     check_gradients: bool = True,
@@ -436,8 +435,6 @@ def train(
         raise ValueError("training corpus must carry cluster labels")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if loss_cfg is None:
-        loss_cfg = LossConfig(alpha=TRAIN_ALPHA_DEFAULT, mu=TRAIN_MU_DEFAULT)
 
     tokens = corpus.tokens
     labels = corpus.labels

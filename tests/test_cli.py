@@ -204,6 +204,54 @@ class TestCommSimCommand:
             assert run(argv) == 2
             assert "not valid JSON" in capsys.readouterr().err
 
+    TOPOLOGY = {"n_nodes": 2, "devices_per_node": 8, "intra_bw": 100e9, "inter_bw": 25e9,
+                "intra_latency": 10e-6, "inter_latency": 30e-6}
+
+    def _topology_error(self, tmp_path, capsys, content):
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps(content))
+        code = run(["comm-sim", "--topology", str(topo), "--volumes", "v.csv",
+                    "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and str(topo) in err
+        return err
+
+    def test_topology_json_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        err = self._topology_error(tmp_path, capsys, [1, 2])
+        assert "expected a JSON object of topology fields, got list" in err
+
+    def test_topology_json_missing_field_is_usage_error(self, tmp_path, capsys):
+        content = {k: v for k, v in self.TOPOLOGY.items() if k != "devices_per_node"}
+        assert "topology field 'devices_per_node' is missing" in self._topology_error(
+            tmp_path, capsys, content)
+
+    def test_topology_json_wrongly_typed_field_is_usage_error(self, tmp_path, capsys):
+        err = self._topology_error(tmp_path, capsys, {**self.TOPOLOGY, "n_nodes": "2"})
+        assert "topology field n_nodes='2' is not of type int" in err
+
+    def _placement_error(self, tmp_path, capsys, content):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps(content))
+        code = run(["comm-sim", "--compare-routers", "--placement", str(placement),
+                    "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and str(placement) in err
+        return err
+
+    def test_placement_json_that_is_not_an_object_or_list_is_usage_error(self, tmp_path, capsys):
+        err = self._placement_error(tmp_path, capsys, "x")
+        assert "expected a JSON object of placement fields, got str" in err
+
+    def test_placement_json_missing_field_is_usage_error(self, tmp_path, capsys):
+        err = self._placement_error(tmp_path, capsys, {"devices": [0, 1]})
+        assert "placement field 'device_of_expert' is missing" in err
+
+    def test_placement_json_wrongly_typed_value_is_usage_error(self, tmp_path, capsys):
+        err = self._placement_error(tmp_path, capsys, ["x"] + list(range(15)))
+        assert "placement device id 'x' is not of type int" in err
+        err = self._placement_error(tmp_path, capsys, {"device_of_expert": 3})
+        assert "placement field device_of_expert=3 is not of type list" in err
+
     def test_compare_routers_meta_records_tokens_per_cluster(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert run(["comm-sim", "--compare-routers", "--epochs", "1",
