@@ -16,6 +16,7 @@ being checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,8 +204,18 @@ def mc_assignment_fractions(dim: int, n_experts: int, n_samples: int, seed: int 
     return f, sigma
 
 
-def _gauss_legendre(f, a: float, b: float, n_nodes: int = 160) -> float:
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count on first use and returned read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_legendre(f, a: float, b: float, n_nodes: int = 160) -> float:
+    nodes, weights = _legendre_rule(n_nodes)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return float(half * np.sum(weights * f(mid + half * nodes)))

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -53,6 +54,16 @@ from .toymoe import (
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _usage_errors(where: str = ""):
+    """Out-of-range values met while the arguments are resolved (a config
+    dataclass rejecting them) are usage errors, not runtime failures."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{where}{exc}") from None
 
 
 def _meta(seed, config: dict) -> dict:
@@ -136,6 +147,13 @@ def _json_fields(path: str, raw, fields: dict, what: str) -> dict:
         if not _is_a(raw[name], kind):
             raise UsageError(f"{path}: {what} field {name}={raw[name]!r} is not of type {kind.__name__}")
     return {name: raw[name] for name in fields}
+
+
+def _resolve_epochs(args, config: dict) -> int:
+    epochs = _resolve(args, config, "epochs", defaults.DEFAULT_EPOCHS)
+    if epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
+    return epochs
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -285,13 +303,16 @@ def _topology_from_json(path: str | None) -> ClusterTopology:
     if path is None:
         return defaults.DEFAULT_TOPOLOGY
     fields = typing.get_type_hints(ClusterTopology)  # name -> int or float
-    return ClusterTopology(**_json_fields(path, _read_json(path), fields, "topology"))
+    values = _json_fields(path, _read_json(path), fields, "topology")
+    with _usage_errors(f"{path}: "):
+        return ClusterTopology(**values)
 
 
 def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopology) -> ExpertPlacement:
     """From {"device_of_expert": [...]} or the bare list of device ids."""
     if path is None:
-        return defaults.default_placement(n_experts, topology)
+        with _usage_errors():
+            return defaults.default_placement(n_experts, topology)
     raw = _read_json(path)
     if isinstance(raw, list):
         raw = {"device_of_expert": raw}
@@ -299,13 +320,14 @@ def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopo
     for d in devices:
         if not _is_a(d, int):
             raise UsageError(f"{path}: placement device id {d!r} is not of type int")
-    return ExpertPlacement(tuple(devices))
+    with _usage_errors(f"{path}: "):
+        return ExpertPlacement(tuple(devices))
 
 
 def cmd_train_toy(args) -> int:
     config = _load_config_file(args.config)
     router = _resolve(args, config, "router", "loc")
-    epochs = _resolve(args, config, "epochs", defaults.DEFAULT_EPOCHS)
+    epochs = _resolve_epochs(args, config)
     lr = _resolve(args, config, "lr", defaults.DEFAULT_LR)
     alpha = _resolve(args, config, "alpha", defaults.DEFAULT_TRAIN_LOSSES.alpha)
     mu = _resolve(args, config, "mu", defaults.DEFAULT_TRAIN_LOSSES.mu)
@@ -323,18 +345,19 @@ def cmd_train_toy(args) -> int:
 
     devices_per_node = _resolve(args, config, "devices-per-node",
                                 defaults.DEFAULT_TOPOLOGY.devices_per_node)
-    topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=nodes,
-                                   devices_per_node=devices_per_node)
-    placement = defaults.default_placement(experts, topology)
-    corpus = make_synthetic_corpus(
-        SyntheticCorpusConfig(
+    with _usage_errors():
+        topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=nodes,
+                                       devices_per_node=devices_per_node)
+        placement = defaults.default_placement(experts, topology)
+        corpus_cfg = SyntheticCorpusConfig(
             n_clusters=clusters,
             dim=dim,
             tokens_per_cluster=tokens_per_cluster,
             concentration=concentration,
             seed=seed,
         )
-    )
+        loss_cfg = LossConfig(alpha=alpha, mu=mu)
+    corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
         "router": router, "epochs": epochs, "lr": lr, "alpha": alpha, "mu": mu,
         "clusters": clusters, "dim": dim, "experts": experts, "nodes": nodes,
@@ -350,7 +373,7 @@ def cmd_train_toy(args) -> int:
         topology,
         epochs=epochs,
         lr=lr,
-        loss_cfg=LossConfig(alpha=alpha, mu=mu),
+        loss_cfg=loss_cfg,
         seed=seed,
     )
 
@@ -436,14 +459,15 @@ def cmd_comm_sim(args) -> int:
 
 def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
     """Paired hash/switch/loc training runs compared under the cost model."""
-    epochs = _resolve(args, config, "epochs", defaults.DEFAULT_EPOCHS)
+    epochs = _resolve_epochs(args, config)
     experts = _resolve(args, config, "experts", defaults.DEFAULT_N_EXPERTS)
     tokens_per_cluster = _resolve(args, config, "tokens-per-cluster",
                                   defaults.DEFAULT_CORPUS.tokens_per_cluster)
     placement = _placement_from_json(args.placement, experts, topology)
-    corpus = make_synthetic_corpus(
-        dataclasses.replace(defaults.DEFAULT_CORPUS, tokens_per_cluster=tokens_per_cluster, seed=seed)
-    )
+    with _usage_errors():
+        corpus_cfg = dataclasses.replace(defaults.DEFAULT_CORPUS,
+                                         tokens_per_cluster=tokens_per_cluster, seed=seed)
+    corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
         "compare_routers": True, "epochs": epochs, "experts": experts,
         "tokens_per_cluster": tokens_per_cluster, "tp_group": tp_group, "seed": seed,

@@ -149,10 +149,21 @@ class TrainRun:
     params: dict
 
 
+def _normal_cdf(z):
+    """Phi(z), the standard normal CDF, via erf."""
+    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
+
+def _gelu_grad_from_cdf(z, cdf):
+    """Phi(z) + z * phi(z) given cdf = Phi(z): GeLU's derivative without erf."""
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return cdf + z * pdf
+
+
 def gelu(x):
     """Exact GeLU x * Phi(x) with Phi the standard normal CDF (via erf)."""
     x = np.asarray(x, dtype=float)
-    out = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    out = x * _normal_cdf(x)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -161,9 +172,7 @@ def gelu(x):
 def gelu_grad(x):
     """d gelu / dx = Phi(x) + x * phi(x)."""
     x = np.asarray(x, dtype=float)
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+    return _gelu_grad_from_cdf(x, _normal_cdf(x))
 
 
 def flops_per_served_token(dim: int, hidden: int) -> int:
@@ -187,18 +196,29 @@ def init_experts(n_experts: int, dim: int, hidden: int, rng) -> list[ExpertParam
 
 def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     """The MoE layer; returns its output, the ungated expert output (0 where
-    dropped) and per-expert caches (token indices, pre-activation, activation)."""
+    dropped) and per-expert caches ``(idx, z, cdf)``: the served token
+    indices in batch order, the pre-activation z and Phi(z), from which the
+    backward pass rebuilds the activation z * Phi(z) and GeLU's derivative
+    without evaluating erf again (None for an expert serving no token).
+
+    One stable sort groups the served tokens by expert, so each expert's
+    slice of it lists its tokens in ascending batch order."""
+    order = np.argsort(outcome.expert_of_token, kind="stable")
+    order = order[~outcome.dropped[order]]
+    ends = np.cumsum(np.bincount(outcome.expert_of_token[order], minlength=len(experts)))
     raw = np.zeros_like(tokens)
     caches = []
-    for e, p in enumerate(experts):
-        idx = np.flatnonzero((outcome.expert_of_token == e) & ~outcome.dropped)
+    start = 0
+    for p, end in zip(experts, ends):
+        idx = order[start:end]
+        start = end
         if idx.size == 0:
             caches.append(None)
             continue
         z = tokens[idx] @ p.w_in.T
-        a = gelu(z)
-        raw[idx] = a @ p.w_out.T
-        caches.append((idx, z, a))
+        cdf = _normal_cdf(z)
+        raw[idx] = (z * cdf) @ p.w_out.T
+        caches.append((idx, z, cdf))
     y = outcome.gate_value[:, None] * raw
     y[outcome.dropped] = tokens[outcome.dropped]
     return y, raw, caches
@@ -326,11 +346,11 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
             g_in.append(np.zeros_like(p.w_in))
             g_out.append(np.zeros_like(p.w_out))
             continue
-        idx, z, a = c
+        idx, z, cdf = c
         d_o = d_expert_raw[idx]
-        g_out.append(d_o.T @ a)
+        g_out.append(d_o.T @ (z * cdf))
         d_a = d_o @ p.w_out
-        d_z = d_a * gelu_grad(z)
+        d_z = d_a * _gelu_grad_from_cdf(z, cdf)
         g_in.append(d_z.T @ tokens[idx])
     grads["experts_in"] = g_in
     grads["experts_out"] = g_out

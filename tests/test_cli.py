@@ -144,6 +144,32 @@ class TestTrainToyCommand:
         assert "error: non-finite objective" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_epochs_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--epochs", "0", "--out", str(out)]) == 2
+        assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_in_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"epochs": 0}))
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--config", str(config), "--out", str(out)]) == 2
+        assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        for flag, value, message in (
+            ("--alpha", "-1", "alpha must be >= 0, got -1.0"),
+            ("--clusters", "0", "n_clusters must be >= 1, got 0"),
+            ("--nodes", "0", "topology needs at least one node"),
+            ("--experts", "0", "placement must cover at least one expert"),
+        ):
+            assert run(["train-toy", flag, value, "--out", str(out)]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = ["train-toy", "--router", "hash", "--epochs", "1",
@@ -228,6 +254,16 @@ class TestCommSimCommand:
     def test_topology_json_wrongly_typed_field_is_usage_error(self, tmp_path, capsys):
         err = self._topology_error(tmp_path, capsys, {**self.TOPOLOGY, "n_nodes": "2"})
         assert "topology field n_nodes='2' is not of type int" in err
+
+    def test_compare_routers_topology_without_nodes_is_usage_error(self, tmp_path, capsys):
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps({**self.TOPOLOGY, "n_nodes": 0}))
+        out = tmp_path / "c.csv"
+        code = run(["comm-sim", "--compare-routers", "--topology", str(topo), "--out", str(out)])
+        assert code == 2
+        assert (f"error: {topo}: topology needs at least one node and one device per node"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def _placement_error(self, tmp_path, capsys, content):
         placement = tmp_path / "p.json"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from moelab import defaults, toymoe
 from moelab.commsim import ClusterTopology, round_robin_placement
-from moelab.losses import mean_cross_entropy
+from moelab.losses import LossConfig, cross_entropy_grad, mean_cross_entropy
 from moelab.router import (
     TokenBatch,
     apply_capacity,
@@ -14,6 +17,7 @@ from moelab.router import (
     route_top1,
     switch_route,
 )
+from moelab.special import erf
 from moelab.toymoe import (
     ExpertParams,
     SyntheticCorpusConfig,
@@ -61,6 +65,17 @@ class TestGelu:
         for x in (-2.0, -0.5, 0.0, 0.3, 1.7):
             fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
             assert gelu_grad(x) == pytest.approx(fd, abs=1e-8)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, 0.0, -0.0])
+    @example([1e-9, -3e-17, 0.46875, -4.0, 26.6, -40.0, 1.7e308])
+    def test_bitwise_equal_to_the_written_out_product(self, values):
+        # x * Phi(x) rounds the same real product as x * 0.5 * (1 + erf(x/sqrt2)),
+        # tiny and subnormal x included; scalars take the same path
+        x = np.array(values)
+        want = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        assert [v.hex() for v in gelu(x).tolist()] == [v.hex() for v in want.tolist()]
+        assert gelu(values[0]).hex() == want[0].item().hex()
 
 
 class TestMoeForward:
@@ -297,6 +312,76 @@ class TestTraining:
         unlabeled = TokenBatch(tokens=corpus.tokens, token_ids=corpus.token_ids)
         with pytest.raises(ValueError, match="label"):
             train(unlabeled, "loc", 8, round_robin_placement(8, TOPO), TOPO)
+
+
+class TestExpertLayerCache:
+    def test_backward_reuses_the_forward_cdf(self, monkeypatch):
+        # the expert caches carry Phi(z), so the backward pass evaluates no
+        # erf, and its expert gradients are bitwise the ones gelu(z) and
+        # gelu_grad(z) give from the same cache
+        erf_calls = []
+        monkeypatch.setattr(toymoe, "erf", lambda x: erf_calls.append(1) or erf(x))
+        real_backward = toymoe._train_backward
+        checked = []
+
+        def backward(state, setup, tokens, labels, node_of_token, cache):
+            before = len(erf_calls)
+            grads = real_backward(state, setup, tokens, labels, node_of_token, cache)
+            assert len(erf_calls) == before
+            d_logits = cross_entropy_grad(cache["logits"], labels) / tokens.shape[0]
+            d_raw = cache["outcome"].gate_value[:, None] * (d_logits @ state["head"])
+            for e, (p, c) in enumerate(zip(state["experts"], cache["expert_caches"])):
+                if c is None:
+                    assert not grads["experts_in"][e].any() and not grads["experts_out"][e].any()
+                    continue
+                idx, z, _ = c
+                d_o = d_raw[idx]
+                assert np.array_equal(grads["experts_out"][e], d_o.T @ gelu(z))
+                d_z = (d_o @ p.w_out) * gelu_grad(z)
+                assert np.array_equal(grads["experts_in"][e], d_z.T @ tokens[idx])
+                checked.append(e)
+            return grads
+
+        monkeypatch.setattr(toymoe, "_train_backward", backward)
+        corpus = small_corpus()
+        placement = round_robin_placement(8, TOPO)
+        for kind in ("hash", "switch", "loc"):
+            train(corpus, kind, 8, placement, TOPO, epochs=2, lr=0.5, seed=0,
+                  check_gradients=False)
+        assert len(checked) >= 3 * 2 * 4
+        assert erf_calls  # the forward passes still evaluate Phi
+
+    def test_expert_slices_match_per_expert_selection(self):
+        # the stable-sort slices are exactly the served tokens of each expert
+        # in batch order, with capacity drops left out
+        corpus = small_corpus()
+        experts = init_experts(8, corpus.dim, 4 * corpus.dim, np.random.default_rng(1))
+        outcome = apply_capacity(hash_route(corpus.token_ids, 8), 20)
+        assert outcome.dropped.any()
+        _, _, caches = toymoe._moe_apply(corpus.tokens, outcome, experts)
+        for e, c in enumerate(caches):
+            want = np.flatnonzero((outcome.expert_of_token == e) & ~outcome.dropped)
+            assert np.array_equal(c[0], want)
+
+    # float.hex() of the probe's worst relative error and the last epoch's
+    # mean cross-entropy on the default corpus at seed 2, as the expert layer
+    # gave them before it cached Phi(z).  Pinned with numpy's bundled
+    # OpenBLAS; another BLAS may round the matmuls differently.
+    PINNED = {
+        "hash": ("0x1.2eeefa57fbaafp-19", "0x1.5b3168fb5ee3ep+0"),
+        "switch": ("0x1.2386f0df04ea8p-15", "0x1.627eb021c799ap+0"),
+        "loc": ("0x1.cc2a82e51d61ap-15", "0x1.6218cffd3e56cp+0"),
+    }
+
+    @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
+    def test_probe_and_loss_are_bitwise_pinned(self, kind):
+        topology = defaults.DEFAULT_TOPOLOGY
+        loss = defaults.DEFAULT_TRAIN_LOSSES if kind == "loc" else LossConfig(alpha=0.0, mu=0.0)
+        run = train(make_synthetic_corpus(defaults.DEFAULT_CORPUS), kind, 16,
+                    defaults.default_placement(16, topology), topology,
+                    epochs=3, loss_cfg=loss, seed=2)
+        got = (run.probe_grad_rel_err.hex(), run.records[-1].l_cross_mean.hex())
+        assert got == self.PINNED[kind]
 
 
 class TestDefaultLocRun:
