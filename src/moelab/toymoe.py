@@ -154,25 +154,25 @@ def _normal_cdf(z):
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
-def _gelu_grad_from_cdf(z, cdf):
-    """Phi(z) + z * phi(z) given cdf = Phi(z): GeLU's derivative without erf."""
-    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return cdf + z * pdf
+def gelu(x, cdf=None):
+    """Exact GeLU x * Phi(x) with Phi the standard normal CDF (via erf).
 
-
-def gelu(x):
-    """Exact GeLU x * Phi(x) with Phi the standard normal CDF (via erf)."""
+    A caller already holding ``cdf`` = Phi(x) passes it, and no erf is
+    evaluated; the expert layer does this to reuse one Phi per step."""
     x = np.asarray(x, dtype=float)
-    out = x * _normal_cdf(x)
+    out = x * (_normal_cdf(x) if cdf is None else cdf)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def gelu_grad(x):
-    """d gelu / dx = Phi(x) + x * phi(x)."""
+def gelu_grad(x, cdf=None):
+    """d gelu / dx = Phi(x) + x * phi(x); ``cdf`` as for :func:`gelu`."""
     x = np.asarray(x, dtype=float)
-    return _gelu_grad_from_cdf(x, _normal_cdf(x))
+    if cdf is None:
+        cdf = _normal_cdf(x)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
 
 
 def flops_per_served_token(dim: int, hidden: int) -> int:
@@ -197,27 +197,19 @@ def init_experts(n_experts: int, dim: int, hidden: int, rng) -> list[ExpertParam
 def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     """The MoE layer; returns its output, the ungated expert output (0 where
     dropped) and per-expert caches ``(idx, z, cdf)``: the served token
-    indices in batch order, the pre-activation z and Phi(z), from which the
-    backward pass rebuilds the activation z * Phi(z) and GeLU's derivative
-    without evaluating erf again (None for an expert serving no token).
-
-    One stable sort groups the served tokens by expert, so each expert's
-    slice of it lists its tokens in ascending batch order."""
-    order = np.argsort(outcome.expert_of_token, kind="stable")
-    order = order[~outcome.dropped[order]]
-    ends = np.cumsum(np.bincount(outcome.expert_of_token[order], minlength=len(experts)))
+    indices, the pre-activation z and Phi(z), from which the backward pass
+    rebuilds the activation and GeLU's derivative without evaluating erf
+    again (None for an expert serving no token)."""
     raw = np.zeros_like(tokens)
     caches = []
-    start = 0
-    for p, end in zip(experts, ends):
-        idx = order[start:end]
-        start = end
+    for e, p in enumerate(experts):
+        idx = np.flatnonzero((outcome.expert_of_token == e) & ~outcome.dropped)
         if idx.size == 0:
             caches.append(None)
             continue
         z = tokens[idx] @ p.w_in.T
         cdf = _normal_cdf(z)
-        raw[idx] = (z * cdf) @ p.w_out.T
+        raw[idx] = gelu(z, cdf) @ p.w_out.T
         caches.append((idx, z, cdf))
     y = outcome.gate_value[:, None] * raw
     y[outcome.dropped] = tokens[outcome.dropped]
@@ -348,9 +340,9 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
             continue
         idx, z, cdf = c
         d_o = d_expert_raw[idx]
-        g_out.append(d_o.T @ (z * cdf))
+        g_out.append(d_o.T @ gelu(z, cdf))
         d_a = d_o @ p.w_out
-        d_z = d_a * _gelu_grad_from_cdf(z, cdf)
+        d_z = d_a * gelu_grad(z, cdf)
         g_in.append(d_z.T @ tokens[idx])
     grads["experts_in"] = g_in
     grads["experts_out"] = g_out
