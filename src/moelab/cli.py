@@ -156,6 +156,13 @@ def _resolve_epochs(args, config: dict) -> int:
     return epochs
 
 
+def _resolve_seed(args, config: dict) -> int:
+    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _resolve(args, config: dict, key: str, default):
     """Flag value if given, else config-file value (of the flag's type; an
     int also serves a float flag and is kept as given), else default."""
@@ -193,7 +200,7 @@ def cmd_capacity(args) -> int:
     experts = _resolve(args, config, "experts", None)
     if dim is None or experts is None:
         raise UsageError("capacity requires --dim and --experts")
-    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
+    seed = _resolve_seed(args, config)
     out = Path(args.out) if args.out else None
 
     if args.grid:
@@ -236,7 +243,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else defaults.DEFAULT_SEED
+    seed = _resolve_seed(args, {})
     results = verify.run_checks(only=args.only, seed=seed, inject_failure=args.inject_failure)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -253,7 +260,7 @@ def cmd_route_sim(args) -> int:
     experts = _resolve(args, config, "experts", 8)
     noise_std = _resolve(args, config, "noise-std", 0.0)
     cap_factor = _resolve(args, config, "capacity-factor", None)
-    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
+    seed = _resolve_seed(args, config)
     if args.out is None:
         raise UsageError("route-sim requires --out")
     out = Path(args.out)
@@ -338,7 +345,7 @@ def cmd_train_toy(args) -> int:
     tokens_per_cluster = _resolve(args, config, "tokens-per-cluster",
                                   defaults.DEFAULT_CORPUS.tokens_per_cluster)
     concentration = _resolve(args, config, "concentration", defaults.DEFAULT_CORPUS.concentration)
-    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
+    seed = _resolve_seed(args, config)
     if args.out is None:
         raise UsageError("train-toy requires --out")
     out = Path(args.out)
@@ -412,7 +419,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_comm_sim(args) -> int:
     config = _load_config_file(args.config)
-    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
+    seed = _resolve_seed(args, config)
     tp_group = _resolve(args, config, "tp-group", defaults.DEFAULT_TP_GROUP_SIZE)
     if args.out is None:
         raise UsageError("comm-sim requires --out")

@@ -7,7 +7,8 @@ results against direct numeric quadrature instead of trusting a library.
 erf/erfc follow W. J. Cody's rational approximations (Math. Comp. 23,
 1969): one kernel evaluates each of his three intervals of |x| once, and
 erf and erfc are sign and complement arithmetic over it, elementwise over
-arrays.  The regularized incomplete beta function uses the classic
+arrays; a Python number takes the same operations in float arithmetic,
+with the same bits.  The regularized incomplete beta function uses the classic
 continued fraction (modified Lentz iteration) and operates on scalars,
 which is all the capacity theory needs.
 """
@@ -82,13 +83,18 @@ _ERFC_XBIG = 26.543  # erfc underflows to 0 beyond this
 
 def _horner(t, p, q):
     """Numerator and denominator of Cody's rational form in t: p[-1] leads
-    the numerator, the denominator is monic, and the order is his."""
+    the numerator, the denominator is monic, and the order is his.  On an
+    array the two buffers are updated in place; on a float the same
+    operations run in float arithmetic."""
     num = p[-1] * t
-    den = t
-    for a, b in zip(p[: len(q) - 1], q[:-1]):
-        num = (num + a) * t
-        den = (den + b) * t
-    return num + p[len(q) - 1], den + q[-1]
+    den = t + q[0]
+    for a, b in zip(p, q[1:]):
+        num += a
+        num *= t
+        den *= t
+        den += b
+    num += p[len(q) - 1]
+    return num, den
 
 
 def _exp_neg_sq(y, frac):
@@ -98,53 +104,94 @@ def _exp_neg_sq(y, frac):
     return np.exp(-ysq * ysq) * np.exp(-delta) * frac
 
 
-def _cody(y):
-    """Cody's kernel on a 1-d array y = |x|: returns (out, small), out being
-    erf(y) where the mask small (y <= 0.46875) is set and erfc(y) elsewhere.
-    Each interval is evaluated once on its own index set; erfc is 0 beyond
-    26.543 (no inf - inf at infinity) and NaN stays NaN."""
-    out = np.zeros(y.shape)
-    small = y <= _ERF_SMALL
-    t = y[small]
-    if t.size:
-        num, den = _horner(t * t, _ERF_A, _ERF_B)
-        out[small] = t * (num / den)
-    rest = (~small).nonzero()[0]
-    big = y[rest] > _ERFC_MID
-    idx = rest[~big]  # the mid interval, and NaN
-    if idx.size:
-        t = y[idx]
-        num, den = _horner(t, _ERFC_C, _ERFC_D)
-        out[idx] = _exp_neg_sq(t, num / den)
-    idx = rest[big]
-    idx = idx[y[idx] <= _ERFC_XBIG]
-    if idx.size:
-        t = y[idx]
-        z = 1.0 / (t * t)
-        num, den = _horner(z, _ERFC_P, _ERFC_Q)
-        out[idx] = _exp_neg_sq(t, (_SQRT_PI_INV - z * num / den) / t)
-    return out, small
+def _erf_small(t):
+    """erf(t) for |t| <= 0.46875: t times a rational in t^2, so odd in t."""
+    num, den = _horner(t * t, _ERF_A, _ERF_B)
+    num /= den
+    num *= t
+    return num
+
+
+def _erfc_mid(t):
+    """erfc(t) for 0.46875 < t <= 4 (NaN stays NaN)."""
+    num, den = _horner(t, _ERFC_C, _ERFC_D)
+    return _exp_neg_sq(t, num / den)
+
+
+def _erfc_large(t):
+    """erfc(t) for 4 < t <= 26.543, rational in 1/t^2."""
+    z = 1.0 / (t * t)
+    num, den = _horner(z, _ERFC_P, _ERFC_Q)
+    return _exp_neg_sq(t, (_SQRT_PI_INV - z * num / den) / t)
+
+
+def _cody(x):
+    """Cody's kernel on a 1-d array x: returns (out, rest), out being erf(x)
+    except at the indices rest (|x| > 0.46875, and NaN), where it is
+    erfc(|x|).  The small interval is evaluated once over the whole array,
+    at x clipped to +-0.46875; then only the entries in rest are
+    overwritten, each other interval once on its own index set.  erfc is 0
+    beyond 26.543 (no inf - inf at infinity) and NaN stays NaN."""
+    t = np.clip(x, -_ERF_SMALL, _ERF_SMALL)
+    rest = np.flatnonzero(t != x)
+    out = _erf_small(t)
+    y = np.abs(x[rest])
+    big = y > _ERFC_MID
+    mid = ~big  # the mid interval, and NaN
+    if mid.any():
+        out[rest[mid]] = _erfc_mid(y[mid])
+    if big.any():
+        far = y > _ERFC_XBIG
+        out[rest[far]] = 0.0
+        big ^= far
+        out[rest[big]] = _erfc_large(y[big])
+    return out, rest
+
+
+def _cody_float(y):
+    """Cody's kernel on one float y = |x|: (value, small), value being
+    erf(y) if small (y <= 0.46875) and erfc(y) otherwise, from the same
+    intervals and operations as :func:`_cody`."""
+    if y <= _ERF_SMALL:
+        return _erf_small(y), True
+    if y > _ERFC_XBIG:
+        return 0.0, False
+    if y > _ERFC_MID:
+        return float(_erfc_large(y)), False
+    return float(_erfc_mid(y)), False
 
 
 def erfc(x):
     """Complementary error function, elementwise over arrays."""
+    # NaN takes the array path: float ops would give it another sign bit
+    if isinstance(x, (float, int)) and x == x:
+        x = float(x)
+        v, small = _cody_float(abs(x))
+        if small:
+            v = 1.0 - v
+        return 2.0 - v if x < 0.0 else v
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out, small = _cody(np.abs(flat))
-    out[small] = 1.0 - out[small]
-    neg = flat < 0.0
-    out[neg] = 2.0 - out[neg]
+    out, rest = _cody(flat)
+    tail = out[rest]
+    np.abs(out, out=out)
+    np.subtract(1.0, out, out=out)
+    out[rest] = tail
+    np.subtract(2.0, out, out=out, where=flat < 0.0)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def erf(x):
     """Error function, elementwise over arrays."""
+    # NaN takes the array path: float ops would give it another sign bit
+    if isinstance(x, (float, int)) and x == x:
+        x = float(x)
+        v, small = _cody_float(abs(x))
+        return math.copysign(v if small else 1.0 - v, x)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out, small = _cody(np.abs(flat))
-    rest = ~small
-    out[rest] = 1.0 - out[rest]
-    np.copysign(out, flat, out=out)
+    out, rest = _cody(flat)
+    out[rest] = np.copysign(1.0 - out[rest], flat[rest])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

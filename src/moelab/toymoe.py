@@ -149,9 +149,16 @@ class TrainRun:
     params: dict
 
 
+_PDF_ZERO = 40.0  # exp(-x*x/2) underflows to 0.0 beyond |x| = 38.6
+
+
 def _normal_cdf(z):
-    """Phi(z), the standard normal CDF, via erf."""
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    """Phi(z) = 0.5 * (1 + erf(z / sqrt 2)), the standard normal CDF,
+    updated in place in erf's fresh result."""
+    c = erf(z / math.sqrt(2.0))
+    c += 1.0
+    c *= 0.5
+    return c
 
 
 def gelu(x, cdf=None):
@@ -171,8 +178,17 @@ def gelu_grad(x, cdf=None):
     x = np.asarray(x, dtype=float)
     if cdf is None:
         cdf = _normal_cdf(x)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+    # past _PDF_ZERO the pdf is 0.0 and x * pdf is +-0, so clipping x there
+    # changes no finite result and keeps x*x from overflowing (and inf * 0 out)
+    x = np.clip(x, -_PDF_ZERO, _PDF_ZERO)
+    # cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), temporaries updated in place
+    out = -0.5 * x
+    out *= x
+    out = np.exp(out)
+    out /= math.sqrt(2.0 * math.pi)
+    out *= x
+    out += cdf
+    return out
 
 
 def flops_per_served_token(dim: int, hidden: int) -> int:
@@ -200,17 +216,22 @@ def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     indices, the pre-activation z and Phi(z), from which the backward pass
     rebuilds the activation and GeLU's derivative without evaluating erf
     again (None for an expert serving no token)."""
+    n = len(experts)
+    # one stable sort groups the served tokens by expert, each group in
+    # batch order; dropped tokens are keyed past the last expert
+    served = np.where(outcome.dropped, n, outcome.expert_of_token)
+    order = np.argsort(served, kind="stable")
+    counts = np.bincount(served, minlength=n + 1)[:n]
+    ends = np.cumsum(counts)
     raw = np.zeros_like(tokens)
-    caches = []
-    for e, p in enumerate(experts):
-        idx = np.flatnonzero((outcome.expert_of_token == e) & ~outcome.dropped)
-        if idx.size == 0:
-            caches.append(None)
-            continue
+    caches = [None] * n
+    for e in np.flatnonzero(counts):
+        p = experts[e]
+        idx = order[ends[e] - counts[e] : ends[e]]
         z = tokens[idx] @ p.w_in.T
         cdf = _normal_cdf(z)
         raw[idx] = gelu(z, cdf) @ p.w_out.T
-        caches.append((idx, z, cdf))
+        caches[e] = (idx, z, cdf)
     y = outcome.gate_value[:, None] * raw
     y[outcome.dropped] = tokens[outcome.dropped]
     return y, raw, caches

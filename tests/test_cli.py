@@ -52,6 +52,13 @@ class TestCapacityCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["p_delta"] > 0
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cap.json"
+        assert run(["capacity", "--delta", "0.25", "--dim", "16", "--experts", "4",
+                    "--mc-samples", "100", "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -65,6 +72,12 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--only", "bogus"]) == 1
         assert "unknown check" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["verify", "--only", "grad-check", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
 
 class TestRouteSimCommand:
@@ -100,6 +113,12 @@ class TestRouteSimCommand:
         hist = tmp_path / "route.histograms.csv"
         assert hist.exists()
         assert hist.read_text().splitlines()[0] == "kind,expert_i,expert_j,bin_lo,bin_hi,count"
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--tokens", "100", "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainToyCommand:
@@ -157,6 +176,16 @@ class TestTrainToyCommand:
         assert run(["train-toy", "--config", str(config), "--out", str(out)]) == 2
         assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # as a flag and as a config-file value
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": -3}))
+        out = tmp_path / "run.csv"
+        for argv, value in ((["--seed", "-1"], -1), (["--config", str(config)], -3)):
+            assert run(["train-toy", "--epochs", "1", *argv, "--out", str(out)]) == 2
+            assert f"error: --seed must be >= 0, got {value}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -287,6 +316,13 @@ class TestCommSimCommand:
         assert "placement device id 'x' is not of type int" in err
         err = self._placement_error(tmp_path, capsys, {"device_of_expert": 3})
         assert "placement field device_of_expert=3 is not of type list" in err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--epochs", "1",
+                    "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_routers_meta_records_tokens_per_cluster(self, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelab.router import (
+    RoutingOutcome,
     TokenBatch,
     apply_capacity,
     build_block_gating,
@@ -12,6 +15,7 @@ from moelab.router import (
     hash_route,
     route_top1,
     switch_route,
+    top1,
 )
 from moelab.capacity import SphereSampleConfig, sample_unit_sphere
 
@@ -265,3 +269,39 @@ class TestSwitchRoute:
     def test_rejects_non_finite_weights(self):
         with pytest.raises(ValueError):
             switch_route(np.array([[1.0, 2.0]]), np.array([[np.nan, 1.0]]))
+
+
+class TestRoutingProperties:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=60), st.integers(1, 8))
+    def test_capacity_serves_each_experts_first_tokens_in_batch_order(self, assigned, cap):
+        expert = np.array(assigned)
+        outcome = RoutingOutcome(expert_of_token=expert, probs=np.eye(5)[expert])
+        capped = apply_capacity(outcome, cap)
+        assert (capped.served_counts() <= cap).all()
+        for e in range(5):
+            mine = np.flatnonzero(expert == e)
+            assert np.array_equal(np.flatnonzero(~capped.dropped & (expert == e)), mine[:cap])
+
+    # coarse integer scores make ties common
+    @settings(deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_top1_is_equivariant_under_token_permutation(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-2, 3, (t, n)).astype(float)
+        perm = rng.permutation(t)
+        base, moved = route_top1(scores), route_top1(scores[perm])
+        assert np.array_equal(moved.expert_of_token, base.expert_of_token[perm])
+        assert np.array_equal(moved.probs, base.probs[perm])
+        assert np.array_equal(moved.gate_value, base.gate_value[perm])
+        assert np.array_equal(moved.f, base.f)
+        assert np.allclose(moved.P, base.P, rtol=0.0, atol=1e-15)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_ties_break_to_the_lowest_index(self, t, n, seed):
+        scores = np.random.default_rng(seed).integers(0, 3, (t, n)).astype(float)
+        for route in (top1, route_top1):
+            got = route(scores).expert_of_token
+            for m, row in enumerate(scores):
+                assert got[m] == min(i for i, v in enumerate(row) if v == row.max())

@@ -12,11 +12,16 @@ from moelab.special import (
     reg_incomplete_beta_complement,
 )
 
-from oracles import erf_quad, erfc_quad, reg_beta_quad
+from oracles import cody_index_set_reference, erf_quad, erfc_quad, reg_beta_quad
 
 
 finite = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
 no_deadline = settings(deadline=None)  # timing on a shared host is no property
+
+
+def bits(x):
+    """IEEE bit patterns, so -0.0 differs from 0.0 and NaN equals NaN."""
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestErf:
@@ -114,6 +119,36 @@ class TestErf:
         scal = np.array([erf(float(x)) for x in xs])
         assert np.array_equal(vec, scal)
         assert np.array_equal(erfc(xs), np.array([erfc(float(x)) for x in xs]))
+
+
+class TestErfBitIdentity:
+    # the whole-array kernel and the float path must give the bits of the
+    # straight index-set evaluation (tests/oracles.py), not merely close values
+    EDGES = [float.fromhex(h) for h in TestErf.PINNED] + [
+        math.inf, -math.inf, math.nan, -math.nan,
+        2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310, -5e-324,
+    ]
+
+    @pytest.mark.parametrize("draw", ["normal 0.18", "normal 5", "uniform 27"])
+    def test_arrays_equal_the_index_set_reference(self, draw):
+        rng = np.random.default_rng(10)
+        x = {
+            "normal 0.18": lambda: rng.normal(0.0, 0.18, 100_000),
+            "normal 5": lambda: rng.normal(0.0, 5.0, 100_000),
+            "uniform 27": lambda: rng.uniform(-27.0, 27.0, 100_000),
+        }[draw]()
+        x = np.concatenate([x, self.EDGES]).reshape(5, -1)
+        want_erf, want_erfc = cody_index_set_reference(x)
+        assert np.array_equal(bits(erf(x)).ravel(), bits(want_erf))
+        assert np.array_equal(bits(erfc(x)).ravel(), bits(want_erfc))
+
+    @no_deadline
+    @given(st.one_of(st.floats(), st.integers(-40, 40)))
+    def test_scalar_path_equals_the_one_element_array(self, x):
+        for f in (erf, erfc):
+            got = f(x)
+            assert type(got) is float
+            assert bits(got) == bits(f(np.array([float(x)])))[0]
 
 
 class TestIncompleteBeta:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moelab import defaults, toymoe
 from moelab.commsim import ClusterTopology, round_robin_placement
 from moelab.losses import LossConfig, cross_entropy_grad, mean_cross_entropy
 from moelab.router import (
+    RoutingOutcome,
     TokenBatch,
     apply_capacity,
     build_block_gating,
@@ -85,6 +86,29 @@ class TestGelu:
         want = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
         assert [v.hex() for v in gelu(x).tolist()] == [v.hex() for v in want.tolist()]
         assert gelu(values[0]).hex() == want[0].item().hex()
+
+
+    @settings(deadline=None)
+    @given(st.floats(allow_nan=False))
+    @example(1e308)
+    @example(-1e308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(1.9e154)
+    @example(-1e150)
+    @example(38.7)
+    def test_grad_gives_the_limit_without_warning_for_huge_inputs(self, x):
+        # the suite turns RuntimeWarning into an error, so an overflow in
+        # x*x or an inf * 0 fails here; up to 1e150 the bits are the
+        # written-out Phi(x) + x * phi(x)
+        got = gelu_grad(np.array([x]))[0]
+        assert gelu_grad(x).hex() == got.hex()
+        if abs(x) <= 1e150:
+            cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+            want = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+            assert got.hex() == float(want).hex()
+        else:
+            assert got == (1.0 if x > 0 else 0.0)
 
 
 class TestMoeForward:
@@ -359,6 +383,33 @@ class TestExpertLayerCache:
                   check_gradients=False)
         assert len(checked) >= 3 * 2 * 4
         assert erf_calls  # the forward passes still evaluate Phi
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_expert_slices_are_each_experts_served_tokens_in_batch_order(self, data):
+        # the stable-sort dispatch hands each expert exactly the tokens the
+        # per-expert selection flatnonzero((expert == e) & ~dropped) gives,
+        # in the same order, so the layer's output is bitwise that of the
+        # per-expert loop; an expert serving no token gets None
+        n = data.draw(st.integers(1, 6), label="experts")
+        t = data.draw(st.integers(1, 40), label="tokens")
+        expert = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t)))
+        dropped = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+        rng = np.random.default_rng(t)
+        tokens = rng.standard_normal((t, 4))
+        experts = init_experts(n, 4, 8, rng)
+        outcome = RoutingOutcome(expert_of_token=expert, probs=np.eye(n)[expert], dropped=dropped)
+        _, raw, caches = toymoe._moe_apply(tokens, outcome, experts)
+        want_raw = np.zeros_like(tokens)
+        assert len(caches) == n
+        for e, (p, c) in enumerate(zip(experts, caches)):
+            idx = np.flatnonzero((expert == e) & ~dropped)
+            if idx.size == 0:
+                assert c is None
+                continue
+            assert np.array_equal(c[0], idx)
+            want_raw[idx] = gelu(tokens[idx] @ p.w_in.T) @ p.w_out.T
+        assert np.array_equal(raw, want_raw)
 
     # float.hex() of the probe's worst relative error and the last epoch's
     # mean cross-entropy on the default corpus at seed 2, as the expert layer
