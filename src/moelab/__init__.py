@@ -50,7 +50,6 @@ from .commsim import (
     round_robin_placement,
 )
 from .losses import (
-    GradCheckReport,
     LossConfig,
     aux_loss,
     aux_loss_grad_p,
@@ -59,7 +58,6 @@ from .losses import (
     grad_check,
     locality_loss,
     locality_loss_grad,
-    locality_loss_grad_logits,
     make_local_target,
     mean_cross_entropy,
 )
@@ -73,6 +71,7 @@ from .router import (
     hash_route,
     route_top1,
     softmax,
+    softmax_backward,
     switch_route,
 )
 from .toymoe import (

@@ -244,7 +244,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args, {})
-    results = verify.run_checks(only=args.only, seed=seed, inject_failure=args.inject_failure)
+    results = verify.run_checks(only=args.only, seed=seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -516,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in artifacts)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in artifacts)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--out", type=str, default=None, help="output path")
     common.add_argument("--force", action="store_true", help="allow overwriting outputs")
     common.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
@@ -530,9 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=None, help="cross-check with Monte Carlo")
     p.set_defaults(fn=cmd_capacity)
 
-    p = sub.add_parser("verify", parents=[common], help="run the oracle verification suites")
+    p = sub.add_parser("verify", parents=[seeded], help="run the oracle verification suites")
     p.add_argument("--only", type=str, default=None, help=f"one of: {', '.join(verify.CHECKS)}")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("route-sim", parents=[common], help="route sphere tokens, report statistics")
@@ -595,3 +595,7 @@ def main(argv=None) -> int:
 
 def entry():  # console_scripts hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

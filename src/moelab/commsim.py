@@ -101,10 +101,6 @@ class CommPhase:
 class CommPlan:
     phases: tuple[CommPhase, ...]
 
-    @property
-    def total_bytes(self) -> float:
-        return float(sum(p.total_bytes for p in self.phases))
-
 
 def build_volume_matrix(outcome, placement: ExpertPlacement, token_bytes: int, source_map,
                         topology: ClusterTopology) -> np.ndarray:

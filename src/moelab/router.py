@@ -174,6 +174,14 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the scores, given the (T, n) ``probs`` that
+    :func:`softmax` returned and the gradient ``d_probs`` with respect to
+    them: the vector-Jacobian product probs * (d_probs - rowdot(d_probs, probs))."""
+    inner = np.einsum("ij,ij->i", d_probs, probs)
+    return probs * (d_probs - inner[:, None])
+
+
 def route_top1(scores: np.ndarray) -> RoutingOutcome:
     """Send every token to the expert with the largest softmax score.
 

@@ -50,6 +50,7 @@ from .router import (
     build_block_gating,
     gate_scores,
     hash_route,
+    softmax_backward,
     top1,
 )
 from .special import erf
@@ -167,7 +168,10 @@ def gelu(x, cdf=None):
     A caller already holding ``cdf`` = Phi(x) passes it, and no erf is
     evaluated; the expert layer does this to reuse one Phi per step."""
     x = np.asarray(x, dtype=float)
-    out = x * (_normal_cdf(x) if cdf is None else cdf)
+    # Phi is exactly 0 below -_PDF_ZERO, so lifting x to it there keeps every
+    # finite product's bits and gives gelu(-inf) its limit -0.0, not -inf * 0
+    out = np.maximum(x, -_PDF_ZERO)
+    out *= _normal_cdf(x) if cdf is None else cdf
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -382,8 +386,7 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
         dkl = locality_loss_grad(cache["node_dc"][v], setup.local_targets[v], setup.mu)
         d_probs[sel] += dkl / t_v
 
-    inner = np.einsum("ij,ij->i", d_probs, probs)
-    d_scores = probs * (d_probs - inner[:, None])
+    d_scores = softmax_backward(probs, d_probs)
 
     if setup.router_kind == "switch":
         grads["gating"] = d_scores.T @ tokens
@@ -394,8 +397,11 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     return grads
 
 
-def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng,
-                      coords_per_tensor: int = 24) -> float:
+_PROBE_TOKENS = 4  # tokens in the start-of-run probe batch
+_PROBE_COORDS = 24  # coordinates checked per tensor
+
+
+def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng) -> float:
     """Sampled-coordinate finite-difference check of the analytic gradients:
     :func:`losses.grad_check` on a random sub-vector of each tensor."""
     _, cache = _train_forward(state, setup, tokens, labels, node_of_token)
@@ -410,31 +416,31 @@ def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng,
     worst = 0.0
     for tensor, grad in tensors:
         flat = tensor.reshape(-1)
-        picks = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+        picks = rng.choice(flat.size, size=min(_PROBE_COORDS, flat.size), replace=False)
         orig = flat[picks]
 
         def objective(values):
             flat[picks] = values
             return _train_forward(state, setup, tokens, labels, node_of_token)[0]
 
-        report = grad_check(objective, lambda _: grad.reshape(-1)[picks], orig)
+        err = grad_check(objective, lambda _: grad.reshape(-1)[picks], orig)
         flat[picks] = orig
-        worst = max(worst, report.max_rel_err)
+        worst = max(worst, err)
     return worst
 
 
-def _select_probe(scores, n_probe: int = 4):
+def _select_probe(scores):
     """Pick probe tokens whose routing sits away from argmax ties and relu
     kinks so finite differences stay on one smooth piece."""
     part = np.sort(scores, axis=1)
     margin = part[:, -1] - part[:, -2]
     away_from_kink = np.abs(scores).min(axis=1) > 1e-3
     ok = np.flatnonzero((margin > 1e-3) & away_from_kink)
-    if ok.size < n_probe:
+    if ok.size < _PROBE_TOKENS:
         ok = np.flatnonzero(margin > 1e-3)
-    if ok.size < n_probe:
+    if ok.size < _PROBE_TOKENS:
         ok = np.arange(scores.shape[0])
-    return ok[:n_probe]
+    return ok[:_PROBE_TOKENS]
 
 
 def train(
@@ -521,7 +527,7 @@ def train(
     probe_err = 0.0
     if check_gradients:
         if router_kind == "hash":
-            probe_idx = np.arange(min(4, t))
+            probe_idx = np.arange(min(_PROBE_TOKENS, t))
             probe_state = dict(state, hash=hash_route(corpus.token_ids[probe_idx], n_experts))
         else:
             probe_idx = _select_probe(_scores(state, setup, tokens))

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import moelab
+from moelab import verify
 from moelab.cli import main
+
+SRC = Path(moelab.__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -65,9 +74,31 @@ class TestVerifyCommand:
         assert run(["verify", "--only", "cap-identity"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_injected_failure_exits_one(self, capsys):
-        assert run(["verify", "--only", "cap-identity", "--inject-failure"]) == 1
+    def test_injected_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "cap-identity",
+                            lambda seed: verify.CheckResult("cap-identity", False, "injected"))
+        assert run(["verify", "--only", "cap-identity"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_grad_check_passes_where_a_balance_point_sat_below_the_step(self, capsys):
+        # seed 130 draws a balance point with an entry under the 1e-5 step
+        assert run(["verify", "--only", "grad-check", "--seed", "130"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--config", "x.json"], ["--out", "x"], ["--force"]])
+    def test_options_verify_does_not_use_are_usage_errors(self, flag, capsys):
+        assert run(["verify", "--only", "cap-identity", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_runs_as_python_dash_m_moelab(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moelab", "verify", "--only", "cap-identity"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
 
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--only", "bogus"]) == 1

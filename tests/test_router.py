@@ -14,6 +14,8 @@ from moelab.router import (
     gate_scores,
     hash_route,
     route_top1,
+    softmax,
+    softmax_backward,
     switch_route,
     top1,
 )
@@ -269,6 +271,15 @@ class TestSwitchRoute:
     def test_rejects_non_finite_weights(self):
         with pytest.raises(ValueError):
             switch_route(np.array([[1.0, 2.0]]), np.array([[np.nan, 1.0]]))
+
+    def test_softmax_backward_is_the_jacobian_product_per_row(self):
+        rng = np.random.default_rng(13)
+        probs = softmax(rng.standard_normal((7, 5)))
+        d_probs = rng.standard_normal((7, 5))
+        got = softmax_backward(probs, d_probs)
+        for s, g, row in zip(probs, d_probs, got):
+            want = (np.diag(s) - np.outer(s, s)) @ g
+            assert np.allclose(row, want, rtol=0.0, atol=1e-15)
 
 
 class TestRoutingProperties:
