@@ -18,6 +18,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -168,14 +169,16 @@ def _resolve(args, config: dict, key: str, default):
     int also serves a float flag and is kept as given), else default."""
     dest = key.replace("-", "_")
     value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    if key in config:
+    if value is None and key in config:
         value, kind = config[key], args.flag_types[dest]
         if not _is_a(value, kind):
             raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
-        return value
-    return default
+    if value is None:
+        return default
+    # an infinite concentration is a corpus without jitter; no other flag means anything non-finite
+    if isinstance(value, float) and not math.isfinite(value) and (key, value) != ("concentration", math.inf):
+        raise UsageError(f"--{key} must be finite, got {value}")
+    return value
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -273,7 +276,8 @@ def cmd_route_sim(args) -> int:
         capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
     )
     if router == "block":
-        weights = build_block_gating(experts, dim)
+        with _usage_errors():
+            weights = build_block_gating(experts, dim)
         outcome = route_top1(gate_scores(batch.tokens, weights, noise_std, seed=seed))
     elif router == "switch":
         weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
@@ -364,6 +368,8 @@ def cmd_train_toy(args) -> int:
             seed=seed,
         )
         loss_cfg = LossConfig(alpha=alpha, mu=mu)
+        if router == "loc":
+            build_block_gating(experts, dim)  # dim must split evenly over the experts
     corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
         "router": router, "epochs": epochs, "lr": lr, "alpha": alpha, "mu": mu,
@@ -425,6 +431,8 @@ def cmd_comm_sim(args) -> int:
         raise UsageError("comm-sim requires --out")
     out = Path(args.out)
     topology = _topology_from_json(args.topology)
+    with _usage_errors("--tp-group: "):
+        topology.check_group_size(tp_group)
 
     if args.compare_routers:
         return _comm_sim_compare(args, config, topology, out, seed, tp_group)
@@ -474,6 +482,7 @@ def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
     with _usage_errors():
         corpus_cfg = dataclasses.replace(defaults.DEFAULT_CORPUS,
                                          tokens_per_cluster=tokens_per_cluster, seed=seed)
+        build_block_gating(experts, corpus_cfg.dim)  # checked before any run trains
     corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
         "compare_routers": True, "epochs": epochs, "experts": experts,

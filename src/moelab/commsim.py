@@ -49,6 +49,11 @@ class ClusterTopology:
     def node_of(self, device) -> np.ndarray:
         return np.asarray(device, dtype=np.int64) // self.devices_per_node
 
+    def check_group_size(self, g: int) -> None:
+        """A tensor-parallel group is g consecutive devices of one node."""
+        if g < 1 or self.devices_per_node % g != 0:
+            raise ValueError(f"tp_group_size={g} must divide devices_per_node={self.devices_per_node}")
+
 
 @dataclass(frozen=True)
 class ExpertPlacement:
@@ -180,11 +185,7 @@ def groupwise_alltoall_cost(
     volume = np.asarray(volume, dtype=float)
     d = topology.total_devices
     g = tp_group_size
-    if g < 1 or topology.devices_per_node % g != 0:
-        raise ValueError(
-            f"tp_group_size={g} must divide devices_per_node="
-            f"{topology.devices_per_node}"
-        )
+    topology.check_group_size(g)
     if volume.shape != (d, d):
         raise ValueError(f"volume must be {d}x{d} for this topology, got {volume.shape}")
 

@@ -21,7 +21,8 @@ alongside; the mean is used for the descent direction because the summed
 form scales with the token count and drowns the O(1) regularizers at any
 realistic batch size.  The loss gradients come from :mod:`moelab.losses`
 and are back-propagated by hand; :func:`moelab.losses.grad_check` checks
-the whole chain on a probe batch at run start.
+the whole chain on a probe batch at run start, rerunning per perturbed
+tensor only the forward stages (routing, expert layer, head) it feeds.
 """
 
 from __future__ import annotations
@@ -214,6 +215,21 @@ def init_experts(n_experts: int, dim: int, hidden: int, rng) -> list[ExpertParam
     ]
 
 
+def _expert_ffn(x, p: ExpertParams):
+    """One expert on its served tokens ``x``: the pre-activation z, Phi(z)
+    and the ungated output gelu(z) @ w_out.T."""
+    z = x @ p.w_in.T
+    cdf = _normal_cdf(z)
+    return z, cdf, gelu(z, cdf) @ p.w_out.T
+
+
+def _mix(tokens, outcome: RoutingOutcome, raw):
+    """The layer output: gate * expert output, or the token where dropped."""
+    y = outcome.gate_value[:, None] * raw
+    y[outcome.dropped] = tokens[outcome.dropped]
+    return y
+
+
 def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     """The MoE layer; returns its output, the ungated expert output (0 where
     dropped) and per-expert caches ``(idx, z, cdf)``: the served token
@@ -230,15 +246,10 @@ def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     raw = np.zeros_like(tokens)
     caches = [None] * n
     for e in np.flatnonzero(counts):
-        p = experts[e]
         idx = order[ends[e] - counts[e] : ends[e]]
-        z = tokens[idx] @ p.w_in.T
-        cdf = _normal_cdf(z)
-        raw[idx] = gelu(z, cdf) @ p.w_out.T
+        z, cdf, raw[idx] = _expert_ffn(tokens[idx], experts[e])
         caches[e] = (idx, z, cdf)
-    y = outcome.gate_value[:, None] * raw
-    y[outcome.dropped] = tokens[outcome.dropped]
-    return y, raw, caches
+    return _mix(tokens, outcome, raw), raw, caches
 
 
 def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, experts: list[ExpertParams]):
@@ -296,8 +307,10 @@ def _scores(state, setup: _TrainSetup, tokens):
     return gate_scores(proj, setup.block_weights)
 
 
-def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
-    """Objective (aux + locality + mean cross-entropy) plus caches."""
+def _route(state, setup: _TrainSetup, tokens, node_of_token) -> dict:
+    """Routing stage: the top-1 outcome with any capacity applied, the
+    balance loss and the per-node locality loss.  It reads only the gating
+    tensor (or the fixed hash outcome)."""
     n = setup.local_targets.shape[1]
     if setup.router_kind == "hash":
         scores, outcome = None, state["hash"]  # routing is fixed
@@ -320,26 +333,24 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
     l_loc = sum(
         locality_loss(node_dc[v], setup.local_targets[v], setup.mu) for v in occupied
     )
+    return dict(scores=scores, outcome=outcome, node_dc=node_dc, occupied_nodes=occupied,
+                l_aux=l_aux, l_loc=l_loc)
 
-    y, expert_raw, caches = _moe_apply(tokens, outcome, state["experts"])
+
+def _head(state, y, labels, l_aux, l_loc):
+    """Head stage: logits, mean cross-entropy and the objective aux + loc + mean CE."""
     logits = y @ state["head"].T
     l_cross_mean = mean_cross_entropy(logits, labels)
+    return logits, l_cross_mean, l_aux + l_loc + l_cross_mean
 
-    objective = l_aux + l_loc + l_cross_mean
-    cache = {
-        "scores": scores,
-        "outcome": outcome,
-        "node_dc": node_dc,
-        "occupied_nodes": occupied,
-        "expert_raw": expert_raw,
-        "expert_caches": caches,
-        "y": y,
-        "logits": logits,
-        "l_aux": l_aux,
-        "l_loc": l_loc,
-        "l_cross_mean": l_cross_mean,
-        "objective": objective,
-    }
+
+def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
+    """Objective plus caches from the routing, expert-layer and head stages."""
+    cache = _route(state, setup, tokens, node_of_token)
+    y, expert_raw, caches = _moe_apply(tokens, cache["outcome"], state["experts"])
+    logits, l_cross_mean, objective = _head(state, y, labels, cache["l_aux"], cache["l_loc"])
+    cache.update(expert_raw=expert_raw, expert_caches=caches, y=y, logits=logits,
+                 l_cross_mean=l_cross_mean, objective=objective)
     return objective, cache
 
 
@@ -401,27 +412,46 @@ _PROBE_TOKENS = 4  # tokens in the start-of-run probe batch
 _PROBE_COORDS = 24  # coordinates checked per tensor
 
 
-def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng) -> float:
-    """Sampled-coordinate finite-difference check of the analytic gradients:
-    :func:`losses.grad_check` on a random sub-vector of each tensor."""
+def _probe_tensors(state, setup, tokens, labels, node_of_token):
+    """``(tensor, grad, objective)`` for every tensor the probe checks.
+    ``objective()`` gives the training objective at the tensor's current
+    (perturbed) values, bitwise what :func:`_train_forward` gives, by
+    rerunning only the stages the tensor feeds."""
     _, cache = _train_forward(state, setup, tokens, labels, node_of_token)
     grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
 
-    tensors = [(state["head"], grads["head"])]
-    if "gating" in grads:
-        tensors.append((state["gating"], grads["gating"]))
-    for p, g_in, g_out in zip(state["experts"], grads["experts_in"], grads["experts_out"]):
-        tensors += [(p.w_in, g_in), (p.w_out, g_out)]
+    def head(y=cache["y"]):
+        return _head(state, y, labels, cache["l_aux"], cache["l_loc"])[2]
 
+    def expert(p, idx):
+        raw = cache["expert_raw"].copy()
+        raw[idx] = _expert_ffn(tokens[idx], p)[2]
+        return head(_mix(tokens, cache["outcome"], raw))
+
+    out = [(state["head"], grads["head"], head)]
+    if "gating" in grads:
+        out.append((state["gating"], grads["gating"],
+                    lambda: _train_forward(state, setup, tokens, labels, node_of_token)[0]))
+    for p, c, g_in, g_out in zip(state["experts"], cache["expert_caches"],
+                                 grads["experts_in"], grads["experts_out"]):
+        # an expert serving no probe token changes no row of the layer output
+        fn = (lambda: cache["objective"]) if c is None else (lambda p=p, idx=c[0]: expert(p, idx))
+        out += [(p.w_in, g_in, fn), (p.w_out, g_out, fn)]
+    return out
+
+
+def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng) -> float:
+    """Sampled-coordinate finite-difference check of the analytic gradients:
+    :func:`losses.grad_check` on a random sub-vector of each tensor."""
     worst = 0.0
-    for tensor, grad in tensors:
+    for tensor, grad, rerun in _probe_tensors(state, setup, tokens, labels, node_of_token):
         flat = tensor.reshape(-1)
         picks = rng.choice(flat.size, size=min(_PROBE_COORDS, flat.size), replace=False)
         orig = flat[picks]
 
         def objective(values):
             flat[picks] = values
-            return _train_forward(state, setup, tokens, labels, node_of_token)[0]
+            return rerun()
 
         err = grad_check(objective, lambda _: grad.reshape(-1)[picks], orig)
         flat[picks] = orig

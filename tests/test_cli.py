@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import moelab
-from moelab import verify
+from moelab import cli, verify
 from moelab.cli import main
 
 SRC = Path(moelab.__file__).resolve().parents[1]
@@ -16,6 +16,10 @@ SRC = Path(moelab.__file__).resolve().parents[1]
 
 def run(argv):
     return main(argv)
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a usage error must be found before any training")
 
 
 class TestCapacityCommand:
@@ -151,6 +155,27 @@ class TestRouteSimCommand:
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_noise_std_is_usage_error(self, tmp_path, capsys):
+        # the noise is not silently switched off
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--tokens", "100", "--noise-std", "nan", "--out", str(out)]) == 2
+        assert "error: --noise-std must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_capacity_factor_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--tokens", "100", "--capacity-factor", "nan",
+                    "--out", str(out)]) == 2
+        assert "error: --capacity-factor must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experts_not_dividing_dim_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--router", "block", "--tokens", "100", "--dim", "64",
+                    "--experts", "5", "--out", str(out)]) == 2
+        assert "error: dim=64 is not divisible by n_experts=5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainToyCommand:
     def test_writes_records_report_and_volumes(self, tmp_path):
@@ -229,6 +254,33 @@ class TestTrainToyCommand:
             assert run(["train-toy", flag, value, "--out", str(out)]) == 2
             assert f"error: {message}" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, value, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--lr", value, "--epochs", "1", "--out", str(out)]) == 2
+        assert f"error: --lr must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_concentration_is_a_corpus_without_jitter(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", "hash", "--concentration", "inf", "--epochs", "1",
+                    "--tokens-per-cluster", "16", "--out", str(out)]) == 0
+        assert run(["train-toy", "--concentration=-inf", "--out", str(out), "--force"]) == 2
+        assert "error: --concentration must be finite, got -inf" in capsys.readouterr().err
+
+    def test_nan_alpha_is_usage_error_not_a_divergence(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--alpha", "nan", "--epochs", "1", "--out", str(out)]) == 2
+        assert "error: --alpha must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loc_experts_not_dividing_dim_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", "loc", "--experts", "5", "--out", str(out)]) == 2
+        assert "error: dim=32 is not divisible by n_experts=5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -353,6 +405,33 @@ class TestCommSimCommand:
         assert run(["comm-sim", "--compare-routers", "--epochs", "1",
                     "--seed", "-1", "--out", str(out)]) == 2
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("group", ["0", "3"])
+    def test_compare_routers_bad_tp_group_is_usage_error_before_training(
+            self, group, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--tp-group", group, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --tp-group: tp_group_size={group} must divide devices_per_node=8" in err
+        assert not out.exists()
+
+    def test_volumes_bad_tp_group_is_usage_error(self, tmp_path, capsys):
+        volumes = tmp_path / "v.csv"
+        np.savetxt(volumes, np.zeros((16, 16)), delimiter=",", header="x", comments="")
+        out = tmp_path / "comm.csv"
+        assert run(["comm-sim", "--volumes", str(volumes), "--tp-group", "3",
+                    "--out", str(out)]) == 2
+        assert "error: --tp-group: tp_group_size=3 must divide" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_routers_experts_not_dividing_dim_is_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--experts", "5", "--out", str(out)]) == 2
+        assert "error: dim=32 is not divisible by n_experts=5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_compare_routers_meta_records_tokens_per_cluster(self, tmp_path):

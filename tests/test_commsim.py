@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moelab.commsim import (
     ClusterTopology,
@@ -261,6 +263,69 @@ class TestRelocationMonotonicity:
             cost = new_cost
             moved += 1
         assert moved == 100
+
+
+def random_topology(rng, n_nodes, devices_per_node):
+    inter_bw = rng.uniform(1e9, 50e9)
+    return ClusterTopology(
+        n_nodes=n_nodes, devices_per_node=devices_per_node,
+        intra_bw=inter_bw * rng.uniform(1.01, 8.0), inter_bw=inter_bw,
+        intra_latency=rng.uniform(0, 20e-6), inter_latency=rng.uniform(0, 60e-6),
+    )
+
+
+def inter_node_bytes(volume, topology):
+    nodes = topology.node_of(np.arange(topology.total_devices))
+    return float(volume[nodes[:, None] != nodes[None, :]].sum())
+
+
+class TestCostProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    @example(1, 6, 1)
+    @example(5, 1, 2)
+    def test_group_of_one_is_the_plain_cost(self, n_nodes, devices_per_node, seed):
+        rng = np.random.default_rng(seed)
+        topo = random_topology(rng, n_nodes, devices_per_node)
+        d = topo.total_devices
+        vol = rng.uniform(0, 1e7, (d, d)) * (rng.random((d, d)) < 0.7)
+        total, plan = groupwise_alltoall_cost(vol, topo, 1)
+        assert total == alltoall_cost(vol, topo)
+        assert [p.kind for p in plan.phases] == ["all_to_all"]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(2, 1, 0)
+    def test_moving_a_token_to_a_local_expert_never_adds_inter_node_bytes(
+            self, n_nodes, devices_per_node, seed):
+        # token 0 is served by an expert on another node; moving it to an
+        # expert on its own node removes its bytes from the inter-node
+        # traffic, in the plain exchange and in every group-wise dispatch
+        rng = np.random.default_rng(seed)
+        topo = random_topology(rng, n_nodes, devices_per_node)
+        d = topo.total_devices
+        placement = round_robin_placement(d + int(rng.integers(0, d + 1)), topo)
+        expert_node = placement.expert_nodes(topo)
+        experts = rng.integers(0, placement.n_experts, 64)
+        src = rng.integers(0, d, 64)
+        dropped = rng.random(64) < 0.2
+        dropped[0] = False
+        src_node = topo.node_of(src[0])
+        experts[0] = rng.choice(np.flatnonzero(expert_node != src_node))
+        moved = experts.copy()
+        moved[0] = rng.choice(np.flatnonzero(expert_node == src_node))
+        token_bytes = 4096
+        before, after = (
+            build_volume_matrix(outcome_for(e, dropped, placement.n_experts), placement,
+                                token_bytes, src, topo)
+            for e in (experts, moved)
+        )
+        assert inter_node_bytes(after, topo) == inter_node_bytes(before, topo) - token_bytes
+        for g in (g for g in range(1, devices_per_node + 1) if devices_per_node % g == 0):
+            dispatch = [groupwise_alltoall_cost(v, topo, g)[1].phases[0].volume
+                        for v in (before, after)]
+            assert inter_node_bytes(dispatch[1], topo) <= inter_node_bytes(dispatch[0], topo)
 
 
 class _FakeRun:

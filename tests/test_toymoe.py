@@ -442,6 +442,80 @@ class TestExpertLayerCache:
         assert got == self.PINNED[kind]
 
 
+class TestStagedProbe:
+    """The probe reruns only the stage a perturbed tensor feeds."""
+
+    @staticmethod
+    def _probe_inputs(monkeypatch, kind, n_experts, capacity):
+        # the probe batch and parameters exactly as train() hands them over
+        captured = []
+        monkeypatch.setattr(toymoe, "_probe_grad_check", lambda *a: captured.append(a[:5]) or 0.0)
+        train(small_corpus(), kind, n_experts, round_robin_placement(n_experts, TOPO), TOPO,
+              epochs=1, lr=0.0, seed=0, capacity=capacity)
+        return captured[0]
+
+    @pytest.mark.parametrize("n_experts,capacity", [(8, None), (2, 1)])
+    @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
+    def test_stage_local_objectives_are_the_full_forward_bitwise(
+            self, kind, n_experts, capacity, monkeypatch):
+        # perturbed coordinates of the head, the gating, experts that serve
+        # probe tokens and idle ones: each tensor's objective equals the full
+        # _train_forward objective bit for bit
+        args = self._probe_inputs(monkeypatch, kind, n_experts, capacity)
+        _, cache = toymoe._train_forward(*args)
+        busy = [c is not None for c in cache["expert_caches"]]
+        if capacity is None:
+            assert any(busy) and not all(busy)
+        else:
+            assert cache["outcome"].dropped.any()
+        tensors = toymoe._probe_tensors(*args)
+        state = args[0]
+        want = [state["head"]] + ([state["gating"]] if kind != "hash" else [])
+        want += [w for p in state["experts"] for w in (p.w_in, p.w_out)]
+        assert [t for t, _, _ in tensors] == want
+        rng = np.random.default_rng(1)
+        for tensor, _, objective in tensors:
+            flat = tensor.reshape(-1)
+            for i in rng.choice(flat.size, 2, replace=False):
+                orig = flat[i]
+                for step in (1e-5, -1e-5, 0.25):
+                    flat[i] = orig + step
+                    full = toymoe._train_forward(*args)[0]
+                    assert float(objective()).hex() == float(full).hex()
+                flat[i] = orig
+            assert float(objective()).hex() == float(cache["objective"]).hex()
+
+    def test_injected_faults_fail_the_probe_for_every_router(self, monkeypatch):
+        real_backward = toymoe._train_backward
+        real_gelu_grad = toymoe.gelu_grad
+
+        def head_scaled(*args):
+            grads = real_backward(*args)
+            grads["head"] = grads["head"] * 1.01
+            return grads
+
+        def w_in_from_the_wrong_expert(*args):
+            grads = real_backward(*args)
+            g_in = grads["experts_in"]
+            e = next(e for e, c in enumerate(args[-1]["expert_caches"]) if c is not None)
+            g_in[e] = g_in[(e + 1) % len(g_in)]
+            return grads
+
+        faults = [
+            ("_train_backward", head_scaled),
+            ("gelu_grad", lambda x, cdf=None: real_gelu_grad(x, cdf) * 1.001),
+            ("_train_backward", w_in_from_the_wrong_expert),
+        ]
+        corpus = small_corpus()
+        placement = round_robin_placement(8, TOPO)
+        for name, fault in faults:
+            with monkeypatch.context() as m:
+                m.setattr(toymoe, name, fault)
+                for kind in ("hash", "switch", "loc"):
+                    with pytest.raises(AssertionError, match="gradient check failed"):
+                        train(corpus, kind, 8, placement, TOPO, epochs=1, seed=0)
+
+
 class TestDefaultLocRun:
     def test_balanced_configuration_uses_every_expert_and_entropy_settles(self):
         # with both penalties enabled, no expert is left unused after the
