@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -59,7 +60,7 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _usage_errors(where: str = ""):
-    """Out-of-range values met while the arguments are resolved (a config
+    """Out-of-range values met while a command checks its inputs (a config
     dataclass rejecting them) are usage errors, not runtime failures."""
     try:
         yield
@@ -125,12 +126,13 @@ def _read_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     if not Path(path).exists():
         raise UsageError(f"config file {path} does not exist")
-    return _read_json(path)
+    config = _read_json(path)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path}: expected a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _is_a(value, kind) -> bool:
@@ -150,35 +152,39 @@ def _json_fields(path: str, raw, fields: dict, what: str) -> dict:
     return {name: raw[name] for name in fields}
 
 
-def _resolve_epochs(args, config: dict) -> int:
-    epochs = _resolve(args, config, "epochs", defaults.DEFAULT_EPOCHS)
-    if epochs < 1:
-        raise UsageError(f"epochs must be >= 1, got {epochs}")
-    return epochs
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values for the command's value-taking flags, by dest.
+
+    A key is a flag name without its dashes; keys that name no such flag are
+    ignored.  A value must have its flag's type (an int also serves a float
+    flag and is kept as given) and be one of the flag's choices, if it has any.
+    """
+    config = _load_config_file(path)
+    values = {}
+    for action in command._actions:
+        key = action.dest.replace("_", "-")
+        if action.nargs == 0 or key not in config:
+            continue
+        value = config[key]
+        if not _is_a(value, action.type):
+            raise UsageError(f"config value {key}={value!r} is not of type {action.type.__name__}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config value {key}={value!r} is not one of {', '.join(action.choices)}")
+        values[action.dest] = value
+    return values
 
 
-def _resolve_seed(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", defaults.DEFAULT_SEED)
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
-    return seed
-
-
-def _resolve(args, config: dict, key: str, default):
-    """Flag value if given, else config-file value (of the flag's type; an
-    int also serves a float flag and is kept as given), else default."""
-    dest = key.replace("-", "_")
-    value = getattr(args, dest, None)
-    if value is None and key in config:
-        value, kind = config[key], args.flag_types[dest]
-        if not _is_a(value, kind):
-            raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
-    if value is None:
-        return default
-    # an infinite concentration is a corpus without jitter; no other flag means anything non-finite
-    if isinstance(value, float) and not math.isfinite(value) and (key, value) != ("concentration", math.inf):
-        raise UsageError(f"--{key} must be finite, got {value}")
-    return value
+def _check_args(args):
+    """The checks every command shares, on flag and config-file values alike."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "epochs", 1) < 1:
+        raise UsageError(f"epochs must be >= 1, got {args.epochs}")
+    for dest, value in vars(args).items():
+        # an infinite concentration is a corpus without jitter; no other flag means anything non-finite
+        if (isinstance(value, float) and not math.isfinite(value)
+                and (dest, value) != ("concentration", math.inf)):
+            raise UsageError(f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -198,31 +204,30 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_capacity(args) -> int:
-    config = _load_config_file(args.config)
-    dim = _resolve(args, config, "dim", None)
-    experts = _resolve(args, config, "experts", None)
-    if dim is None or experts is None:
+    if args.dim is None or args.experts is None:
         raise UsageError("capacity requires --dim and --experts")
-    seed = _resolve_seed(args, config)
+    grid = _parse_grid(args.grid) if args.grid else None
     out = Path(args.out) if args.out else None
+    if grid is not None and out is None:
+        raise UsageError("--grid output is CSV; pass --out")
+    if grid is None and args.delta is None:
+        raise UsageError("capacity requires --delta (or --grid)")
+    if args.mc_samples is not None and args.mc_samples < 1:
+        raise UsageError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    with _usage_errors():
+        query = capacity.CapacityTheoryInput(args.delta if grid is None else grid[0], args.dim, args.experts)
 
-    if args.grid:
-        grid = _parse_grid(args.grid)
-        if out is None:
-            raise UsageError("--grid output is CSV; pass --out")
-        resolved = {"dim": dim, "experts": experts, "grid": args.grid, "seed": seed}
+    if grid is not None:
+        resolved = {"dim": args.dim, "experts": args.experts, "grid": args.grid, "seed": args.seed}
         rows = [["delta", "p_delta", "ec_min", "erfc_bound", "exp_bound", "degenerate", "unbounded"]]
-        for delta, res in capacity.capacity_curve(dim, experts, grid):
+        for delta, res in capacity.capacity_curve(args.dim, args.experts, grid):
             rows.append([delta, res.p_delta, res.ec_min, res.erfc_bound,
                          res.exp_bound, res.degenerate, res.unbounded])
-        _write_csv(out, rows, seed, resolved, args.force)
+        _write_csv(out, rows, args.seed, resolved, args.force)
         return 0
 
-    delta = _resolve(args, config, "delta", None)
-    if delta is None:
-        raise UsageError("capacity requires --delta (or --grid)")
-    resolved = {"delta": delta, "dim": dim, "experts": experts, "seed": seed}
-    res = capacity.ec_min(capacity.CapacityTheoryInput(delta, dim, experts))
+    resolved = {"delta": args.delta, "dim": args.dim, "experts": args.experts, "seed": args.seed}
+    res = capacity.ec_min(query)
     result = {
         "p_delta": res.p_delta,
         "ec_min": res.ec_min,
@@ -231,23 +236,22 @@ def cmd_capacity(args) -> int:
         "degenerate": res.degenerate,
         "unbounded": res.unbounded,
     }
-    if args.mc_samples:
-        est, stderr = capacity.mc_p_delta(delta, dim, args.mc_samples, seed=seed)
+    if args.mc_samples is not None:
+        est, stderr = capacity.mc_p_delta(args.delta, args.dim, args.mc_samples, seed=args.seed)
         result["mc_p_delta"] = {
             "estimate": est,
             "std_err": stderr,
             "n_samples": args.mc_samples,
             "z_vs_analytic": abs(est - res.p_delta) / max(stderr, 1e-300),
         }
-    payload = _meta(seed, resolved)
+    payload = _meta(args.seed, resolved)
     payload["result"] = result
     _write_json(out, payload, args.force)
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args, {})
-    results = verify.run_checks(only=args.only, seed=seed)
+    results = verify.run_checks(only=args.only, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -256,39 +260,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_route_sim(args) -> int:
-    config = _load_config_file(args.config)
-    router = _resolve(args, config, "router", "block")
-    tokens = _resolve(args, config, "tokens", 100_000)
-    dim = _resolve(args, config, "dim", 64)
-    experts = _resolve(args, config, "experts", 8)
-    noise_std = _resolve(args, config, "noise-std", 0.0)
-    cap_factor = _resolve(args, config, "capacity-factor", None)
-    seed = _resolve_seed(args, config)
+    router, tokens, dim, experts, seed = args.router, args.tokens, args.dim, args.experts, args.seed
     if args.out is None:
         raise UsageError("route-sim requires --out")
+    if args.histograms and router == "hash":
+        raise UsageError("--histograms needs a weight-based router (block or switch)")
+    if experts < 1:
+        raise UsageError(f"n_experts must be >= 1, got {experts}")
     out = Path(args.out)
+    with _usage_errors():
+        sphere = capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
+        if router == "block":
+            weights = build_block_gating(experts, dim)
+        elif router == "switch":
+            weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
+        else:
+            weights = None
+        cap_tokens = (None if args.capacity_factor is None
+                      else capacity.empirical_capacity(tokens, args.capacity_factor, 1, experts))
     resolved = {
         "router": router, "tokens": tokens, "dim": dim, "experts": experts,
-        "noise_std": noise_std, "capacity_factor": cap_factor, "seed": seed,
+        "noise_std": args.noise_std, "capacity_factor": args.capacity_factor, "seed": seed,
     }
 
-    batch = capacity.sample_unit_sphere(
-        capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
-    )
+    batch = capacity.sample_unit_sphere(sphere)
     if router == "block":
-        with _usage_errors():
-            weights = build_block_gating(experts, dim)
-        outcome = route_top1(gate_scores(batch.tokens, weights, noise_std, seed=seed))
+        outcome = route_top1(gate_scores(batch.tokens, weights, args.noise_std, seed=seed))
     elif router == "switch":
-        weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
         outcome = switch_route(batch.tokens, weights)
-    elif router == "hash":
-        weights = None
-        outcome = hash_route(batch.token_ids, experts)
     else:
-        raise UsageError(f"unknown router {router!r}")
-    if cap_factor is not None:
-        cap_tokens = capacity.empirical_capacity(tokens, cap_factor, 1, experts)
+        outcome = hash_route(batch.token_ids, experts)
+    if cap_tokens is not None:
         outcome = apply_capacity(outcome, cap_tokens)
         resolved["applied_capacity"] = cap_tokens
 
@@ -301,8 +303,6 @@ def cmd_route_sim(args) -> int:
     _write_csv(out, rows, seed, resolved, args.force)
 
     if args.histograms:
-        if weights is None:
-            raise UsageError("--histograms needs a weight-based router (block or switch)")
         hist = capacity.cosine_histograms(batch, outcome, weights)
         hrows = [["kind", "expert_i", "expert_j", "bin_lo", "bin_hi", "count"]]
         hrows.extend(list(r) for r in hist.iter_rows())
@@ -336,59 +336,34 @@ def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopo
 
 
 def cmd_train_toy(args) -> int:
-    config = _load_config_file(args.config)
-    router = _resolve(args, config, "router", "loc")
-    epochs = _resolve_epochs(args, config)
-    lr = _resolve(args, config, "lr", defaults.DEFAULT_LR)
-    alpha = _resolve(args, config, "alpha", defaults.DEFAULT_TRAIN_LOSSES.alpha)
-    mu = _resolve(args, config, "mu", defaults.DEFAULT_TRAIN_LOSSES.mu)
-    clusters = _resolve(args, config, "clusters", defaults.DEFAULT_CORPUS.n_clusters)
-    dim = _resolve(args, config, "dim", defaults.DEFAULT_CORPUS.dim)
-    experts = _resolve(args, config, "experts", defaults.DEFAULT_N_EXPERTS)
-    nodes = _resolve(args, config, "nodes", defaults.DEFAULT_TOPOLOGY.n_nodes)
-    tokens_per_cluster = _resolve(args, config, "tokens-per-cluster",
-                                  defaults.DEFAULT_CORPUS.tokens_per_cluster)
-    concentration = _resolve(args, config, "concentration", defaults.DEFAULT_CORPUS.concentration)
-    seed = _resolve_seed(args, config)
     if args.out is None:
         raise UsageError("train-toy requires --out")
     out = Path(args.out)
-
-    devices_per_node = _resolve(args, config, "devices-per-node",
-                                defaults.DEFAULT_TOPOLOGY.devices_per_node)
+    experts, seed = args.experts, args.seed
     with _usage_errors():
-        topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=nodes,
-                                       devices_per_node=devices_per_node)
+        topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=args.nodes,
+                                       devices_per_node=args.devices_per_node)
         placement = defaults.default_placement(experts, topology)
         corpus_cfg = SyntheticCorpusConfig(
-            n_clusters=clusters,
-            dim=dim,
-            tokens_per_cluster=tokens_per_cluster,
-            concentration=concentration,
+            n_clusters=args.clusters,
+            dim=args.dim,
+            tokens_per_cluster=args.tokens_per_cluster,
+            concentration=args.concentration,
             seed=seed,
         )
-        loss_cfg = LossConfig(alpha=alpha, mu=mu)
-        if router == "loc":
-            build_block_gating(experts, dim)  # dim must split evenly over the experts
+        loss_cfg = LossConfig(alpha=args.alpha, mu=args.mu)
+        if args.router == "loc":
+            build_block_gating(experts, args.dim)  # dim must split evenly over the experts
     corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
-        "router": router, "epochs": epochs, "lr": lr, "alpha": alpha, "mu": mu,
-        "clusters": clusters, "dim": dim, "experts": experts, "nodes": nodes,
-        "devices_per_node": devices_per_node, "tokens_per_cluster": tokens_per_cluster,
-        "concentration": concentration, "seed": seed,
-        "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
+        "router": args.router, "epochs": args.epochs, "lr": args.lr, "alpha": args.alpha,
+        "mu": args.mu, "clusters": args.clusters, "dim": args.dim, "experts": experts,
+        "nodes": args.nodes, "devices_per_node": args.devices_per_node,
+        "tokens_per_cluster": args.tokens_per_cluster, "concentration": args.concentration,
+        "seed": seed, "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
     }
-    run = train(
-        corpus,
-        router,
-        experts,
-        placement,
-        topology,
-        epochs=epochs,
-        lr=lr,
-        loss_cfg=loss_cfg,
-        seed=seed,
-    )
+    run = train(corpus, args.router, experts, placement, topology,
+                epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
 
     n = experts
     header = (
@@ -424,26 +399,22 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_comm_sim(args) -> int:
-    config = _load_config_file(args.config)
-    seed = _resolve_seed(args, config)
-    tp_group = _resolve(args, config, "tp-group", defaults.DEFAULT_TP_GROUP_SIZE)
     if args.out is None:
         raise UsageError("comm-sim requires --out")
     out = Path(args.out)
     topology = _topology_from_json(args.topology)
     with _usage_errors("--tp-group: "):
-        topology.check_group_size(tp_group)
+        topology.check_group_size(args.tp_group)
 
     if args.compare_routers:
-        return _comm_sim_compare(args, config, topology, out, seed, tp_group)
+        return _comm_sim_compare(args, topology, out)
     if args.volumes is None:
         raise UsageError("comm-sim requires --volumes (CSV path or from-run:PREFIX)")
 
-    volumes_arg = args.volumes
-    if volumes_arg.startswith("from-run:"):
-        volumes_path = Path(volumes_arg[len("from-run:"):] + ".volumes.csv")
+    if args.volumes.startswith("from-run:"):
+        volumes_path = Path(args.volumes[len("from-run:"):] + ".volumes.csv")
     else:
-        volumes_path = Path(volumes_arg)
+        volumes_path = Path(args.volumes)
     if not volumes_path.exists():
         raise UsageError(f"volume matrix {volumes_path} does not exist")
     volume = np.loadtxt(volumes_path, delimiter=",", skiprows=1)
@@ -453,40 +424,37 @@ def cmd_comm_sim(args) -> int:
     resolved = {
         "topology": args.topology or "default",
         "volumes": str(volumes_path),
-        "tp_group": tp_group,
-        "seed": seed,
+        "tp_group": args.tp_group,
+        "seed": args.seed,
     }
     plain = alltoall_cost(volume, topology)
-    grouped, plan = groupwise_alltoall_cost(volume, topology, tp_group)
+    grouped, plan = groupwise_alltoall_cost(volume, topology, args.tp_group)
     phase_bytes = {p.kind: 0.0 for p in plan.phases}
     for p in plan.phases:
         phase_bytes[p.kind] += p.total_bytes
     rows = [
         ["tp_group", "plain_alltoall_s", "groupwise_total_s",
          "dispatch_bytes", "allgather_bytes", "input_bytes"],
-        [tp_group, plain, grouped,
+        [args.tp_group, plain, grouped,
          phase_bytes.get("all_to_all", 0.0), phase_bytes.get("all_gather", 0.0),
          float(volume.sum())],
     ]
-    _write_csv(out, rows, seed, resolved, args.force)
+    _write_csv(out, rows, args.seed, resolved, args.force)
     return 0
 
 
-def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
+def _comm_sim_compare(args, topology, out) -> int:
     """Paired hash/switch/loc training runs compared under the cost model."""
-    epochs = _resolve_epochs(args, config)
-    experts = _resolve(args, config, "experts", defaults.DEFAULT_N_EXPERTS)
-    tokens_per_cluster = _resolve(args, config, "tokens-per-cluster",
-                                  defaults.DEFAULT_CORPUS.tokens_per_cluster)
+    experts, seed = args.experts, args.seed
     placement = _placement_from_json(args.placement, experts, topology)
     with _usage_errors():
         corpus_cfg = dataclasses.replace(defaults.DEFAULT_CORPUS,
-                                         tokens_per_cluster=tokens_per_cluster, seed=seed)
+                                         tokens_per_cluster=args.tokens_per_cluster, seed=seed)
         build_block_gating(experts, corpus_cfg.dim)  # checked before any run trains
     corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
-        "compare_routers": True, "epochs": epochs, "experts": experts,
-        "tokens_per_cluster": tokens_per_cluster, "tp_group": tp_group, "seed": seed,
+        "compare_routers": True, "epochs": args.epochs, "experts": experts,
+        "tokens_per_cluster": args.tokens_per_cluster, "tp_group": args.tp_group, "seed": seed,
         "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
     }
     runs = {}
@@ -494,11 +462,11 @@ def _comm_sim_compare(args, config, topology, out, seed, tp_group) -> int:
         loss_cfg = defaults.DEFAULT_TRAIN_LOSSES if kind == "loc" else LossConfig(alpha=0.0, mu=0.0)
         runs[kind] = train(
             corpus, kind, experts, placement, topology,
-            epochs=epochs, lr=defaults.DEFAULT_LR, loss_cfg=loss_cfg, seed=seed,
+            epochs=args.epochs, lr=defaults.DEFAULT_LR, loss_cfg=loss_cfg, seed=seed,
         )
     report = compare_strategies(
         runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
-        tp_group_size=tp_group, overlap_ratio=defaults.DEFAULT_OVERLAP_RATIO,
+        tp_group_size=args.tp_group, overlap_ratio=defaults.DEFAULT_OVERLAP_RATIO,
     )
     header = ["router", "entropy", "locality_fraction", "plain_alltoall_s",
               "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s", "comm_share"]
@@ -523,66 +491,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Routing, capacity-theory, toy-training and communication-model workbench.",
     )
     parser.add_argument("--version", action="version", version=f"moelab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each command's --help shows its flags' defaults
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, formatter_class=argparse.ArgumentDefaultsHelpFormatter))
+    corpus, losses = defaults.DEFAULT_CORPUS, defaults.DEFAULT_TRAIN_LOSSES
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in artifacts)")
+    seeded.add_argument("--seed", type=int, default=defaults.DEFAULT_SEED, help="RNG seed")
     common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--out", type=str, default=None, help="output path")
+    common.add_argument("--out", type=str, help="output path")
     common.add_argument("--force", action="store_true", help="allow overwriting outputs")
-    common.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
+    common.add_argument("--config", type=str, help="JSON object of flag values; flags win")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--epochs", type=int, default=defaults.DEFAULT_EPOCHS, help="training epochs")
+    training.add_argument("--experts", type=int, default=defaults.DEFAULT_N_EXPERTS, help="experts n")
+    training.add_argument("--tokens-per-cluster", type=int, default=corpus.tokens_per_cluster,
+                          help="corpus tokens per cluster")
 
     p = sub.add_parser("capacity", parents=[common], help="capacity bound queries and curves")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--grid", type=str, default=None, help="delta grid START:STOP:COUNT (CSV output)")
-    p.add_argument("--mc-samples", type=int, default=None, help="cross-check with Monte Carlo")
+    p.add_argument("--delta", type=float, help="cosine threshold delta in [0, 1]")
+    p.add_argument("--dim", type=int, help="token dimension d >= 2")
+    p.add_argument("--experts", type=int, help="experts n")
+    p.add_argument("--grid", type=str, help="delta grid START:STOP:COUNT (CSV output)")
+    p.add_argument("--mc-samples", type=int, help="cross-check with Monte Carlo")
     p.set_defaults(fn=cmd_capacity)
 
     p = sub.add_parser("verify", parents=[seeded], help="run the oracle verification suites")
-    p.add_argument("--only", type=str, default=None, help=f"one of: {', '.join(verify.CHECKS)}")
+    p.add_argument("--only", type=str, help=f"one of: {', '.join(verify.CHECKS)}")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("route-sim", parents=[common], help="route sphere tokens, report statistics")
-    p.add_argument("--router", type=str, default=None, choices=("block", "hash", "switch"))
-    p.add_argument("--tokens", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--capacity-factor", type=float, default=None)
+    p.add_argument("--router", type=str, default="block", choices=("block", "hash", "switch"),
+                   help="routing rule")
+    p.add_argument("--tokens", type=int, default=100_000, help="tokens drawn on the sphere")
+    p.add_argument("--dim", type=int, default=64, help="token dimension d >= 2")
+    p.add_argument("--experts", type=int, default=8, help="experts n")
+    p.add_argument("--noise-std", type=float, default=0.0, help="gating noise (block router)")
+    p.add_argument("--capacity-factor", type=float, help="enforce this capacity factor")
     p.add_argument("--histograms", action="store_true", help="also write cosine histograms")
     p.set_defaults(fn=cmd_route_sim)
 
-    p = sub.add_parser("train-toy", parents=[common], help="train the toy MoE")
-    p.add_argument("--router", type=str, default=None, choices=("hash", "switch", "loc"))
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--devices-per-node", type=int, default=None)
-    p.add_argument("--tokens-per-cluster", type=int, default=None)
-    p.add_argument("--concentration", type=float, default=None)
+    p = sub.add_parser("train-toy", parents=[common, training], help="train the toy MoE")
+    p.add_argument("--router", type=str, default="loc", choices=("hash", "switch", "loc"),
+                   help="routing rule")
+    p.add_argument("--lr", type=float, default=defaults.DEFAULT_LR, help="learning rate")
+    p.add_argument("--alpha", type=float, default=losses.alpha, help="balance-loss weight")
+    p.add_argument("--mu", type=float, default=losses.mu, help="locality-loss weight")
+    p.add_argument("--clusters", type=int, default=corpus.n_clusters, help="corpus clusters")
+    p.add_argument("--dim", type=int, default=corpus.dim, help="token dimension")
+    p.add_argument("--nodes", type=int, default=defaults.DEFAULT_TOPOLOGY.n_nodes, help="nodes")
+    p.add_argument("--devices-per-node", type=int, default=defaults.DEFAULT_TOPOLOGY.devices_per_node,
+                   help="devices per node")
+    p.add_argument("--concentration", type=float, default=corpus.concentration, help="inf: no jitter")
     p.set_defaults(fn=cmd_train_toy)
 
-    p = sub.add_parser("comm-sim", parents=[common], help="evaluate the communication cost model")
-    p.add_argument("--topology", type=str, default=None, help="topology JSON file")
-    p.add_argument("--placement", type=str, default=None, help="placement JSON file")
-    p.add_argument("--volumes", type=str, default=None, help="volume CSV or from-run:PREFIX")
-    p.add_argument("--tp-group", type=int, default=None)
-    p.add_argument("--compare-routers", action="store_true",
-                   help="paired hash/switch/loc runs compared under the model")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--tokens-per-cluster", type=int, default=None)
+    p = sub.add_parser("comm-sim", parents=[common, training], help="communication cost model")
+    p.add_argument("--topology", type=str, help="topology JSON file")
+    p.add_argument("--placement", type=str, help="placement JSON file")
+    p.add_argument("--volumes", type=str, help="volume CSV or from-run:PREFIX")
+    p.add_argument("--tp-group", type=int, default=defaults.DEFAULT_TP_GROUP_SIZE,
+                   help="tensor-parallel group size")
+    p.add_argument("--compare-routers", action="store_true", help="paired hash/switch/loc runs compared")
     p.set_defaults(fn=cmd_comm_sim)
 
-    for p in sub.choices.values():  # what _resolve checks config values against
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
+    for p in sub.choices.values():  # what a --config file's values become defaults of
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -593,6 +566,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "config", None) is not None:
+            args.command_parser.set_defaults(**_config_defaults(args.command_parser, args.config))
+            args = parser.parse_args(argv)
+        _check_args(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -463,7 +463,8 @@ def _select_probe(scores):
     """Pick probe tokens whose routing sits away from argmax ties and relu
     kinks so finite differences stay on one smooth piece."""
     part = np.sort(scores, axis=1)
-    margin = part[:, -1] - part[:, -2]
+    # one expert has no runner-up, so no argmax tie
+    margin = part[:, -1] - part[:, -2] if part.shape[1] > 1 else np.full(len(part), np.inf)
     away_from_kink = np.abs(scores).min(axis=1) > 1e-3
     ok = np.flatnonzero((margin > 1e-3) & away_from_kink)
     if ok.size < _PROBE_TOKENS:

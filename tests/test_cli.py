@@ -73,6 +73,23 @@ class TestCapacityCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--delta", "0.1", "--dim", "1", "--experts", "8"], "dim must be >= 2, got 1"),
+        (["--delta", "0.1", "--dim", "16", "--experts", "0"], "n_experts must be >= 1, got 0"),
+        (["--delta", "1.5", "--dim", "16", "--experts", "8"], "delta must lie in [0, 1], got 1.5"),
+        (["--grid", "0.1:0.5:3", "--dim", "1", "--experts", "8"], "dim must be >= 2, got 1"),
+        (["--delta", "0.1", "--dim", "16", "--experts", "8", "--mc-samples", "0"],
+         "--mc-samples must be >= 1, got 0"),
+        (["--delta", "0.1", "--dim", "16", "--experts", "8", "--mc-samples", "-3"],
+         "--mc-samples must be >= 1, got -3"),
+    ])
+    def test_out_of_range_values_are_usage_errors(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "cap.out"
+        assert run(["capacity", *argv, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         assert run(["verify", "--only", "cap-identity"]) == 0
@@ -177,6 +194,22 @@ class TestRouteSimCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--router", "hash", "--experts", "0"], "n_experts must be >= 1, got 0"),
+        (["--router", "switch", "--experts", "0"], "n_experts must be >= 1, got 0"),
+        (["--tokens", "0"], "n_samples must be >= 1, got 0"),
+        (["--dim", "1"], "dim must be >= 2, got 1"),
+        (["--capacity-factor", "0"],
+         "all of batch_size, capacity_factor, expert_parallel, n_experts must be positive"),
+        (["--router", "hash", "--histograms"], "--histograms needs a weight-based router"),
+    ])
+    def test_out_of_range_values_are_usage_errors_before_writing(self, argv, message, tmp_path,
+                                                                 capsys):
+        assert run(["route-sim", "--tokens", "100", *argv, "--out", str(tmp_path / "route.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrainToyCommand:
     def test_writes_records_report_and_volumes(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -209,6 +242,22 @@ class TestTrainToyCommand:
                     "--out", str(out)]) == 0
         meta = (tmp_path / "run.csv.meta.json").read_text()
         assert '"lr": 1,' in meta
+
+    @pytest.mark.parametrize("content", ['"epochs"', "[1, 2]"])
+    def test_config_file_that_is_not_an_object_is_usage_error(self, content, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(content)
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: config file {config}: expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("router", ["hash", "switch", "loc"])
+    def test_one_expert_trains(self, router, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", router, "--experts", "1", "--epochs", "2",
+                    "--tokens-per-cluster", "64", "--seed", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0].split(",")[3:6] == ["count_0", "f_0", "P_0"]
 
     def test_divergence_is_a_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -434,6 +483,12 @@ class TestCommSimCommand:
         assert "error: dim=32 is not divisible by n_experts=5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_routers_with_one_expert(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--experts", "1", "--epochs", "2",
+                    "--tokens-per-cluster", "64", "--seed", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
     def test_compare_routers_meta_records_tokens_per_cluster(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert run(["comm-sim", "--compare-routers", "--epochs", "1",
@@ -488,3 +543,30 @@ class TestDeterminism:
                         "--seed", "6", "--out", str(path)]) == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_train_toy_config_file_equals_flags(self, tmp_path):
+        # every value-taking train-toy flag, set from a config file or as flags
+        values = {"router": "switch", "epochs": 3, "lr": 0.5, "alpha": 0.3, "mu": 0.05,
+                  "clusters": 3, "dim": 24, "experts": 8, "nodes": 1, "devices-per-node": 8,
+                  "tokens-per-cluster": 32, "concentration": 6.0, "seed": 5}
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        flags = [f"--{key}={value}" for key, value in values.items()]
+        assert run(["train-toy", *flags, "--out", str(a / "run.csv")]) == 0
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**values, "out": str(b / "run.csv")}))
+        assert run(["train-toy", "--config", str(config)]) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert len(names) == 6 and names == sorted(path.name for path in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_config_file_out_is_honoured(self, tmp_path):
+        out = tmp_path / "cap.json"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": 0.1, "dim": 64, "experts": 8, "out": str(out)}))
+        assert run(["capacity", "--config", str(config)]) == 0
+        flagged = tmp_path / "flagged.json"
+        assert run(["capacity", "--delta", "0.1", "--dim", "64", "--experts", "8",
+                    "--out", str(flagged)]) == 0
+        assert out.read_bytes() == flagged.read_bytes()
