@@ -3,9 +3,10 @@
 All-to-All is D-1 serialized ring rounds, each costing its slowest pair.
 The group-wise variant ships only 1/g of each device's inter-node bytes
 over the slow links and reconstructs the rest with an intra-node ring
-All-Gather, so it wins once inter-node volume dominates.  Locality wins
-unconditionally: moving a token's destination on-node never increases
-the modeled cost.  Run:
+All-Gather, so it wins once inter-node volume dominates.  Moving tokens
+on-node cuts the slow inter-node volume, and here the modeled cost falls
+with it; a single move can still raise it slightly, because each ring
+round costs its slowest pair and the local pair may be that pair.  Run:
 
     python demos/comm_model.py
 """
@@ -70,5 +71,6 @@ for step in range(5):
     print(f"  locality {frac:.3f}: plain {alltoall_cost(volume, topo) * 1e6:8.1f} us, "
           f"grouped(8) {groupwise_alltoall_cost(volume, topo, 8)[0] * 1e6:8.1f} us")
 
-print("\nCost never increases as traffic turns local; the slow inter-node")
-print("links stop being the round bottleneck once enough volume moves on-node.")
+print("\nCost falls as traffic turns local: the slow inter-node links stop being")
+print("the round bottleneck once enough volume moves on-node (a single move can")
+print("still raise it slightly when its local pair is already the bottleneck).")

@@ -51,7 +51,7 @@ print(f"  f is still accounted pre-drop: sum(f) = {capped.f.sum():.12f}")
 
 # --- cosine structure -------------------------------------------------------
 
-hist = cosine_histograms(batch, scored, weights, n_bins=32, max_per_expert=128)
+hist = cosine_histograms(batch, scored, weights)
 mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
 routed = hist.routed_counts.sum(axis=0)
 other = hist.nonrouted_counts.sum(axis=0)

@@ -271,17 +271,15 @@ class CosineHistograms:
                 yield ("weight_other", i, i, bins[k], bins[k + 1], int(self.nonrouted_counts[i, k]))
 
 
-def cosine_histograms(
-    batch: TokenBatch,
-    outcome: RoutingOutcome,
-    weights: np.ndarray,
-    n_bins: int = 64,
-    max_per_expert: int = 256,
-) -> CosineHistograms:
+HIST_BINS = 64  # equal-width cosine bins over [-1, 1]
+HIST_TOKENS_PER_EXPERT = 256  # tokens per expert in the token-token histograms
+
+
+def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.ndarray) -> CosineHistograms:
     """Histogram token-token and token-gating-weight cosine similarities.
 
     Token-token histograms are computed per expert pair over at most
-    ``max_per_expert`` tokens per expert (the first so many in batch
+    ``HIST_TOKENS_PER_EXPERT`` tokens per expert (the first so many in batch
     order, for determinism).  Token-weight histograms use every token.
     """
     weights = np.asarray(weights, dtype=float)
@@ -290,15 +288,15 @@ def cosine_histograms(
         raise ValueError("batch and routing outcome disagree on token count")
     if batch.dim != weights.shape[1]:
         raise ValueError("token dim does not match gating dim")
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
     x = batch.tokens / np.linalg.norm(batch.tokens, axis=1, keepdims=True)
 
     groups = []
     for i in range(n):
-        idx = np.flatnonzero(outcome.expert_of_token == i)[:max_per_expert]
+        idx = np.flatnonzero(outcome.expert_of_token == i)[:HIST_TOKENS_PER_EXPERT]
         groups.append(x[idx])
 
-    pair_counts = np.zeros((n, n, n_bins), dtype=np.int64)
+    pair_counts = np.zeros((n, n, HIST_BINS), dtype=np.int64)
     for i in range(n):
         for j in range(i, n):
             a, b = groups[i], groups[j]
@@ -319,8 +317,8 @@ def cosine_histograms(
 
     wn = weights / np.linalg.norm(weights, axis=1, keepdims=True)
     cos_w = np.clip(x @ wn.T, -1.0, 1.0)
-    routed = np.zeros((n, n_bins), dtype=np.int64)
-    nonrouted = np.zeros((n, n_bins), dtype=np.int64)
+    routed = np.zeros((n, HIST_BINS), dtype=np.int64)
+    nonrouted = np.zeros((n, HIST_BINS), dtype=np.int64)
     for i in range(n):
         mine = outcome.expert_of_token == i
         routed[i], _ = np.histogram(cos_w[mine, i], bins=edges)

@@ -119,16 +119,16 @@ def _write_csv(path: Path, rows, seed, config: dict, force: bool):
 
 
 def _read_json(path: str):
-    """Parse a JSON input file; malformed JSON is a usage error."""
+    """Parse a JSON input file; an unreadable file or malformed JSON is a usage error."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
-    if not Path(path).exists():
-        raise UsageError(f"config file {path} does not exist")
     config = _read_json(path)
     if not isinstance(config, dict):
         raise UsageError(f"config file {path}: expected a JSON object, got {type(config).__name__}")
@@ -265,6 +265,10 @@ def cmd_route_sim(args) -> int:
         raise UsageError("route-sim requires --out")
     if args.histograms and router == "hash":
         raise UsageError("--histograms needs a weight-based router (block or switch)")
+    if args.noise_std < 0:
+        raise UsageError(f"--noise-std must be >= 0, got {args.noise_std}")
+    if args.noise_std and router != "block":
+        raise UsageError(f"--noise-std applies only to the block router, not {router}")
     if experts < 1:
         raise UsageError(f"n_experts must be >= 1, got {experts}")
     out = Path(args.out)
@@ -464,10 +468,8 @@ def _comm_sim_compare(args, topology, out) -> int:
             corpus, kind, experts, placement, topology,
             epochs=args.epochs, lr=defaults.DEFAULT_LR, loss_cfg=loss_cfg, seed=seed,
         )
-    report = compare_strategies(
-        runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
-        tp_group_size=args.tp_group, overlap_ratio=defaults.DEFAULT_OVERLAP_RATIO,
-    )
+    report = compare_strategies(runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
+                                tp_group_size=args.tp_group)
     header = ["router", "entropy", "locality_fraction", "plain_alltoall_s",
               "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s", "comm_share"]
     rows = [header]
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_capacity)
 
     p = sub.add_parser("verify", parents=[seeded], help="run the oracle verification suites")
-    p.add_argument("--only", type=str, help=f"one of: {', '.join(verify.CHECKS)}")
+    p.add_argument("--only", type=str, choices=tuple(verify.CHECKS), help="run this suite alone")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("route-sim", parents=[common], help="route sphere tokens, report statistics")

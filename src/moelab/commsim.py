@@ -10,7 +10,7 @@ All-Gather across the g-device group), trading slow-link volume for
 fast-link replication.
 
 Bandwidths and latencies here are illustrative configuration, not
-measurements; the shipped defaults live in :mod:`moelab.defaults`.
+measurements; the CLI's default topology lives in :mod:`moelab.defaults`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+OVERLAP_RATIO = 0.5  # share of modeled compute that hides communication in compare_strategies
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,6 @@ def compare_strategies(
     topology: ClusterTopology,
     token_bytes: int,
     tp_group_size: int = 8,
-    overlap_ratio: float = 0.5,
 ) -> list[dict]:
     """Model communication for the final assignment of each training run.
 
@@ -237,7 +238,7 @@ def compare_strategies(
     ``source_device`` and ``modeled_compute_seconds`` (a toy-training
     run).  For each router the report carries plain and group-wise modeled
     seconds, the locality fraction, and the visible communication share of
-    a modeled epoch, where visible = max(0, comm - overlap_ratio * compute); the overlap
+    a modeled epoch, where visible = max(0, comm - OVERLAP_RATIO * compute); the overlap
     term is a deliberately coarse stand-in for interleaved execution.
     """
     rows = []
@@ -248,13 +249,12 @@ def compare_strategies(
         grouped, _ = groupwise_alltoall_cost(volume, topology, tp_group_size)
         frac = locality_fraction(outcome, placement, run.source_device, topology)
         compute = run.modeled_compute_seconds
-        visible = max(0.0, plain - overlap_ratio * compute)
+        visible = max(0.0, plain - OVERLAP_RATIO * compute)
         rows.append(
             {
                 "router": name,
                 "plain_alltoall_s": plain,
                 "groupwise_alltoall_s": grouped,
-                "tp_group_size": tp_group_size,
                 "locality_fraction": frac,
                 "modeled_compute_s": compute,
                 "visible_comm_s": visible,

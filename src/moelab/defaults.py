@@ -1,8 +1,10 @@
-"""Illustrative default configuration, collected in one place.
+"""The CLI's defaults.
 
 The cluster numbers are declared configuration for the cost model, not
 measurements of any real machine; the toy-training numbers are the
 desk-scale calibration the shipped demos and acceptance checks run with.
+Model constants, such as ``toymoe.DEVICE_FLOPS`` and
+``commsim.OVERLAP_RATIO``, live with their models.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ DEFAULT_TOPOLOGY = ClusterTopology(
 DEFAULT_N_EXPERTS = 16
 DEFAULT_TOKEN_BYTES = 4096
 DEFAULT_TP_GROUP_SIZE = 8
-DEFAULT_OVERLAP_RATIO = 0.5
 
 DEFAULT_CORPUS = SyntheticCorpusConfig(
     n_clusters=4,

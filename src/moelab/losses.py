@@ -2,7 +2,7 @@
 cross-entropy, plus analytic gradients with a finite-difference checker.
 
 Distributions over experts are plain 1-d numpy arrays that sum to one.
-The locality target assigns mass ``1 - epsilon_smooth`` uniformly to the
+The locality target assigns mass ``1 - EPSILON_SMOOTH`` uniformly to the
 experts resident on the source node and smooths the remainder over remote
 experts so the KL divergence stays finite.
 """
@@ -15,22 +15,19 @@ import numpy as np
 
 from .router import softmax
 
+EPSILON_SMOOTH = 1e-3  # the locality target's mass on remote experts
+
 
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.01
     mu: float = 0.01
-    epsilon_smooth: float = 1e-3
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.mu < 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not 0.0 < self.epsilon_smooth < 1.0:
-            raise ValueError(
-                f"epsilon_smooth must lie in (0, 1), got {self.epsilon_smooth}"
-            )
 
 
 def _check_distribution(p: np.ndarray, name: str, tol: float = 1e-6) -> np.ndarray:
@@ -65,11 +62,11 @@ def aux_loss_grad_p(f, alpha: float) -> np.ndarray:
     return alpha * f.shape[0] * f
 
 
-def make_local_target(expert_nodes, source_node: int, epsilon_smooth: float = 1e-3) -> np.ndarray:
+def make_local_target(expert_nodes, source_node: int) -> np.ndarray:
     """Target routing distribution concentrated on node-local experts.
 
-    Experts on ``source_node`` split mass ``1 - epsilon_smooth`` evenly;
-    remote experts split ``epsilon_smooth``.  With no remote experts the
+    Experts on ``source_node`` split mass ``1 - EPSILON_SMOOTH`` evenly;
+    remote experts split ``EPSILON_SMOOTH``.  With no remote experts the
     smoothing is unused and the target is exactly uniform; with no local
     experts the rule falls back to uniform over all experts.
     """
@@ -82,8 +79,8 @@ def make_local_target(expert_nodes, source_node: int, epsilon_smooth: float = 1e
     if n_local == 0 or n_local == n:
         return np.full(n, 1.0 / n)
     target = np.empty(n)
-    target[local] = (1.0 - epsilon_smooth) / n_local
-    target[~local] = epsilon_smooth / (n - n_local)
+    target[local] = (1.0 - EPSILON_SMOOTH) / n_local
+    target[~local] = EPSILON_SMOOTH / (n - n_local)
     return target
 
 

@@ -145,7 +145,6 @@ class TrainRun:
     records: list[TrainRecord]
     final_outcome: RoutingOutcome
     source_device: np.ndarray
-    n_experts: int
     probe_grad_rel_err: float
     modeled_compute_seconds: float
     params: dict
@@ -524,12 +523,7 @@ def train(
         raise ValueError(
             f"placement covers {expert_nodes.shape[0]} experts, expected {n_experts}"
         )
-    local_targets = np.stack(
-        [
-            make_local_target(expert_nodes, v, loss_cfg.epsilon_smooth)
-            for v in range(topology.n_nodes)
-        ]
-    )
+    local_targets = np.stack([make_local_target(expert_nodes, v) for v in range(topology.n_nodes)])
 
     rng = np.random.default_rng(seed)
     state = {
@@ -623,7 +617,6 @@ def train(
         records=records,
         final_outcome=final_outcome,
         source_device=source_device,
-        n_experts=n_experts,
         probe_grad_rel_err=probe_err,
         modeled_compute_seconds=compute_s,
         params=params,

@@ -170,9 +170,5 @@ CHECKS = {
 
 
 def run_checks(only: str | None = None, seed: int = 2) -> list[CheckResult]:
-    """Run all (or one named) verification suite."""
-    names = [only] if only else list(CHECKS)
-    for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    return [CHECKS[name](seed) for name in names]
+    """Run all verification suites, or the one named (a key of ``CHECKS``)."""
+    return [CHECKS[name](seed) for name in ([only] if only else CHECKS)]

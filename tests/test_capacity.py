@@ -315,6 +315,6 @@ class TestCosineHistograms:
 
         batch = TokenBatch(tokens=np.tile(w, (2, 1)), token_ids=np.arange(4))
         outcome = route_top1(gate_scores(batch.tokens, w))
-        hist = cosine_histograms(batch, outcome, w, n_bins=16)
+        hist = cosine_histograms(batch, outcome, w)
         rows = list(hist.iter_rows())
-        assert len(rows) == 2 * 2 * 16 + 2 * 16 * 2
+        assert len(rows) == 2 * 2 * 64 + 2 * 64 * 2

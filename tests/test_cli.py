@@ -22,6 +22,10 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a usage error must be found before any training")
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("a usage error must be found before any sampling")
+
+
 class TestCapacityCommand:
     def test_json_query(self, tmp_path, capsys):
         out = tmp_path / "cap.json"
@@ -122,8 +126,8 @@ class TestVerifyCommand:
         assert "PASS" in proc.stdout
 
     def test_unknown_suite(self, capsys):
-        assert run(["verify", "--only", "bogus"]) == 1
-        assert "unknown check" in capsys.readouterr().err
+        assert run(["verify", "--only", "bogus"]) == 2
+        assert "argument --only: invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run(["verify", "--only", "grad-check", "--seed", "-1"]) == 2
@@ -205,6 +209,18 @@ class TestRouteSimCommand:
     ])
     def test_out_of_range_values_are_usage_errors_before_writing(self, argv, message, tmp_path,
                                                                  capsys):
+        assert run(["route-sim", "--tokens", "100", *argv, "--out", str(tmp_path / "route.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--noise-std", "-1"], "--noise-std must be >= 0, got -1.0"),
+        (["--router", "hash", "--noise-std", "0.1"], "--noise-std applies only to the block router"),
+        (["--router", "switch", "--noise-std", "0.1"], "--noise-std applies only to the block router"),
+    ])
+    def test_noise_std_usage_errors_before_sampling(self, argv, message, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli.capacity, "sample_unit_sphere", _no_sampling)
         assert run(["route-sim", "--tokens", "100", *argv, "--out", str(tmp_path / "route.csv")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -390,6 +406,18 @@ class TestCommSimCommand:
         ):
             assert run(argv) == 2
             assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--topology", "--placement"])
+    def test_unreadable_json_input_is_usage_error(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        missing, binary = tmp_path / "nope.json", tmp_path / "binary.json"
+        binary.write_bytes(b"\xff{}")
+        out = tmp_path / "c.csv"
+        for path, message in ((missing, f"cannot read {missing}: No such file or directory"),
+                              (binary, f"{binary} is not valid JSON")):
+            assert run(["comm-sim", "--compare-routers", flag, str(path), "--out", str(out)]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     TOPOLOGY = {"n_nodes": 2, "devices_per_node": 8, "intra_bw": 100e9, "inter_bw": 25e9,
                 "intra_latency": 10e-6, "inter_latency": 30e-6}

@@ -27,15 +27,11 @@ def locality_grad_logits(z, d_l, mu):
 class TestConfig:
     def test_defaults(self):
         cfg = LossConfig()
-        assert cfg.alpha == 0.01 and cfg.mu == 0.01 and cfg.epsilon_smooth == 1e-3
+        assert cfg.alpha == 0.01 and cfg.mu == 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
-            LossConfig(epsilon_smooth=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(epsilon_smooth=1.0)
 
 
 class TestAuxLoss:
@@ -76,12 +72,12 @@ class TestAuxLoss:
 
 class TestLocalTarget:
     def test_two_node_split(self):
-        target = make_local_target([0, 0, 1, 1], source_node=0, epsilon_smooth=1e-3)
+        target = make_local_target([0, 0, 1, 1], source_node=0)
         assert np.allclose(target, [0.4995, 0.4995, 0.0005, 0.0005], atol=1e-15)
         assert target.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_all_local_is_uniform_without_smoothing(self):
-        target = make_local_target([1, 1, 1], source_node=1, epsilon_smooth=1e-3)
+        target = make_local_target([1, 1, 1], source_node=1)
         assert np.allclose(target, 1 / 3, atol=1e-15)
 
     def test_no_local_falls_back_to_uniform(self):
