@@ -155,11 +155,7 @@ def sample_unit_sphere(cfg: SphereSampleConfig) -> TokenBatch:
     rng = np.random.default_rng(cfg.seed)
     raw = rng.standard_normal((cfg.n_samples, cfg.dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return TokenBatch(
-        tokens=raw / norms,
-        token_ids=np.arange(cfg.n_samples),
-        unit_norm=True,
-    )
+    return TokenBatch(tokens=raw / norms, token_ids=np.arange(cfg.n_samples))
 
 
 def mc_p_delta(delta: float, dim: int, n_samples: int, seed: int = 0) -> tuple[float, float]:

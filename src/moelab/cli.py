@@ -32,6 +32,7 @@ from .commsim import (
     ExpertPlacement,
     alltoall_cost,
     build_volume_matrix,
+    check_volume,
     compare_strategies,
     groupwise_alltoall_cost,
 )
@@ -212,6 +213,9 @@ def cmd_capacity(args) -> int:
         raise UsageError("--grid output is CSV; pass --out")
     if grid is None and args.delta is None:
         raise UsageError("capacity requires --delta (or --grid)")
+    for flag, value in (("--delta", args.delta), ("--mc-samples", args.mc_samples)):
+        if grid is not None and value is not None:
+            raise UsageError(f"{flag} does not apply with --grid")
     if args.mc_samples is not None and args.mc_samples < 1:
         raise UsageError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     with _usage_errors():
@@ -219,23 +223,17 @@ def cmd_capacity(args) -> int:
 
     if grid is not None:
         resolved = {"dim": args.dim, "experts": args.experts, "grid": args.grid, "seed": args.seed}
-        rows = [["delta", "p_delta", "ec_min", "erfc_bound", "exp_bound", "degenerate", "unbounded"]]
+        names = [f.name for f in dataclasses.fields(capacity.CapacityTheoryResult)]
+        rows = [["delta", *names]]
+        # getattr, not astuple: astuple deep-copies, which costs about as much per row as ec_min
         for delta, res in capacity.capacity_curve(args.dim, args.experts, grid):
-            rows.append([delta, res.p_delta, res.ec_min, res.erfc_bound,
-                         res.exp_bound, res.degenerate, res.unbounded])
+            rows.append([delta, *(getattr(res, name) for name in names)])
         _write_csv(out, rows, args.seed, resolved, args.force)
         return 0
 
     resolved = {"delta": args.delta, "dim": args.dim, "experts": args.experts, "seed": args.seed}
     res = capacity.ec_min(query)
-    result = {
-        "p_delta": res.p_delta,
-        "ec_min": res.ec_min,
-        "erfc_bound": res.erfc_bound,
-        "exp_bound": res.exp_bound,
-        "degenerate": res.degenerate,
-        "unbounded": res.unbounded,
-    }
+    result = dataclasses.asdict(res)
     if args.mc_samples is not None:
         est, stderr = capacity.mc_p_delta(args.delta, args.dim, args.mc_samples, seed=args.seed)
         result["mc_p_delta"] = {
@@ -405,6 +403,10 @@ def cmd_train_toy(args) -> int:
 def cmd_comm_sim(args) -> int:
     if args.out is None:
         raise UsageError("comm-sim requires --out")
+    if args.compare_routers and args.volumes is not None:
+        raise UsageError("--volumes does not apply with --compare-routers")
+    if not args.compare_routers and args.placement is not None:
+        raise UsageError("--placement applies only with --compare-routers")
     out = Path(args.out)
     topology = _topology_from_json(args.topology)
     with _usage_errors("--tp-group: "):
@@ -419,11 +421,15 @@ def cmd_comm_sim(args) -> int:
         volumes_path = Path(args.volumes[len("from-run:"):] + ".volumes.csv")
     else:
         volumes_path = Path(args.volumes)
-    if not volumes_path.exists():
-        raise UsageError(f"volume matrix {volumes_path} does not exist")
-    volume = np.loadtxt(volumes_path, delimiter=",", skiprows=1)
-    if volume.ndim == 1:
-        volume = volume.reshape(1, -1)
+    try:
+        with volumes_path.open() as fh:
+            volume = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise UsageError(f"cannot read {volumes_path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise UsageError(f"{volumes_path}: {exc}") from None
+    with _usage_errors(f"{volumes_path}: "):
+        volume = check_volume(volume, topology)
 
     resolved = {
         "topology": args.topology or "default",
@@ -460,6 +466,7 @@ def _comm_sim_compare(args, topology, out) -> int:
         "compare_routers": True, "epochs": args.epochs, "experts": experts,
         "tokens_per_cluster": args.tokens_per_cluster, "tp_group": args.tp_group, "seed": seed,
         "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
+        "topology": args.topology or "default", "placement": args.placement or "default",
     }
     runs = {}
     for kind in ("hash", "switch", "loc"):

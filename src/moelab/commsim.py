@@ -147,6 +147,17 @@ def _pair_params(topology: ClusterTopology, senders: np.ndarray, receivers: np.n
     return lat, bw
 
 
+def check_volume(volume, topology: ClusterTopology) -> np.ndarray:
+    """The volume as a float D x D matrix of finite, non-negative bytes."""
+    volume = np.asarray(volume, dtype=float)
+    d = topology.total_devices
+    if volume.shape != (d, d):
+        raise ValueError(f"volume must be {d}x{d} for this topology, got {volume.shape}")
+    if not ((volume >= 0) & (volume < np.inf)).all():  # NaN fails both comparisons
+        raise ValueError("volumes must be finite and non-negative")
+    return volume
+
+
 def alltoall_cost(volume: np.ndarray, topology: ClusterTopology) -> float:
     """Ring-scheduled pairwise exchange cost in seconds.
 
@@ -154,12 +165,8 @@ def alltoall_cost(volume: np.ndarray, topology: ClusterTopology) -> float:
     Each round costs its slowest pair: latency(s,t) + bytes/bw(s,t).  With
     zero volume this degenerates to (D-1) times the worst round latency.
     """
-    volume = np.asarray(volume, dtype=float)
+    volume = check_volume(volume, topology)
     d = topology.total_devices
-    if volume.shape != (d, d):
-        raise ValueError(f"volume must be {d}x{d} for this topology, got {volume.shape}")
-    if (volume < 0).any():
-        raise ValueError("volumes must be non-negative")
     senders = np.arange(d)
     total = 0.0
     for r in range(1, d):
@@ -184,12 +191,10 @@ def groupwise_alltoall_cost(
     (g-1)/g * gathered bytes / intra_bw + (g-1) * intra_latency, groups in
     parallel.  With g = 1 both phases collapse to the plain cost exactly.
     """
-    volume = np.asarray(volume, dtype=float)
+    volume = check_volume(volume, topology)
     d = topology.total_devices
     g = tp_group_size
     topology.check_group_size(g)
-    if volume.shape != (d, d):
-        raise ValueError(f"volume must be {d}x{d} for this topology, got {volume.shape}")
 
     devices = np.arange(d)
     inter = topology.node_of(devices)[:, None] != topology.node_of(devices)[None, :]

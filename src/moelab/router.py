@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-9
-
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
@@ -30,14 +28,12 @@ class TokenBatch:
     """A batch of token activation vectors plus stable integer ids.
 
     ``labels`` optionally carries a cluster/class identity for synthetic
-    corpora.  When ``unit_norm`` is set every row must lie on the unit
-    sphere to within ``UNIT_NORM_TOL``.
+    corpora.
     """
 
     tokens: np.ndarray
     token_ids: np.ndarray
     labels: np.ndarray | None = None
-    unit_norm: bool = False
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=float)
@@ -50,13 +46,6 @@ class TokenBatch:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.tokens.shape[0],):
                 raise ValueError("labels must have one entry per token")
-        if self.unit_norm:
-            norms = np.linalg.norm(self.tokens, axis=1)
-            worst = np.abs(norms - 1.0).max() if norms.size else 0.0
-            if worst > UNIT_NORM_TOL:
-                raise ValueError(
-                    f"unit_norm batch has a row norm off by {worst:.3e}"
-                )
 
     @property
     def n_tokens(self) -> int:

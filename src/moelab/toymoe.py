@@ -1,9 +1,10 @@
 """Desk-scale trainable mixture-of-experts layer over synthetic clustered
 corpora.
 
-The layer is a top-1 routed bank of two-layer GeLU feed-forward experts
-(tokens over an expert's capacity pass through unchanged), trained by
-plain full-batch gradient descent against a cluster-classification head.
+The layer is a top-1 routed bank of two-layer GeLU feed-forward experts,
+stored stacked as ``w_in`` (n, h, d) and ``w_out`` (n, d, h) (tokens over
+an expert's capacity pass through unchanged), trained by plain full-batch
+gradient descent against a cluster-classification head.
 Training and :func:`moe_forward` run the same layer, capacity included.
 Three router kinds are supported:
 
@@ -28,7 +29,7 @@ tensor only the forward stages (routing, expert layer, head) it feeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,24 +56,6 @@ from .router import (
     top1,
 )
 from .special import erf
-
-
-@dataclass
-class ExpertParams:
-    """One expert's feed-forward weights: d -> hidden -> d."""
-
-    w_in: np.ndarray
-    w_out: np.ndarray
-
-    def __post_init__(self):
-        self.w_in = np.asarray(self.w_in, dtype=float)
-        self.w_out = np.asarray(self.w_out, dtype=float)
-        if not (np.isfinite(self.w_in).all() and np.isfinite(self.w_out).all()):
-            raise ValueError("expert weights contain non-finite entries")
-        if self.w_in.shape[0] != self.w_out.shape[1] or self.w_in.shape[1] != self.w_out.shape[0]:
-            raise ValueError(
-                f"incompatible expert shapes {self.w_in.shape} / {self.w_out.shape}"
-            )
 
 
 @dataclass(frozen=True)
@@ -147,7 +130,7 @@ class TrainRun:
     source_device: np.ndarray
     probe_grad_rel_err: float
     modeled_compute_seconds: float
-    params: dict
+    params: dict  # the trained tensors: head, w_in, w_out and, for switch and loc, gating
 
 
 _PDF_ZERO = 40.0  # exp(-x*x/2) underflows to 0.0 beyond |x| = 38.6
@@ -204,22 +187,23 @@ def forward_flops(outcome: RoutingOutcome, dim: int, hidden: int) -> int:
     return int((~outcome.dropped).sum()) * flops_per_served_token(dim, hidden)
 
 
-def init_experts(n_experts: int, dim: int, hidden: int, rng) -> list[ExpertParams]:
-    return [
-        ExpertParams(
-            w_in=rng.standard_normal((hidden, dim)) / math.sqrt(dim),
-            w_out=rng.standard_normal((dim, hidden)) / math.sqrt(hidden),
-        )
-        for _ in range(n_experts)
-    ]
+def init_experts(n_experts: int, dim: int, hidden: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked expert weights ``w_in`` (n, hidden, dim) and ``w_out``
+    (n, dim, hidden), drawn expert by expert: w_in[e], then w_out[e]."""
+    w_in = np.empty((n_experts, hidden, dim))
+    w_out = np.empty((n_experts, dim, hidden))
+    for e in range(n_experts):
+        w_in[e] = rng.standard_normal((hidden, dim)) / math.sqrt(dim)
+        w_out[e] = rng.standard_normal((dim, hidden)) / math.sqrt(hidden)
+    return w_in, w_out
 
 
-def _expert_ffn(x, p: ExpertParams):
+def _expert_ffn(x, w_in, w_out):
     """One expert on its served tokens ``x``: the pre-activation z, Phi(z)
     and the ungated output gelu(z) @ w_out.T."""
-    z = x @ p.w_in.T
+    z = x @ w_in.T
     cdf = _normal_cdf(z)
-    return z, cdf, gelu(z, cdf) @ p.w_out.T
+    return z, cdf, gelu(z, cdf) @ w_out.T
 
 
 def _mix(tokens, outcome: RoutingOutcome, raw):
@@ -229,13 +213,13 @@ def _mix(tokens, outcome: RoutingOutcome, raw):
     return y
 
 
-def _moe_apply(tokens, outcome: RoutingOutcome, experts):
+def _moe_apply(tokens, outcome: RoutingOutcome, w_in, w_out):
     """The MoE layer; returns its output, the ungated expert output (0 where
     dropped) and per-expert caches ``(idx, z, cdf)``: the served token
     indices, the pre-activation z and Phi(z), from which the backward pass
     rebuilds the activation and GeLU's derivative without evaluating erf
     again (None for an expert serving no token)."""
-    n = len(experts)
+    n = len(w_in)
     # one stable sort groups the served tokens by expert, each group in
     # batch order; dropped tokens are keyed past the last expert
     served = np.where(outcome.dropped, n, outcome.expert_of_token)
@@ -246,26 +230,33 @@ def _moe_apply(tokens, outcome: RoutingOutcome, experts):
     caches = [None] * n
     for e in np.flatnonzero(counts):
         idx = order[ends[e] - counts[e] : ends[e]]
-        z, cdf, raw[idx] = _expert_ffn(tokens[idx], experts[e])
+        z, cdf, raw[idx] = _expert_ffn(tokens[idx], w_in[e], w_out[e])
         caches[e] = (idx, z, cdf)
     return _mix(tokens, outcome, raw), raw, caches
 
 
-def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, experts: list[ExpertParams]):
+def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, w_in, w_out):
     """Mix expert outputs for a routed batch.
 
     ``outcome`` is the batch's routing (with any capacity already applied
-    by :func:`apply_capacity`).  Served tokens produce
-    gate * w_out . gelu(w_in . x); dropped tokens pass through unchanged.
+    by :func:`apply_capacity`) over the n experts of the stacked weights
+    ``w_in`` (n, h, d) and ``w_out`` (n, d, h).  Served tokens produce
+    gate * w_out[e] . gelu(w_in[e] . x); dropped tokens pass through
+    unchanged.
     """
+    w_in = np.asarray(w_in, dtype=float)
+    w_out = np.asarray(w_out, dtype=float)
+    if w_in.ndim != 3 or w_out.shape != (w_in.shape[0], w_in.shape[2], w_in.shape[1]):
+        raise ValueError(f"incompatible expert shapes {w_in.shape} / {w_out.shape}")
+    if w_in.shape[2] != batch.dim:
+        raise ValueError(f"experts expect dim {w_in.shape[2]}, batch has {batch.dim}")
+    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+        raise ValueError("expert weights contain non-finite entries")
     if outcome.expert_of_token.shape != (batch.n_tokens,):
         raise ValueError("batch and routing outcome disagree on token count")
-    for p in experts:
-        if p.w_in.shape[1] != batch.dim:
-            raise ValueError(
-                f"expert expects dim {p.w_in.shape[1]}, batch has {batch.dim}"
-            )
-    return _moe_apply(batch.tokens, outcome, experts)[0]
+    if outcome.n_experts != w_in.shape[0]:
+        raise ValueError(f"routing covers {outcome.n_experts} experts, weights hold {w_in.shape[0]}")
+    return _moe_apply(batch.tokens, outcome, w_in, w_out)[0]
 
 
 def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
@@ -277,19 +268,20 @@ def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
     noise_scale = 1.0 / cfg.concentration
     tokens = centers[labels] + noise_scale * rng.standard_normal((labels.size, cfg.dim))
     tokens /= np.linalg.norm(tokens, axis=1, keepdims=True)
-    return TokenBatch(tokens=tokens, token_ids=np.arange(labels.size), labels=labels, unit_norm=True)
+    return TokenBatch(tokens=tokens, token_ids=np.arange(labels.size), labels=labels)
 
 
 # --- training -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TrainSetup:
-    """Immutable per-run constants shared by forward, backward and the
+    """Per-run constants shared by forward, backward and the
     finite-difference probe."""
 
     router_kind: str
     block_weights: np.ndarray | None
+    hash_outcome: RoutingOutcome | None  # the hash router's fixed routing
     alpha: float
     mu: float
     local_targets: np.ndarray  # (n_nodes, n_experts)
@@ -312,7 +304,7 @@ def _route(state, setup: _TrainSetup, tokens, node_of_token) -> dict:
     tensor (or the fixed hash outcome)."""
     n = setup.local_targets.shape[1]
     if setup.router_kind == "hash":
-        scores, outcome = None, state["hash"]  # routing is fixed
+        scores, outcome = None, setup.hash_outcome
     else:
         scores = _scores(state, setup, tokens)
         outcome = top1(scores)
@@ -346,7 +338,7 @@ def _head(state, y, labels, l_aux, l_loc):
 def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
     """Objective plus caches from the routing, expert-layer and head stages."""
     cache = _route(state, setup, tokens, node_of_token)
-    y, expert_raw, caches = _moe_apply(tokens, cache["outcome"], state["experts"])
+    y, expert_raw, caches = _moe_apply(tokens, cache["outcome"], state["w_in"], state["w_out"])
     logits, l_cross_mean, objective = _head(state, y, labels, cache["l_aux"], cache["l_loc"])
     cache.update(expert_raw=expert_raw, expert_caches=caches, y=y, logits=logits,
                  l_cross_mean=l_cross_mean, objective=objective)
@@ -354,7 +346,8 @@ def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
 
 
 def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, cache):
-    """Analytic gradients of the training objective for every tensor."""
+    """Analytic gradients of the training objective, keyed like ``state``;
+    an expert serving no token gets zero rows."""
     t = tokens.shape[0]
     outcome = cache["outcome"]
     probs = outcome.probs
@@ -366,21 +359,16 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     d_expert_raw = outcome.gate_value[:, None] * d_y
     d_gate = np.einsum("ij,ij->i", d_y, cache["expert_raw"])  # 0 where dropped
 
-    g_in, g_out = [], []
-    for e, p in enumerate(state["experts"]):
-        c = cache["expert_caches"][e]
+    g_in = grads["w_in"] = np.zeros_like(state["w_in"])
+    g_out = grads["w_out"] = np.zeros_like(state["w_out"])
+    for e, c in enumerate(cache["expert_caches"]):
         if c is None:
-            g_in.append(np.zeros_like(p.w_in))
-            g_out.append(np.zeros_like(p.w_out))
             continue
         idx, z, cdf = c
         d_o = d_expert_raw[idx]
-        g_out.append(d_o.T @ gelu(z, cdf))
-        d_a = d_o @ p.w_out
-        d_z = d_a * gelu_grad(z, cdf)
-        g_in.append(d_z.T @ tokens[idx])
-    grads["experts_in"] = g_in
-    grads["experts_out"] = g_out
+        g_out[e] = d_o.T @ gelu(z, cdf)
+        d_z = (d_o @ state["w_out"][e]) * gelu_grad(z, cdf)
+        g_in[e] = d_z.T @ tokens[idx]
 
     if setup.router_kind == "hash":
         return grads
@@ -422,20 +410,19 @@ def _probe_tensors(state, setup, tokens, labels, node_of_token):
     def head(y=cache["y"]):
         return _head(state, y, labels, cache["l_aux"], cache["l_loc"])[2]
 
-    def expert(p, idx):
+    def expert(e, idx):
         raw = cache["expert_raw"].copy()
-        raw[idx] = _expert_ffn(tokens[idx], p)[2]
+        raw[idx] = _expert_ffn(tokens[idx], state["w_in"][e], state["w_out"][e])[2]
         return head(_mix(tokens, cache["outcome"], raw))
 
     out = [(state["head"], grads["head"], head)]
-    if "gating" in grads:
+    if "gating" in state:
         out.append((state["gating"], grads["gating"],
                     lambda: _train_forward(state, setup, tokens, labels, node_of_token)[0]))
-    for p, c, g_in, g_out in zip(state["experts"], cache["expert_caches"],
-                                 grads["experts_in"], grads["experts_out"]):
+    for e, c in enumerate(cache["expert_caches"]):
         # an expert serving no probe token changes no row of the layer output
-        fn = (lambda: cache["objective"]) if c is None else (lambda p=p, idx=c[0]: expert(p, idx))
-        out += [(p.w_in, g_in, fn), (p.w_out, g_out, fn)]
+        fn = (lambda: cache["objective"]) if c is None else (lambda e=e, idx=c[0]: expert(e, idx))
+        out += [(state[name][e], grads[name][e], fn) for name in ("w_in", "w_out")]
     return out
 
 
@@ -526,22 +513,25 @@ def train(
     local_targets = np.stack([make_local_target(expert_nodes, v) for v in range(topology.n_nodes)])
 
     rng = np.random.default_rng(seed)
+    w_in, w_out = init_experts(n_experts, dim, hidden, rng)
     state = {
-        "experts": init_experts(n_experts, dim, hidden, rng),
+        "w_in": w_in,
+        "w_out": w_out,
         "head": rng.standard_normal((n_classes, dim)) / math.sqrt(dim),
     }
-    block_w = None
+    block_w = hash_outcome = None
     if router_kind == "switch":
         state["gating"] = rng.standard_normal((n_experts, dim)) / math.sqrt(dim)
     elif router_kind == "loc":
         block_w = build_block_gating(n_experts, dim)
         state["gating"] = LOC_GAIN * np.eye(dim)
     else:
-        state["hash"] = hash_route(corpus.token_ids, n_experts)
+        hash_outcome = hash_route(corpus.token_ids, n_experts)
 
     setup = _TrainSetup(
         router_kind=router_kind,
         block_weights=block_w,
+        hash_outcome=hash_outcome,
         alpha=loss_cfg.alpha,
         mu=loss_cfg.mu,
         local_targets=local_targets,
@@ -553,13 +543,13 @@ def train(
     if check_gradients:
         if router_kind == "hash":
             probe_idx = np.arange(min(_PROBE_TOKENS, t))
-            probe_state = dict(state, hash=hash_route(corpus.token_ids[probe_idx], n_experts))
+            probe_setup = replace(setup, hash_outcome=hash_route(corpus.token_ids[probe_idx], n_experts))
         else:
             probe_idx = _select_probe(_scores(state, setup, tokens))
-            probe_state = state
+            probe_setup = setup
         probe_err = _probe_grad_check(
-            probe_state,
-            setup,
+            state,
+            probe_setup,
             tokens[probe_idx],
             labels[probe_idx],
             node_of_token[probe_idx],
@@ -601,17 +591,10 @@ def train(
 
         if lr != 0.0:
             grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
-            state["head"] -= lr * grads["head"]
-            for e, p in enumerate(state["experts"]):
-                p.w_in -= lr * grads["experts_in"][e]
-                p.w_out -= lr * grads["experts_out"][e]
-            if "gating" in grads:
-                state["gating"] -= lr * grads["gating"]
+            for name, g in grads.items():
+                state[name] -= lr * g
 
     compute_s = forward_flops(final_outcome, dim, hidden) / (DEVICE_FLOPS * n_dev)
-    params = {"head": state["head"], "experts": state["experts"]}
-    if router_kind in ("switch", "loc"):
-        params["gating"] = state["gating"]
     return TrainRun(
         router_kind=router_kind,
         records=records,
@@ -619,7 +602,7 @@ def train(
         source_device=source_device,
         probe_grad_rel_err=probe_err,
         modeled_compute_seconds=compute_s,
-        params=params,
+        params=state,
     )
 
 

@@ -120,22 +120,23 @@ def softmax_reference(row):
     return [e / s for e in exps]
 
 
-def straight_line_moe_forward(tokens, expert_of_token, gate, dropped, experts):
-    """Token-by-token expert mixing with explicit loops and libm erf."""
+def straight_line_moe_forward(tokens, expert_of_token, gate, dropped, w_in, w_out):
+    """Token-by-token expert mixing with explicit loops and libm erf, over
+    the stacked weights w_in (n, h, d) and w_out (n, d, h)."""
     t, d = tokens.shape
     out = np.empty((t, d))
     for m in range(t):
         if dropped[m]:
             out[m] = tokens[m]
             continue
-        p = experts[expert_of_token[m]]
+        e = expert_of_token[m]
         hidden = []
-        for i in range(p.w_in.shape[0]):
-            z = sum(p.w_in[i, j] * tokens[m, j] for j in range(d))
+        for i in range(w_in.shape[1]):
+            z = sum(w_in[e, i, j] * tokens[m, j] for j in range(d))
             hidden.append(z * 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
         for j in range(d):
             out[m, j] = gate[m] * sum(
-                p.w_out[j, i] * hidden[i] for i in range(len(hidden))
+                w_out[e, j, i] * hidden[i] for i in range(len(hidden))
             )
     return out
 

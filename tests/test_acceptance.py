@@ -348,14 +348,14 @@ def test_criterion_9_forward_oracle_and_flop_invariance():
     rng = np.random.default_rng(SEED)
     for trial in range(3):
         d, h, n = 8, 12, 4
-        experts = init_experts(n, d, h, rng)
+        w_in, w_out = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((8, d)), token_ids=np.arange(8))
         w = build_block_gating(n, d)
         outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 3)
-        y = moe_forward(batch, outcome, experts)
+        y = moe_forward(batch, outcome, w_in, w_out)
         oracle = straight_line_moe_forward(
             batch.tokens, outcome.expert_of_token, outcome.gate_value,
-            outcome.dropped, experts,
+            outcome.dropped, w_in, w_out,
         )
         worst = max(worst, float(np.abs(y - oracle).max()))
     per_token = set()

@@ -93,6 +93,14 @@ class TestCapacityCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--delta", "0.1"), ("--mc-samples", "100")])
+    def test_flag_the_grid_never_reads_is_usage_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run(["capacity", "--grid", "0.1:0.5:3", "--dim", "16", "--experts", "8",
+                    flag, value, "--out", str(out)]) == 2
+        assert f"error: {flag} does not apply with --grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -395,6 +403,61 @@ class TestCommSimCommand:
         assert run(["comm-sim", "--out", str(tmp_path / "c.csv")]) == 2
         assert "volumes" in capsys.readouterr().err
 
+    @staticmethod
+    def _write_volumes(path, cells):
+        path.write_text("\n".join([",".join(f"to_dev_{j}" for j in range(len(cells[0])))]
+                                  + [",".join(row) for row in cells]) + "\n")
+
+    @staticmethod
+    def _volumes_usage_error(tmp_path, capsys, message):
+        volumes, out = tmp_path / "v.csv", tmp_path / "comm.csv"
+        assert run(["comm-sim", "--volumes", str(volumes), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(volumes) in err and message in err
+        assert not out.exists() and not (tmp_path / "comm.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        ("x", "could not convert string 'x'"),
+        ("-1.0", "volumes must be finite and non-negative"),
+        ("nan", "volumes must be finite and non-negative"),
+        ("inf", "volumes must be finite and non-negative"),
+        ("-inf", "volumes must be finite and non-negative"),
+    ])
+    def test_bad_volume_entry_is_usage_error(self, cell, message, tmp_path, capsys):
+        cells = [["0.0"] * 16 for _ in range(16)]
+        cells[3][5] = cell
+        self._write_volumes(tmp_path / "v.csv", cells)
+        self._volumes_usage_error(tmp_path, capsys, message)
+
+    def test_unreadable_or_misshapen_volume_file_is_usage_error(self, tmp_path, capsys):
+        volumes = tmp_path / "v.csv"
+        self._volumes_usage_error(tmp_path, capsys, "No such file or directory")
+        volumes.mkdir()
+        self._volumes_usage_error(tmp_path, capsys, "Is a directory")
+        volumes.rmdir()
+        self._write_volumes(volumes, [["1.0", "2.0"], ["3.0", "4.0"]])
+        self._volumes_usage_error(tmp_path, capsys, "volume must be 16x16 for this topology, got (2, 2)")
+
+    def test_placement_without_compare_routers_is_usage_error(self, tmp_path, capsys):
+        volumes = tmp_path / "v.csv"
+        self._write_volumes(volumes, [["0.0"] * 16 for _ in range(16)])
+        out = tmp_path / "comm.csv"
+        # the placement file does not exist: the mode never reads it
+        assert run(["comm-sim", "--volumes", str(volumes), "--placement", str(tmp_path / "nope.json"),
+                    "--out", str(out)]) == 2
+        assert "error: --placement applies only with --compare-routers" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [volumes]
+
+    def test_volumes_with_compare_routers_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        volumes = tmp_path / "v.csv"
+        self._write_volumes(volumes, [["0.0"] * 16 for _ in range(16)])
+        out = tmp_path / "cmp.csv"
+        assert run(["comm-sim", "--compare-routers", "--volumes", str(volumes),
+                    "--out", str(out)]) == 2
+        assert "error: --volumes does not apply with --compare-routers" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [volumes]
+
     def test_malformed_json_inputs_are_usage_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -523,6 +586,19 @@ class TestCommSimCommand:
                     "--tokens-per-cluster", "16", "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
         assert meta["config"]["tokens_per_cluster"] == 16
+
+    def test_compare_routers_meta_records_topology_and_placement(self, tmp_path):
+        argv = ["comm-sim", "--compare-routers", "--epochs", "1", "--tokens-per-cluster", "16"]
+        assert run([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        config = json.loads((tmp_path / "a.csv.meta.json").read_text())["config"]
+        assert (config["topology"], config["placement"]) == ("default", "default")
+        topo, placement = tmp_path / "t.json", tmp_path / "p.json"
+        topo.write_text(json.dumps(self.TOPOLOGY))
+        placement.write_text(json.dumps(list(range(16))))
+        assert run([*argv, "--topology", str(topo), "--placement", str(placement),
+                    "--out", str(tmp_path / "b.csv")]) == 0
+        config = json.loads((tmp_path / "b.csv.meta.json").read_text())["config"]
+        assert (config["topology"], config["placement"]) == (str(topo), str(placement))
 
     def test_compare_routers_pipeline(self, tmp_path):
         out = tmp_path / "cmp.csv"

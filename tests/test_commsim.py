@@ -144,6 +144,17 @@ class TestAllToAllCost:
         with pytest.raises(ValueError):
             alltoall_cost(np.full((D, D), -1.0), TOPO)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_both_costs_reject_non_finite_or_negative_volumes(self, bad):
+        vol = np.zeros((D, D))
+        vol[2, 9] = bad
+        with pytest.raises(ValueError, match="volumes must be finite and non-negative"):
+            alltoall_cost(vol, TOPO)
+        with pytest.raises(ValueError, match="volumes must be finite and non-negative"):
+            groupwise_alltoall_cost(vol, TOPO, 8)
+        with pytest.raises(ValueError, match="volume must be 16x16 for this topology, got \\(8, 8\\)"):
+            groupwise_alltoall_cost(np.zeros((8, 8)), TOPO, 8)
+
 
 class TestGroupwise:
     def test_degenerate_group_equals_plain(self):

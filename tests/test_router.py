@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from moelab.router import (
     RoutingOutcome,
-    TokenBatch,
     apply_capacity,
     build_block_gating,
     fnv1a64,
@@ -33,10 +32,6 @@ class TestConfig:
         w = build_block_gating(2, 4)
         with pytest.raises(ValueError, match="noise_std must be >= 0, got -0.1"):
             gate_scores(np.zeros((1, 4)), w, noise_std=-0.1)
-
-    def test_unit_norm_validation(self):
-        with pytest.raises(ValueError, match="norm"):
-            TokenBatch(tokens=[[1.0, 1.0]], token_ids=[0], unit_norm=True)
 
 
 class TestGrapWeights:

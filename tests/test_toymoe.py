@@ -20,7 +20,6 @@ from moelab.router import (
 )
 from moelab.special import erf
 from moelab.toymoe import (
-    ExpertParams,
     SyntheticCorpusConfig,
     TrainingDiverged,
     assignment_report,
@@ -121,13 +120,10 @@ class TestMoeForward:
     def test_zero_output_weights(self):
         rng = np.random.default_rng(1)
         d, h, n = 8, 16, 2
-        experts = [
-            ExpertParams(w_in=rng.standard_normal((h, d)), w_out=np.zeros((d, h)))
-            for _ in range(n)
-        ]
+        w_in = rng.standard_normal((n, h, d))
         batch = TokenBatch(tokens=rng.standard_normal((10, d)), token_ids=np.arange(10))
         outcome = apply_capacity(switch_route(batch.tokens, rng.standard_normal((n, d))), 1)
-        y = moe_forward(batch, outcome, experts)
+        y = moe_forward(batch, outcome, w_in, np.zeros((n, d, h)))
         served = ~outcome.dropped
         assert np.all(y[served] == 0.0)
         assert np.array_equal(y[~served], batch.tokens[~served])
@@ -135,25 +131,25 @@ class TestMoeForward:
     def test_single_expert_plain_ffn(self):
         rng = np.random.default_rng(2)
         d, h = 6, 12
-        p = ExpertParams(w_in=rng.standard_normal((h, d)), w_out=rng.standard_normal((d, h)))
+        w_in, w_out = rng.standard_normal((1, h, d)), rng.standard_normal((1, d, h))
         batch = TokenBatch(tokens=rng.standard_normal((4, d)), token_ids=np.arange(4))
         outcome = hash_route(batch.token_ids, 1)  # single expert, gate exactly 1
-        y = moe_forward(batch, outcome, [p])
-        expected = gelu(batch.tokens @ p.w_in.T) @ p.w_out.T
+        y = moe_forward(batch, outcome, w_in, w_out)
+        expected = gelu(batch.tokens @ w_in[0].T) @ w_out[0].T
         assert np.allclose(y, expected, atol=1e-12)
         assert np.all(outcome.gate_value == 1.0)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(3)
         d, h, n, t = 8, 12, 4, 8
-        experts = init_experts(n, d, h, rng)
+        w_in, w_out = init_experts(n, d, h, rng)
         batch = TokenBatch(tokens=rng.standard_normal((t, d)), token_ids=np.arange(t))
         w = build_block_gating(n, d)
         outcome = apply_capacity(route_top1(gate_scores(batch.tokens, w)), 2)
-        y = moe_forward(batch, outcome, experts)
+        y = moe_forward(batch, outcome, w_in, w_out)
         oracle = straight_line_moe_forward(
             batch.tokens, outcome.expert_of_token, outcome.gate_value,
-            outcome.dropped, experts,
+            outcome.dropped, w_in, w_out,
         )
         assert np.abs(y - oracle).max() <= 1e-10
 
@@ -163,7 +159,7 @@ class TestMoeForward:
         experts = init_experts(n, d, 16, rng)
         batch = TokenBatch(tokens=rng.standard_normal((20, d)), token_ids=np.arange(20))
         outcome = apply_capacity(switch_route(batch.tokens, np.zeros((n, d))), 1)
-        y = moe_forward(batch, outcome, experts)
+        y = moe_forward(batch, outcome, *experts)
         dropped = outcome.dropped
         assert dropped.sum() == 19  # everything ties to expert 0, cap 1
         assert np.array_equal(y[dropped], batch.tokens[dropped])
@@ -174,7 +170,6 @@ class TestMoeForward:
         batch = TokenBatch(tokens=rng.standard_normal((t, d)), token_ids=np.arange(t))
         per_token = []
         for n in (2, 4, 8):
-            experts = init_experts(n, d, h, rng)
             outcome = hash_route(batch.token_ids, n)
             served = int((~outcome.dropped).sum())
             per_token.append(forward_flops(outcome, d, h) / served)
@@ -183,11 +178,32 @@ class TestMoeForward:
     def test_dimension_mismatch(self):
         experts = init_experts(2, 8, 16, np.random.default_rng(6))
         batch = TokenBatch(tokens=np.zeros((3, 4)), token_ids=np.arange(3))
-        with pytest.raises(ValueError):
-            moe_forward(batch, hash_route(batch.token_ids, 2), experts)
+        with pytest.raises(ValueError, match="dim 8, batch has 4"):
+            moe_forward(batch, hash_route(batch.token_ids, 2), *experts)
         batch = TokenBatch(tokens=np.zeros((3, 8)), token_ids=np.arange(3))
         with pytest.raises(ValueError, match="token count"):
-            moe_forward(batch, hash_route(np.arange(5), 2), experts)
+            moe_forward(batch, hash_route(np.arange(5), 2), *experts)
+        with pytest.raises(ValueError, match="routing covers 3 experts, weights hold 2"):
+            moe_forward(batch, hash_route(batch.token_ids, 3), *experts)
+
+    @pytest.mark.parametrize("w_in_shape,w_out_shape", [
+        ((2, 16, 8), (2, 16, 8)),  # w_out not the transpose of w_in per expert
+        ((2, 16, 8), (3, 8, 16)),  # expert counts differ
+        ((16, 8), (8, 16)),  # one unstacked expert
+    ])
+    def test_mismatched_stacked_shapes(self, w_in_shape, w_out_shape):
+        batch = TokenBatch(tokens=np.zeros((3, 8)), token_ids=np.arange(3))
+        with pytest.raises(ValueError, match="incompatible expert shapes"):
+            moe_forward(batch, hash_route(batch.token_ids, 2), np.ones(w_in_shape), np.ones(w_out_shape))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights(self, which, bad):
+        experts = list(init_experts(2, 8, 16, np.random.default_rng(7)))
+        experts[which][1, 2, 3] = bad
+        batch = TokenBatch(tokens=np.ones((3, 8)), token_ids=np.arange(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            moe_forward(batch, hash_route(batch.token_ids, 2), *experts)
 
 
 class TestSyntheticCorpus:
@@ -224,7 +240,6 @@ class TestSyntheticCorpus:
 
     def test_unit_norm_and_labels(self):
         corpus = small_corpus()
-        assert corpus.unit_norm
         assert np.abs(np.linalg.norm(corpus.tokens, axis=1) - 1).max() <= 1e-9
         assert np.array_equal(np.unique(corpus.labels), np.arange(4))
 
@@ -281,7 +296,7 @@ class TestTraining:
             run = train(corpus, kind, 8, placement, TOPO, epochs=1, lr=0.0, seed=0,
                         capacity=1, check_gradients=False)
             assert run.final_outcome.dropped.sum() >= corpus.n_tokens - 8
-            y = moe_forward(corpus, run.final_outcome, run.params["experts"])
+            y = moe_forward(corpus, run.final_outcome, run.params["w_in"], run.params["w_out"])
             want = mean_cross_entropy(y @ run.params["head"].T, corpus.labels)
             assert run.records[0].l_cross_mean == want
 
@@ -338,9 +353,31 @@ class TestTraining:
                   check_gradients=False)
         b = train(corpus, "loc", 8, placement, TOPO, epochs=1, lr=0.0, seed=5,
                   check_gradients=False)
-        for ea, eb in zip(a.params["experts"], b.params["experts"]):
-            assert np.array_equal(ea.w_in, eb.w_in)
-            assert np.array_equal(ea.w_out, eb.w_out)
+        assert np.array_equal(a.params["w_in"], b.params["w_in"])
+        assert np.array_equal(a.params["w_out"], b.params["w_out"])
+
+    @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
+    def test_params_are_the_trained_tensors(self, kind, monkeypatch):
+        # the run exposes the very dict training descends on, holding exactly
+        # the tensors the gradient step updates
+        stepped = []
+        real_backward = toymoe._train_backward
+
+        def backward(state, *args):
+            grads = real_backward(state, *args)
+            assert grads.keys() == state.keys()
+            stepped.append(state)
+            return grads
+
+        monkeypatch.setattr(toymoe, "_train_backward", backward)
+        corpus = small_corpus()
+        run = train(corpus, kind, 8, round_robin_placement(8, TOPO), TOPO, epochs=2, seed=0,
+                    check_gradients=False)
+        assert stepped and all(s is run.params for s in stepped)
+        want = {"head", "w_in", "w_out"} | ({"gating"} if kind != "hash" else set())
+        assert set(run.params) == want
+        assert run.params["w_in"].shape == (8, 4 * corpus.dim, corpus.dim)
+        assert run.params["w_out"].shape == (8, corpus.dim, 4 * corpus.dim)
 
     def test_unknown_router_kind(self):
         with pytest.raises(ValueError, match="router"):
@@ -369,15 +406,15 @@ class TestExpertLayerCache:
             assert len(erf_calls) == before
             d_logits = cross_entropy_grad(cache["logits"], labels) / tokens.shape[0]
             d_raw = cache["outcome"].gate_value[:, None] * (d_logits @ state["head"])
-            for e, (p, c) in enumerate(zip(state["experts"], cache["expert_caches"])):
+            for e, c in enumerate(cache["expert_caches"]):
                 if c is None:
-                    assert not grads["experts_in"][e].any() and not grads["experts_out"][e].any()
+                    assert not grads["w_in"][e].any() and not grads["w_out"][e].any()
                     continue
                 idx, z, _ = c
                 d_o = d_raw[idx]
-                assert np.array_equal(grads["experts_out"][e], d_o.T @ gelu(z))
-                d_z = (d_o @ p.w_out) * gelu_grad(z)
-                assert np.array_equal(grads["experts_in"][e], d_z.T @ tokens[idx])
+                assert np.array_equal(grads["w_out"][e], d_o.T @ gelu(z))
+                d_z = (d_o @ state["w_out"][e]) * gelu_grad(z)
+                assert np.array_equal(grads["w_in"][e], d_z.T @ tokens[idx])
                 checked.append(e)
             return grads
 
@@ -403,18 +440,18 @@ class TestExpertLayerCache:
         dropped = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
         rng = np.random.default_rng(t)
         tokens = rng.standard_normal((t, 4))
-        experts = init_experts(n, 4, 8, rng)
+        w_in, w_out = init_experts(n, 4, 8, rng)
         outcome = RoutingOutcome(expert_of_token=expert, probs=np.eye(n)[expert], dropped=dropped)
-        _, raw, caches = toymoe._moe_apply(tokens, outcome, experts)
+        _, raw, caches = toymoe._moe_apply(tokens, outcome, w_in, w_out)
         want_raw = np.zeros_like(tokens)
         assert len(caches) == n
-        for e, (p, c) in enumerate(zip(experts, caches)):
+        for e, c in enumerate(caches):
             idx = np.flatnonzero((expert == e) & ~dropped)
             if idx.size == 0:
                 assert c is None
                 continue
             assert np.array_equal(c[0], idx)
-            want_raw[idx] = gelu(tokens[idx] @ p.w_in.T) @ p.w_out.T
+            want_raw[idx] = gelu(tokens[idx] @ w_in[e].T) @ w_out[e].T
         assert np.array_equal(raw, want_raw)
 
     # float.hex() of the probe's worst relative error and the last epoch's
@@ -471,8 +508,11 @@ class TestStagedProbe:
         tensors = toymoe._probe_tensors(*args)
         state = args[0]
         want = [state["head"]] + ([state["gating"]] if kind != "hash" else [])
-        want += [w for p in state["experts"] for w in (p.w_in, p.w_out)]
-        assert [t for t, _, _ in tensors] == want
+        want += [state[name][e] for e in range(n_experts) for name in ("w_in", "w_out")]
+        assert len(tensors) == len(want)
+        for (tensor, _, _), w in zip(tensors, want):
+            # the expert views share memory with the trained stacks
+            assert tensor.shape == w.shape and np.shares_memory(tensor, w)
         rng = np.random.default_rng(1)
         for tensor, _, objective in tensors:
             flat = tensor.reshape(-1)
@@ -496,7 +536,7 @@ class TestStagedProbe:
 
         def w_in_from_the_wrong_expert(*args):
             grads = real_backward(*args)
-            g_in = grads["experts_in"]
+            g_in = grads["w_in"]
             e = next(e for e, c in enumerate(args[-1]["expert_caches"]) if c is not None)
             g_in[e] = g_in[(e + 1) % len(g_in)]
             return grads
