@@ -13,27 +13,16 @@ about routing.  Run:
 import math
 
 from moelab import defaults
-from moelab.losses import LossConfig
-from moelab.toymoe import entropy, make_synthetic_corpus, train
+from moelab.toymoe import compare_routers, entropy, make_synthetic_corpus
 
 corpus = make_synthetic_corpus(defaults.DEFAULT_CORPUS)
-placement = defaults.default_placement()
-topology = defaults.DEFAULT_TOPOLOGY
 n = defaults.DEFAULT_N_EXPERTS
-
-runs = {}
-for kind, losses in [
-    ("hash", LossConfig(alpha=0.0, mu=0.0)),
-    ("switch", LossConfig(alpha=0.0, mu=0.0)),      # no balance pressure at all
-    ("loc", defaults.DEFAULT_TRAIN_LOSSES),         # balance + locality penalties
-]:
-    runs[kind] = train(
-        corpus, kind, n, placement, topology,
-        epochs=defaults.DEFAULT_EPOCHS, lr=defaults.DEFAULT_LR,
-        loss_cfg=losses, seed=defaults.DEFAULT_SEED,
-    )
-    last = runs[kind].records[-1]
-    print(f"{kind:7s} gradient check max rel err {runs[kind].probe_grad_rel_err:.1e}")
+# hash and switch train with no balance or locality penalty, loc with both
+runs = compare_routers(corpus, n, defaults.default_placement(), defaults.DEFAULT_TOPOLOGY,
+                       epochs=defaults.DEFAULT_EPOCHS, seed=defaults.DEFAULT_SEED)
+for kind, run in runs.items():
+    last = run.records[-1]
+    print(f"{kind:7s} gradient check max rel err {run.probe_grad_rel_err:.1e}")
     print(f"        final counts {[int(c) for c in last.counts]}")
     print(
         f"        entropy {entropy(last.f):.3f} (uniform would be {math.log(n):.3f}), "

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,10 @@ from .router import (
     switch_route,
 )
 from .toymoe import (
+    COMPARE_LOSSES,
     SyntheticCorpusConfig,
     assignment_report,
+    compare_routers,
     entropy,
     make_synthetic_corpus,
     train,
@@ -57,6 +60,10 @@ from .toymoe import (
 
 class UsageError(Exception):
     pass
+
+
+class _Default(int):
+    """An int flag's default; the value given by flag or config file is a plain int."""
 
 
 @contextlib.contextmanager
@@ -405,8 +412,9 @@ def cmd_comm_sim(args) -> int:
         raise UsageError("comm-sim requires --out")
     if args.compare_routers and args.volumes is not None:
         raise UsageError("--volumes does not apply with --compare-routers")
-    if not args.compare_routers and args.placement is not None:
-        raise UsageError("--placement applies only with --compare-routers")
+    for dest in ("placement", "epochs", "experts", "tokens_per_cluster"):
+        if not args.compare_routers and not isinstance(getattr(args, dest), (type(None), _Default)):
+            raise UsageError(f"--{dest.replace('_', '-')} applies only with --compare-routers")
     out = Path(args.out)
     topology = _topology_from_json(args.topology)
     with _usage_errors("--tp-group: "):
@@ -422,7 +430,8 @@ def cmd_comm_sim(args) -> int:
     else:
         volumes_path = Path(args.volumes)
     try:
-        with volumes_path.open() as fh:
+        with volumes_path.open() as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # check_volume rejects it
             volume = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise UsageError(f"cannot read {volumes_path}: {exc.strerror or exc}") from None
@@ -467,14 +476,9 @@ def _comm_sim_compare(args, topology, out) -> int:
         "tokens_per_cluster": args.tokens_per_cluster, "tp_group": args.tp_group, "seed": seed,
         "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
         "topology": args.topology or "default", "placement": args.placement or "default",
+        "losses": {kind: {"alpha": cfg.alpha, "mu": cfg.mu} for kind, cfg in COMPARE_LOSSES.items()},
     }
-    runs = {}
-    for kind in ("hash", "switch", "loc"):
-        loss_cfg = defaults.DEFAULT_TRAIN_LOSSES if kind == "loc" else LossConfig(alpha=0.0, mu=0.0)
-        runs[kind] = train(
-            corpus, kind, experts, placement, topology,
-            epochs=args.epochs, lr=defaults.DEFAULT_LR, loss_cfg=loss_cfg, seed=seed,
-        )
+    runs = compare_routers(corpus, experts, placement, topology, epochs=args.epochs, seed=seed)
     report = compare_strategies(runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
                                 tp_group_size=args.tp_group)
     header = ["router", "entropy", "locality_fraction", "plain_alltoall_s",
@@ -512,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true", help="allow overwriting outputs")
     common.add_argument("--config", type=str, help="JSON object of flag values; flags win")
     training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--epochs", type=int, default=defaults.DEFAULT_EPOCHS, help="training epochs")
-    training.add_argument("--experts", type=int, default=defaults.DEFAULT_N_EXPERTS, help="experts n")
-    training.add_argument("--tokens-per-cluster", type=int, default=corpus.tokens_per_cluster,
+    training.add_argument("--epochs", type=int, default=_Default(defaults.DEFAULT_EPOCHS), help="training epochs")
+    training.add_argument("--experts", type=int, default=_Default(defaults.DEFAULT_N_EXPERTS), help="experts n")
+    training.add_argument("--tokens-per-cluster", type=int, default=_Default(corpus.tokens_per_cluster),
                           help="corpus tokens per cluster")
 
     p = sub.add_parser("capacity", parents=[common], help="capacity bound queries and curves")

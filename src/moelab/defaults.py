@@ -37,7 +37,7 @@ DEFAULT_CORPUS = SyntheticCorpusConfig(
 
 DEFAULT_EPOCHS = 50
 DEFAULT_LR = 1.0
-DEFAULT_TRAIN_LOSSES = TRAIN_LOSSES
+DEFAULT_TRAIN_LOSSES = TRAIN_LOSSES  # train-toy's --alpha/--mu; perfbench/workloads.py reads it too
 
 
 def default_placement(n_experts: int = DEFAULT_N_EXPERTS, topology: ClusterTopology = DEFAULT_TOPOLOGY) -> ExpertPlacement:

@@ -115,6 +115,10 @@ class TrainingDiverged(RuntimeError):
 # orders of magnitude too weak to steer routing within 50 epochs.
 TRAIN_LOSSES = LossConfig(alpha=0.2, mu=0.1)
 
+# The paired comparison's loss policy, in run order.  perfbench/workloads.py::probe_metrics keeps
+# a copy, as the benchmark changes only on its own; tests/test_traced_names.py pins the two together.
+COMPARE_LOSSES = {"hash": LossConfig(0.0, 0.0), "switch": LossConfig(0.0, 0.0), "loc": TRAIN_LOSSES}
+
 # the loc pre-gating projection starts at LOC_GAIN * I: a useful softmax temperature
 LOC_GAIN = 0.2
 DEVICE_FLOPS = 1e12  # illustrative per-device flop/s behind modeled compute time
@@ -604,6 +608,14 @@ def train(
         modeled_compute_seconds=compute_s,
         params=state,
     )
+
+
+def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlacement,
+                    topology: ClusterTopology, *, epochs: int, seed: int) -> dict[str, TrainRun]:
+    """The paired runs: each router of :data:`COMPARE_LOSSES`, in order, trained with its losses."""
+    return {kind: train(corpus, kind, n_experts, placement, topology,
+                        epochs=epochs, loss_cfg=loss_cfg, seed=seed)
+            for kind, loss_cfg in COMPARE_LOSSES.items()}
 
 
 def entropy(f) -> float:

@@ -449,7 +449,7 @@ class TestCommSimCommand:
         assert sorted(tmp_path.iterdir()) == [volumes]
 
     def test_volumes_with_compare_routers_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
         volumes = tmp_path / "v.csv"
         self._write_volumes(volumes, [["0.0"] * 16 for _ in range(16)])
         out = tmp_path / "cmp.csv"
@@ -457,6 +457,33 @@ class TestCommSimCommand:
                     "--out", str(out)]) == 2
         assert "error: --volumes does not apply with --compare-routers" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [volumes]
+
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", 7), ("--experts", 16), ("--tokens-per-cluster", 9),  # 16 is the default
+    ])
+    def test_training_flag_without_compare_routers_is_usage_error(
+            self, flag, value, source, tmp_path, capsys):
+        volumes, config = tmp_path / "v.csv", tmp_path / "c.json"
+        self._write_volumes(volumes, [["0.0"] * 16 for _ in range(16)])
+        config.write_text(json.dumps({flag[2:]: value}))
+        given = [flag, str(value)] if source == "argv" else ["--config", str(config)]
+        assert run(["comm-sim", "--volumes", str(volumes), *given,
+                    "--out", str(tmp_path / "comm.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only with --compare-routers\n"
+        assert sorted(tmp_path.iterdir()) == [config, volumes]
+
+    def test_header_only_volume_file_prints_only_the_error(self, tmp_path):
+        (tmp_path / "v.csv").write_text(",".join(f"to_dev_{j}" for j in range(16)) + "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moelab", "comm-sim", "--volumes", "v.csv", "--out", "comm.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: v.csv: volume must be 16x16 for this topology, got (0, 1)\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["v.csv"]
 
     def test_malformed_json_inputs_are_usage_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -472,7 +499,7 @@ class TestCommSimCommand:
 
     @pytest.mark.parametrize("flag", ["--config", "--topology", "--placement"])
     def test_unreadable_json_input_is_usage_error(self, flag, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
         missing, binary = tmp_path / "nope.json", tmp_path / "binary.json"
         binary.write_bytes(b"\xff{}")
         out = tmp_path / "c.csv"
@@ -550,7 +577,7 @@ class TestCommSimCommand:
     @pytest.mark.parametrize("group", ["0", "3"])
     def test_compare_routers_bad_tp_group_is_usage_error_before_training(
             self, group, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
         out = tmp_path / "cmp.csv"
         assert run(["comm-sim", "--compare-routers", "--tp-group", group, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -568,7 +595,7 @@ class TestCommSimCommand:
 
     def test_compare_routers_experts_not_dividing_dim_is_usage_error(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train", _no_training)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
         out = tmp_path / "cmp.csv"
         assert run(["comm-sim", "--compare-routers", "--experts", "5", "--out", str(out)]) == 2
         assert "error: dim=32 is not divisible by n_experts=5" in capsys.readouterr().err
@@ -599,6 +626,13 @@ class TestCommSimCommand:
                     "--out", str(tmp_path / "b.csv")]) == 0
         config = json.loads((tmp_path / "b.csv.meta.json").read_text())["config"]
         assert (config["topology"], config["placement"]) == (str(topo), str(placement))
+
+    def test_compare_routers_meta_records_each_runs_losses(self, tmp_path):
+        assert run(["comm-sim", "--compare-routers", "--epochs", "1", "--tokens-per-cluster", "16",
+                    "--out", str(tmp_path / "cmp.csv")]) == 0
+        config = json.loads((tmp_path / "cmp.csv.meta.json").read_text())["config"]
+        assert config["losses"] == {"hash": {"alpha": 0.0, "mu": 0.0}, "switch": {"alpha": 0.0, "mu": 0.0},
+                                    "loc": {"alpha": 0.2, "mu": 0.1}}
 
     def test_compare_routers_pipeline(self, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -243,7 +243,9 @@ class TestLocalityFraction:
 class TestRelocationMonotonicity:
     def test_moving_token_local_never_increases_cost(self):
         # 100 random single-token relocations from a remote to a local
-        # expert, applied cumulatively: modeled cost never goes up
+        # expert, applied cumulatively: at this seed the modeled cost never goes up.
+        # Elsewhere one move can raise it (one of 2,000 random trials, by 4.4e-7 relative):
+        # each ring round costs its slowest pair, and the local pair it loads may be that pair
         rng = np.random.default_rng(8)
         placement = round_robin_placement(16, TOPO)
         experts = rng.integers(0, 16, 8000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from moelab import defaults, toymoe
 from moelab.commsim import ClusterTopology, round_robin_placement
-from moelab.losses import LossConfig, cross_entropy_grad, mean_cross_entropy
+from moelab.losses import cross_entropy_grad, mean_cross_entropy
 from moelab.router import (
     RoutingOutcome,
     TokenBatch,
@@ -20,9 +21,12 @@ from moelab.router import (
 )
 from moelab.special import erf
 from moelab.toymoe import (
+    COMPARE_LOSSES,
     SyntheticCorpusConfig,
     TrainingDiverged,
+    TrainRecord,
     assignment_report,
+    compare_routers,
     entropy,
     flops_per_served_token,
     forward_flops,
@@ -356,6 +360,19 @@ class TestTraining:
         assert np.array_equal(a.params["w_in"], b.params["w_in"])
         assert np.array_equal(a.params["w_out"], b.params["w_out"])
 
+    def test_compare_routers_trains_each_router_with_its_compare_losses(self):
+        corpus = small_corpus()
+        placement = round_robin_placement(8, TOPO)
+        runs = compare_routers(corpus, 8, placement, TOPO, epochs=3, seed=0)
+        assert list(runs) == ["hash", "switch", "loc"]
+        for kind, run in runs.items():
+            want = train(corpus, kind, 8, placement, TOPO, epochs=3,
+                         loss_cfg=COMPARE_LOSSES[kind], seed=0)
+            assert run.probe_grad_rel_err.hex() == want.probe_grad_rel_err.hex()
+            for field in dataclasses.fields(TrainRecord):
+                got, expected = (getattr(r.records[-1], field.name) for r in (run, want))
+                assert np.array_equal(got, expected), field.name
+
     @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
     def test_params_are_the_trained_tensors(self, kind, monkeypatch):
         # the run exposes the very dict training descends on, holding exactly
@@ -471,10 +488,9 @@ class TestExpertLayerCache:
         if _numpy_blas() != self.PINNED_BLAS:
             pytest.skip(f"pins taken with {self.PINNED_BLAS}, numpy uses {_numpy_blas()}")
         topology = defaults.DEFAULT_TOPOLOGY
-        loss = defaults.DEFAULT_TRAIN_LOSSES if kind == "loc" else LossConfig(alpha=0.0, mu=0.0)
         run = train(make_synthetic_corpus(defaults.DEFAULT_CORPUS), kind, 16,
                     defaults.default_placement(16, topology), topology,
-                    epochs=3, loss_cfg=loss, seed=2)
+                    epochs=3, loss_cfg=COMPARE_LOSSES[kind], seed=2)
         got = (run.probe_grad_rel_err.hex(), run.records[-1].l_cross_mean.hex())
         assert got == self.PINNED[kind]
 

@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 from moelab import defaults, toymoe
+from moelab.losses import LossConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -53,3 +54,12 @@ def test_workloads_calls_and_reads_resolve():
     assert len(call.args) == 5
     assert keywords == ["epochs", "lr", "loss_cfg", "seed", "check_gradients", "grad_check_tol"]
     inspect.signature(toymoe.train).bind(*call.args, **dict.fromkeys(keywords))
+
+
+def test_compare_losses_match_the_benchmarks_copy():
+    # perfbench/workloads.py::probe_metrics restates this policy instead of
+    # reading it: hash and switch at alpha = mu = 0, loc at
+    # defaults.DEFAULT_TRAIN_LOSSES.  A change here has to move that copy
+    # with it, in a change to the benchmark.
+    zero = LossConfig(alpha=0.0, mu=0.0)
+    assert toymoe.COMPARE_LOSSES == {"hash": zero, "switch": zero, "loc": defaults.DEFAULT_TRAIN_LOSSES}
