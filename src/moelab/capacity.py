@@ -25,6 +25,8 @@ import numpy as np
 from .router import RoutingOutcome, TokenBatch, build_block_gating
 from .special import erfc, reg_incomplete_beta_complement
 
+_BLOCK_ROWS = 4096  # rows the sphere Monte Carlo draws and reduces at a time
+
 
 @dataclass(frozen=True)
 class CapacityTheoryInput:
@@ -150,12 +152,23 @@ def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, Ca
     ]
 
 
-def sample_unit_sphere(cfg: SphereSampleConfig) -> TokenBatch:
-    """I.i.d. uniform points on the unit sphere via normalized Gaussians."""
+def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):
+    """Yield one draw's rows, _BLOCK_ROWS at a time, normalized in place (in ``out`` if given)."""
     rng = np.random.default_rng(cfg.seed)
-    raw = rng.standard_normal((cfg.n_samples, cfg.dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return TokenBatch(tokens=raw / norms, token_ids=np.arange(cfg.n_samples))
+    for start in range(0, cfg.n_samples, _BLOCK_ROWS):
+        shape = (min(_BLOCK_ROWS, cfg.n_samples - start), cfg.dim)
+        block = rng.standard_normal(shape, out=None if out is None else out[start:start + shape[0]])
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        yield block
+
+
+def sample_unit_sphere(cfg: SphereSampleConfig) -> TokenBatch:
+    """I.i.d. uniform points on the unit sphere via normalized Gaussians,
+    drawn and normalized block by block; same bits as one draw."""
+    tokens = np.empty((cfg.n_samples, cfg.dim))
+    for _ in _sphere_blocks(cfg, out=tokens):  # fills tokens block by block
+        pass
+    return TokenBatch(tokens=tokens, token_ids=np.arange(cfg.n_samples))
 
 
 def mc_p_delta(delta: float, dim: int, n_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -165,8 +178,8 @@ def mc_p_delta(delta: float, dim: int, n_samples: int, seed: int = 0) -> tuple[f
     cosine of a uniform sphere point to the first axis equals
     g / sqrt(g^2 + s) for g ~ N(0,1) and s ~ chi-square(d-1) (the rest of
     the squared norm of the generating Gaussian), so only the two scalars
-    are sampled; this keeps memory flat in ``dim`` without changing the
-    estimator's law.
+    are sampled.  Memory is flat in ``dim``: the ``g`` draw plus one block
+    of the chi-square draw that follows it in the stream.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
@@ -176,9 +189,12 @@ def mc_p_delta(delta: float, dim: int, n_samples: int, seed: int = 0) -> tuple[f
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n_samples)
-    rest = rng.chisquare(dim - 1, n_samples)
-    cos = g / np.sqrt(g * g + rest)
-    est = float(np.mean(np.abs(cos) >= delta))
+    hits = 0
+    for start in range(0, n_samples, _BLOCK_ROWS):
+        gb = g[start:start + _BLOCK_ROWS]
+        cos = gb / np.sqrt(gb * gb + rng.chisquare(dim - 1, gb.size))
+        hits += int(np.count_nonzero(np.abs(cos) >= delta))
+    est = hits / n_samples
     stderr = math.sqrt(est * (1.0 - est) / n_samples)
     return est, stderr
 
@@ -193,11 +209,11 @@ def mc_assignment_fractions(dim: int, n_experts: int, n_samples: int, seed: int 
     Returns (f, sigma) with sigma the binomial std of each f_i estimate.
     """
     weights = build_block_gating(n_experts, dim)
-    batch = sample_unit_sphere(SphereSampleConfig(dim=dim, n_samples=n_samples, seed=seed))
-    assign = np.argmax(batch.tokens @ weights.T, axis=1)
-    f = np.bincount(assign, minlength=n_experts) / n_samples
+    counts = np.zeros(n_experts, dtype=np.int64)
+    for block in _sphere_blocks(SphereSampleConfig(dim=dim, n_samples=n_samples, seed=seed)):
+        counts += np.bincount(np.argmax(block @ weights.T, axis=1), minlength=n_experts)
     sigma = math.sqrt((1.0 / n_experts) * (1.0 - 1.0 / n_experts) / n_samples)
-    return f, sigma
+    return counts / n_samples, sigma
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,12 +301,11 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
     if batch.dim != weights.shape[1]:
         raise ValueError("token dim does not match gating dim")
     edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
-    x = batch.tokens / np.linalg.norm(batch.tokens, axis=1, keepdims=True)
 
-    groups = []
+    groups = []  # only the rows histogrammed are normalized
     for i in range(n):
-        idx = np.flatnonzero(outcome.expert_of_token == i)[:HIST_TOKENS_PER_EXPERT]
-        groups.append(x[idx])
+        rows = batch.tokens[np.flatnonzero(outcome.expert_of_token == i)[:HIST_TOKENS_PER_EXPERT]]
+        groups.append(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
     pair_counts = np.zeros((n, n, HIST_BINS), dtype=np.int64)
     for i in range(n):
@@ -312,7 +327,11 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
                 pair_counts[j, i] = hist
 
     wn = weights / np.linalg.norm(weights, axis=1, keepdims=True)
-    cos_w = np.clip(x @ wn.T, -1.0, 1.0)
+    cos_w = np.empty((batch.n_tokens, n))
+    for start in range(0, batch.n_tokens, _BLOCK_ROWS):
+        rows = batch.tokens[start:start + _BLOCK_ROWS]
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        np.clip(rows @ wn.T, -1.0, 1.0, out=cos_w[start:start + _BLOCK_ROWS])
     routed = np.zeros((n, HIST_BINS), dtype=np.int64)
     nonrouted = np.zeros((n, HIST_BINS), dtype=np.int64)
     for i in range(n):

@@ -597,6 +597,7 @@ def train(
             grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
             for name, g in grads.items():
                 state[name] -= lr * g
+        del cache  # free this epoch's z/Phi cache before the next forward
 
     compute_s = forward_flops(final_outcome, dim, hidden) / (DEVICE_FLOPS * n_dev)
     return TrainRun(

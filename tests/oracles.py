@@ -180,3 +180,45 @@ def ring_allgather_edges_reference(volume, n_nodes, devices_per_node, g):
             nxt = members[(i + 1) % g]
             edges[m] = sum(received[k] for k in members if k != nxt)
     return edges
+
+
+# One-shot sphere Monte Carlo: each whole sample is drawn, normalized and
+# reduced at once, the straight-line form of capacity's block-streamed code.
+
+def one_shot_sphere(dim, n_samples, seed):
+    raw = np.random.default_rng(seed).standard_normal((n_samples, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def one_shot_p_delta(delta, dim, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n_samples)
+    rest = rng.chisquare(dim - 1, n_samples)
+    cos = g / np.sqrt(g * g + rest)
+    est = float(np.mean(np.abs(cos) >= delta))
+    return est, math.sqrt(est * (1.0 - est) / n_samples)
+
+
+def one_shot_assignment_fractions(weights, n_samples, seed):
+    tokens = one_shot_sphere(weights.shape[1], n_samples, seed)
+    assign = np.argmax(tokens @ weights.T, axis=1)
+    return np.bincount(assign, minlength=weights.shape[0]) / n_samples
+
+
+def one_shot_cosine_histograms(tokens, expert_of_token, weights, per_expert, edges):
+    """(pair_counts, routed_counts, nonrouted_counts) over the first
+    ``per_expert`` tokens of each expert, from one normalized copy."""
+    n, n_bins = weights.shape[0], edges.size - 1
+    x = tokens / np.linalg.norm(tokens, axis=1, keepdims=True)
+    groups = [x[np.flatnonzero(expert_of_token == i)[:per_expert]] for i in range(n)]
+    pair = np.zeros((n, n, n_bins), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            cos = np.clip(groups[i] @ groups[j].T, -1.0, 1.0)
+            vals = cos[np.triu_indices(len(groups[i]), k=1)] if i == j else cos.ravel()
+            pair[i, j] = pair[j, i] = np.histogram(vals, bins=edges)[0]
+    wn = weights / np.linalg.norm(weights, axis=1, keepdims=True)
+    cos_w = np.clip(x @ wn.T, -1.0, 1.0)
+    routed = np.stack([np.histogram(cos_w[expert_of_token == i, i], bins=edges)[0] for i in range(n)])
+    other = np.stack([np.histogram(cos_w[expert_of_token != i, i], bins=edges)[0] for i in range(n)])
+    return pair, routed, other

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 import moelab
 from moelab.capacity import (
+    _BLOCK_ROWS,
+    HIST_BINS,
+    HIST_TOKENS_PER_EXPERT,
     CapacityTheoryInput,
     CapacityTheoryResult,
     SphereSampleConfig,
@@ -22,10 +26,16 @@ from moelab.capacity import (
     p_delta,
     sample_unit_sphere,
 )
-from moelab.router import build_block_gating, gate_scores, route_top1
+from moelab.router import TokenBatch, build_block_gating, gate_scores, route_top1
 from moelab.toymoe import SyntheticCorpusConfig, make_synthetic_corpus
 
-from oracles import reg_beta_quad
+from oracles import (
+    one_shot_assignment_fractions,
+    one_shot_cosine_histograms,
+    one_shot_p_delta,
+    one_shot_sphere,
+    reg_beta_quad,
+)
 
 SRC = str(Path(moelab.__file__).resolve().parents[1])
 
@@ -317,3 +327,89 @@ class TestCosineHistograms:
         hist = cosine_histograms(batch, outcome, w)
         rows = list(hist.iter_rows())
         assert len(rows) == 2 * 2 * 64 + 2 * 64 * 2
+
+
+# sample counts either side of the block boundaries of the streamed Monte Carlo
+STRADDLE = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while fn runs), after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockStreaming:
+    """The sphere Monte Carlo works through its draw block by block and
+    gives the bits of the one-shot computation."""
+
+    @pytest.mark.parametrize("t", STRADDLE)
+    def test_sample_unit_sphere_matches_one_draw(self, t):
+        batch = sample_unit_sphere(SphereSampleConfig(dim=6, n_samples=t, seed=t))
+        assert same_bits(batch.tokens, one_shot_sphere(6, t, t))
+        assert same_bits(batch.token_ids, np.arange(t))
+
+    @pytest.mark.parametrize("t", STRADDLE)
+    def test_mc_p_delta_matches_one_draw(self, t):
+        for delta, dim in ((0.0, 2), (0.3, 16), (0.9, 3)):
+            est, stderr = mc_p_delta(delta, dim, t, seed=t + dim)
+            ref_est, ref_stderr = one_shot_p_delta(delta, dim, t, t + dim)
+            assert (est.hex(), stderr.hex()) == (ref_est.hex(), ref_stderr.hex())
+            assert type(est) is float
+
+    @pytest.mark.parametrize("t", STRADDLE)
+    def test_mc_assignment_fractions_matches_one_draw(self, t):
+        f, sigma = mc_assignment_fractions(16, 4, t, seed=t)
+        assert same_bits(f, one_shot_assignment_fractions(build_block_gating(4, 16), t, t))
+        assert sigma == math.sqrt(0.25 * 0.75 / t)
+
+    @pytest.mark.parametrize("t", STRADDLE)
+    def test_cosine_histograms_match_one_copy(self, t):
+        # unnormalized tokens, and expert 3 never chosen, so it receives no tokens
+        rng = np.random.default_rng(t)
+        tokens = rng.standard_normal((t, 8)) * rng.uniform(0.5, 3.0, (t, 1))
+        w = rng.standard_normal((4, 8))
+        scores = tokens @ w.T
+        scores[:, 3] = scores.min() - 1.0
+        outcome = route_top1(scores)
+        assert not (outcome.expert_of_token == 3).any()
+        hist = cosine_histograms(TokenBatch(tokens=tokens, token_ids=np.arange(t)), outcome, w)
+        ref = one_shot_cosine_histograms(tokens, outcome.expert_of_token, w,
+                                         HIST_TOKENS_PER_EXPERT, hist.bin_edges)
+        assert same_bits(hist.bin_edges, np.linspace(-1.0, 1.0, HIST_BINS + 1))
+        for got, want in zip((hist.pair_counts, hist.routed_counts, hist.nonrouted_counts), ref):
+            assert same_bits(got, want)
+        assert hist.pair_counts[3].sum() == hist.routed_counts[3].sum() == 0
+        assert hist.nonrouted_counts[3].sum() == t
+
+
+class TestMonteCarloMemory:
+    """Traced peaks: the Monte Carlo memory does not grow with the sample."""
+
+    def test_assignment_fractions_stay_below_a_full_batch(self):
+        # the whole (100_000, 128) draw alone would be 102 MB
+        _, peak = traced_peak(lambda: mc_assignment_fractions(128, 16, 100_000, seed=0))
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("dim, t", [(64, _BLOCK_ROWS + 1), (8, 3 * _BLOCK_ROWS + 7), (128, 20_000)])
+    def test_sample_unit_sphere_is_its_output_plus_one_block(self, dim, t):
+        batch, peak = traced_peak(lambda: sample_unit_sphere(SphereSampleConfig(dim=dim, n_samples=t)))
+        output = batch.tokens.nbytes + batch.token_ids.nbytes
+        block = _BLOCK_ROWS * dim * 8
+        row_norms = 2 * _BLOCK_ROWS * 8  # the block's squared-sum and norm columns
+        assert peak <= output + block + row_norms
+
+    def test_mc_p_delta_is_its_g_draw_plus_blocks(self):
+        t = 200_000
+        _, peak = traced_peak(lambda: mc_p_delta(0.3, 128, t, seed=0))
+        assert peak <= t * 8 + 8 * _BLOCK_ROWS * 8
