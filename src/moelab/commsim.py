@@ -4,10 +4,12 @@ Devices live on nodes; links within a node are faster than links between
 nodes.  All-to-All is modeled as D-1 serialized ring rotations where
 round r lets device s exchange with device (s + r) mod D and costs the
 worst pair in that round (latency plus bytes over the pair's bandwidth
-class).  The group-wise variant sends only 1/g of each device's
-inter-node bytes (the rest is reconstructed by an intra-node ring
-All-Gather across the g-device group), trading slow-link volume for
-fast-link replication.
+class).  Rounds are evaluated a block of senders at a time, as per-round
+maxima of the pairs' costs summed in round order; a maximum is exact in
+any order, so that is bit for bit a loop over rounds.  The group-wise
+variant sends only 1/g of each device's inter-node bytes (the rest is
+reconstructed by an intra-node ring All-Gather across the g-device
+group), trading slow-link volume for fast-link replication.
 
 Bandwidths and latencies here are illustrative configuration, not
 measurements; the CLI's default topology lives in :mod:`moelab.defaults`.
@@ -18,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 OVERLAP_RATIO = 0.5  # share of modeled compute that hides communication in compare_strategies
+_BLOCK_PAIRS = 1 << 16  # sender-receiver pairs alltoall_cost holds per block of senders
 
 
 @dataclass(frozen=True)
@@ -140,20 +144,13 @@ def build_volume_matrix(outcome, placement: ExpertPlacement, token_bytes: int, s
     return volume
 
 
-def _pair_params(topology: ClusterTopology, senders: np.ndarray, receivers: np.ndarray):
-    same = topology.node_of(senders) == topology.node_of(receivers)
-    lat = np.where(same, topology.intra_latency, topology.inter_latency)
-    bw = np.where(same, topology.intra_bw, topology.inter_bw)
-    return lat, bw
-
-
 def check_volume(volume, topology: ClusterTopology) -> np.ndarray:
     """The volume as a float D x D matrix of finite, non-negative bytes."""
     volume = np.asarray(volume, dtype=float)
     d = topology.total_devices
     if volume.shape != (d, d):
         raise ValueError(f"volume must be {d}x{d} for this topology, got {volume.shape}")
-    if not ((volume >= 0) & (volume < np.inf)).all():  # NaN fails both comparisons
+    if not (volume.min() >= 0 and volume.max() < np.inf):  # a NaN fails both comparisons
         raise ValueError("volumes must be finite and non-negative")
     return volume
 
@@ -164,15 +161,34 @@ def alltoall_cost(volume: np.ndarray, topology: ClusterTopology) -> float:
     D-1 serialized rounds; in round r device s sends volume[s, (s+r) % D].
     Each round costs its slowest pair: latency(s,t) + bytes/bw(s,t).  With
     zero volume this degenerates to (D-1) times the worst round latency.
+
+    Senders are costed a block of rows at a time (about 1.5 MB of working
+    arrays for D up to 2**16), each round keeping a running maximum over
+    its pairs, and the round costs are summed in round order.  That is bit
+    for bit a loop over rounds: every pair's cost is the same IEEE
+    expression, a maximum is exact in any order, and the sum keeps its
+    order.
     """
     volume = check_volume(volume, topology)
-    d = topology.total_devices
-    senders = np.arange(d)
+    d, k = topology.total_devices, topology.devices_per_node
+    rounds = np.arange(1, d)
+    step = max(1, _BLOCK_PAIRS // d)
+    worst = np.full(d - 1, -np.inf)
+    for lo in range(0, d, step):
+        block = volume[lo:lo + step]
+        senders = np.arange(lo, lo + len(block))
+        # pairs[i, r-1] = volume[s, (s+r) % d] for s = senders[i]: a window of the doubled row
+        pairs = sliding_window_view(np.hstack([block, block]), d - 1, axis=1)[senders - lo, senders + 1]
+        # (s+r) % d shares s's node iff the step stays in it or wraps past device d-1 back into it
+        pos = (senders % k)[:, None]
+        same = (rounds < k - pos) | (rounds >= d - pos)
+        pairs /= np.where(same, topology.intra_bw, topology.inter_bw)
+        pairs += np.where(same, topology.intra_latency, topology.inter_latency)
+        np.maximum(worst, pairs.max(axis=0), out=worst)
+        del pairs  # before the next block's gather, which would otherwise overlap it
     total = 0.0
-    for r in range(1, d):
-        receivers = (senders + r) % d
-        lat, bw = _pair_params(topology, senders, receivers)
-        total += float((lat + volume[senders, receivers] / bw).max())
+    for cost in worst.tolist():  # in round order: np.sum's pairwise order could differ
+        total += cost
     return total
 
 
@@ -198,14 +214,15 @@ def groupwise_alltoall_cost(
 
     devices = np.arange(d)
     inter = topology.node_of(devices)[:, None] != topology.node_of(devices)[None, :]
-    sharded = np.where(inter, volume / g, volume)
+    sharded = volume.copy()
+    np.divide(sharded, g, out=sharded, where=inter)
     phase1_cost = alltoall_cost(sharded, topology)
     phases = [CommPhase(kind="all_to_all", volume=sharded)]
 
     phase2_cost = 0.0
     if g > 1:
         # consecutive devices within a node form a group: one row per group
-        received = np.where(inter, sharded, 0.0).sum(axis=0).reshape(-1, g)
+        received = sharded.sum(axis=0, where=inter).reshape(-1, g)
         gathered = received.sum(axis=1)
         cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
         phase2_cost = float(cost.max())

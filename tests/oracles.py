@@ -159,6 +159,39 @@ def ring_alltoall_reference(volume, n_nodes, devices_per_node,
     return total
 
 
+def ring_cost_reference(volume, topology):
+    """The ring All-to-All one round at a time, with numpy, in the exact
+    floating-point operations of the cost model: the bitwise reference."""
+    d = topology.total_devices
+    senders = np.arange(d)
+    total = 0.0
+    for r in range(1, d):
+        receivers = (senders + r) % d
+        same = topology.node_of(senders) == topology.node_of(receivers)
+        lat = np.where(same, topology.intra_latency, topology.inter_latency)
+        bw = np.where(same, topology.intra_bw, topology.inter_bw)
+        total += float((lat + volume[senders, receivers] / bw).max())
+    return total
+
+
+def groupwise_cost_reference(volume, topology, g):
+    """(total seconds, phase volumes) of the group-wise exchange, built from
+    whole-matrix np.where copies and ``ring_cost_reference``."""
+    d = topology.total_devices
+    devices = np.arange(d)
+    inter = topology.node_of(devices)[:, None] != topology.node_of(devices)[None, :]
+    sharded = np.where(inter, volume / g, volume)
+    total = ring_cost_reference(sharded, topology)
+    phases = [sharded]
+    if g > 1:
+        received = np.where(inter, sharded, 0.0).sum(axis=0).reshape(-1, g)
+        gathered = received.sum(axis=1)
+        cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
+        total += float(cost.max())
+        phases.append((gathered[:, None] - np.roll(received, -1, axis=1)).reshape(-1))
+    return total, phases
+
+
 def ring_allgather_edges_reference(volume, n_nodes, devices_per_node, g):
     """Straight-line All-Gather ring bytes of the group-wise exchange.
 

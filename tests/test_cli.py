@@ -399,6 +399,31 @@ class TestCommSimCommand:
         header, row = [line.split(",") for line in out.read_text().splitlines()]
         assert float(row[header.index("input_bytes")]) > 0
 
+    @staticmethod
+    def _comm_sim_row(tmp_path, n_nodes, devices_per_node, cells):
+        """The data row of a --tp-group 1 comm-sim run on an explicit volume
+        matrix over a topology at 1e-6/2e-6 s latency and 2e9/1e9 B/s."""
+        topo, volumes, out = tmp_path / "topo.json", tmp_path / "v.csv", tmp_path / "comm.csv"
+        topo.write_text(json.dumps({
+            "n_nodes": n_nodes, "devices_per_node": devices_per_node,
+            "intra_bw": 2e9, "inter_bw": 1e9, "intra_latency": 1e-6, "inter_latency": 2e-6,
+        }))
+        TestCommSimCommand._write_volumes(volumes, cells)
+        assert run(["comm-sim", "--volumes", str(volumes), "--topology", str(topo),
+                    "--tp-group", "1", "--out", str(out)]) == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        return dict(zip(header, row))
+
+    def test_single_device_has_no_rounds_and_costs_nothing(self, tmp_path):
+        row = self._comm_sim_row(tmp_path, 1, 1, [["5.0"]])
+        assert row["plain_alltoall_s"] == row["groupwise_total_s"] == "0.0"
+
+    def test_one_device_per_node_is_all_inter_node_rounds(self, tmp_path):
+        # round 1 peaks at 6 bytes (2 -> 0), round 2 at 7 (2 -> 1): 2e-6 + 6e-9 + 2e-6 + 7e-9
+        cells = [["0", "1", "2"], ["3", "0", "5"], ["6", "7", "0"]]
+        row = self._comm_sim_row(tmp_path, 3, 1, cells)
+        assert row["plain_alltoall_s"] == row["groupwise_total_s"] == "4.013e-06"
+
     def test_missing_volumes_is_usage_error(self, tmp_path, capsys):
         assert run(["comm-sim", "--out", str(tmp_path / "c.csv")]) == 2
         assert "volumes" in capsys.readouterr().err

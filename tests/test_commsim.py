@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moelab import commsim
 from moelab.commsim import (
     ClusterTopology,
     ExpertPlacement,
@@ -15,7 +18,13 @@ from moelab.commsim import (
 )
 from moelab.router import RoutingOutcome
 
-from oracles import ring_allgather_edges_reference, ring_alltoall_reference
+from oracles import (
+    groupwise_cost_reference,
+    ring_allgather_edges_reference,
+    ring_alltoall_reference,
+    ring_cost_reference,
+)
+from test_capacity import traced_peak
 
 TOPO = ClusterTopology(
     n_nodes=2, devices_per_node=8,
@@ -339,6 +348,59 @@ class TestCostProperties:
             dispatch = [groupwise_alltoall_cost(v, topo, g)[1].phases[0].volume
                         for v in (before, after)]
             assert inter_node_bytes(dispatch[1], topo) <= inter_node_bytes(dispatch[0], topo)
+
+
+class TestRoundAtATimeReference:
+    """Both costs against the round-at-a-time references, bit for bit."""
+
+    # None keeps the module's block; the small ones split even a few devices
+    # into many sender blocks, most of them with a ragged last block
+    @pytest.mark.parametrize("block_pairs", [None, 1, 7, 29, 100])
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5), st.sampled_from([1, 2, 3, 4, 6]), st.floats(-3, 15),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.sampled_from([None, "intra_bw", "intra_latency", "inter_latency", "no_latency"]),
+           st.integers(0, 2**32 - 1))
+    @example(1, 1, 0.0, 1.0, None, 0)  # D = 1: no rounds
+    @example(1, 3, 15.0, 1.0, None, 1)  # one node: every pair intra-node
+    @example(5, 1, -3.0, 1.0, None, 2)  # one device per node: every pair inter-node
+    @example(2, 3, 6.0, 0.0, None, 3)  # all-zero volume
+    @example(3, 2, 9.0, 0.3, "intra_bw", 4)
+    @example(3, 2, 9.0, 0.3, "intra_latency", 5)
+    def test_costs_and_plan_match_the_reference_bitwise(
+            self, block_pairs, n_nodes, devices_per_node, exponent, density, edge, seed):
+        rng = np.random.default_rng(seed)
+        topo = random_topology(rng, n_nodes, devices_per_node)
+        if edge == "no_latency":
+            topo = dataclasses.replace(topo, intra_latency=0.0, inter_latency=0.0)
+        elif edge is not None:  # that field infinite
+            topo = dataclasses.replace(topo, **{edge: np.inf})
+        d = topo.total_devices
+        vol = rng.uniform(0, 1, (d, d)) * 10.0**exponent * (rng.random((d, d)) < density)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_pairs is not None:
+                mp.setattr(commsim, "_BLOCK_PAIRS", block_pairs)
+            assert alltoall_cost(vol, topo).hex() == ring_cost_reference(vol, topo).hex()
+            for g in (g for g in range(1, devices_per_node + 1) if devices_per_node % g == 0):
+                total, plan = groupwise_alltoall_cost(vol, topo, g)
+                ref_total, ref_phases = groupwise_cost_reference(vol, topo, g)
+                assert total.hex() == ref_total.hex()
+                assert [p.volume.tobytes() for p in plan.phases] == [v.tobytes() for v in ref_phases]
+
+
+class TestCostMemory:
+    """Traced peaks at D = 1024: the costs hold blocks, not whole-matrix copies."""
+
+    TOPO = ClusterTopology(128, 8, 100e9, 25e9, 10e-6, 30e-6)
+    VOLUME = np.random.default_rng(11).uniform(0, 1e7, (1024, 1024))
+
+    def test_alltoall_cost_stays_below_four_megabytes(self):
+        _, peak = traced_peak(lambda: alltoall_cost(self.VOLUME, self.TOPO))
+        assert peak < 4 * 2**20
+
+    def test_groupwise_cost_is_its_dispatch_matrix_plus_three_megabytes(self):
+        _, peak = traced_peak(lambda: groupwise_alltoall_cost(self.VOLUME, self.TOPO, 8))
+        assert peak <= self.VOLUME.nbytes + 3 * 2**20
 
 
 class _FakeRun:
