@@ -324,6 +324,9 @@ def _topology_from_json(path: str | None) -> ClusterTopology:
         return defaults.DEFAULT_TOPOLOGY
     fields = typing.get_type_hints(ClusterTopology)  # name -> int or float
     values = _json_fields(path, _read_json(path), fields, "topology")
+    for name, value in values.items():  # JSON's NaN and Infinity parse as floats
+        if not math.isfinite(value):
+            raise UsageError(f"{path}: topology field {name} must be finite, got {value}")
     with _usage_errors(f"{path}: "):
         return ClusterTopology(**values)
 
@@ -341,7 +344,11 @@ def _placement_from_json(path: str | None, n_experts: int, topology: ClusterTopo
         if not _is_a(d, int):
             raise UsageError(f"{path}: placement device id {d!r} is not of type int")
     with _usage_errors(f"{path}: "):
-        return ExpertPlacement(tuple(devices))
+        placement = ExpertPlacement(tuple(devices))
+        if placement.n_experts != n_experts:
+            raise ValueError(f"placement covers {placement.n_experts} experts, expected {n_experts}")
+        placement.expert_nodes(topology)  # every device lies in the topology
+    return placement
 
 
 def cmd_train_toy(args) -> int:
@@ -363,7 +370,7 @@ def cmd_train_toy(args) -> int:
         loss_cfg = LossConfig(alpha=args.alpha, mu=args.mu)
         if args.router == "loc":
             build_block_gating(experts, args.dim)  # dim must split evenly over the experts
-    corpus = make_synthetic_corpus(corpus_cfg)
+        corpus = make_synthetic_corpus(corpus_cfg)
     resolved = {
         "router": args.router, "epochs": args.epochs, "lr": args.lr, "alpha": args.alpha,
         "mu": args.mu, "clusters": args.clusters, "dim": args.dim, "experts": experts,

@@ -45,7 +45,7 @@ class ClusterTopology:
                 f"expected intra_bw > inter_bw > 0, got intra={self.intra_bw}, "
                 f"inter={self.inter_bw}"
             )
-        if self.intra_latency < 0 or self.inter_latency < 0:
+        if not (self.intra_latency >= 0 and self.inter_latency >= 0):  # NaN fails too
             raise ValueError("latencies must be >= 0")
 
     @property

@@ -29,7 +29,7 @@ tensor only the forward stages (routing, expert layer, head) it feeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -264,14 +264,20 @@ def moe_forward(batch: TokenBatch, outcome: RoutingOutcome, w_in, w_out):
 
 
 def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
-    """Unit-norm tokens around uniformly drawn spherical cluster centers."""
+    """Unit-norm tokens around uniformly drawn spherical cluster centers; a
+    concentration so small that the tokens' norms overflow raises ValueError."""
     rng = np.random.default_rng(cfg.seed)
     centers = rng.standard_normal((cfg.n_clusters, cfg.dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     labels = np.repeat(np.arange(cfg.n_clusters), cfg.tokens_per_cluster)
     noise_scale = 1.0 / cfg.concentration
     tokens = centers[labels] + noise_scale * rng.standard_normal((labels.size, cfg.dim))
-    tokens /= np.linalg.norm(tokens, axis=1, keepdims=True)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            tokens /= np.linalg.norm(tokens, axis=1, keepdims=True)
+    except FloatingPointError:
+        raise ValueError(f"concentration {cfg.concentration} is too small: "
+                         "the jittered tokens' norms overflow") from None
     return TokenBatch(tokens=tokens, token_ids=np.arange(labels.size), labels=labels)
 
 
@@ -280,83 +286,76 @@ def make_synthetic_corpus(cfg: SyntheticCorpusConfig) -> TokenBatch:
 
 @dataclass(frozen=True)
 class _TrainSetup:
-    """Per-run constants shared by forward, backward and the
+    """What one training objective reads besides the trained tensors: the
+    router, the losses and the batch, shared by forward, backward and the
     finite-difference probe."""
 
     router_kind: str
     block_weights: np.ndarray | None
-    hash_outcome: RoutingOutcome | None  # the hash router's fixed routing
-    alpha: float
-    mu: float
-    local_targets: np.ndarray  # (n_nodes, n_experts)
-    n_nodes: int
     capacity: int | None
+    losses: LossConfig
+    tokens: np.ndarray
+    labels: np.ndarray
+    # (token rows, local target) of each source node holding tokens, nodes ascending
+    node_rows: tuple[tuple[np.ndarray, np.ndarray], ...]
+    hash_outcome: RoutingOutcome | None  # the hash router's fixed routing of the batch
 
 
-def _scores(state, setup: _TrainSetup, tokens):
+def _scores(state, setup: _TrainSetup):
     """Router scores of the learnable routers: dense inner products for
     switch, block gating over the pre-gating projection for loc."""
-    proj = tokens @ state["gating"].T
+    proj = setup.tokens @ state["gating"].T
     if setup.router_kind == "switch":
         return proj
     return gate_scores(proj, setup.block_weights)
 
 
-def _route(state, setup: _TrainSetup, tokens, node_of_token) -> dict:
+def _route(state, setup: _TrainSetup) -> dict:
     """Routing stage: the top-1 outcome with any capacity applied, the
     balance loss and the per-node locality loss.  It reads only the gating
     tensor (or the fixed hash outcome)."""
-    n = setup.local_targets.shape[1]
     if setup.router_kind == "hash":
         scores, outcome = None, setup.hash_outcome
     else:
-        scores = _scores(state, setup, tokens)
+        scores = _scores(state, setup)
         outcome = top1(scores)
     if setup.capacity is not None:
         outcome = apply_capacity(outcome, setup.capacity)
-    probs = outcome.probs
-    l_aux = aux_loss(outcome.f, outcome.P, setup.alpha)
-
-    # one KL term per source node holding tokens; empty nodes contribute nothing
-    node_dc = np.zeros((setup.n_nodes, n))
-    occupied = []
-    for v in range(setup.n_nodes):
-        sel = node_of_token == v
-        if sel.any():
-            node_dc[v] = probs[sel].mean(axis=0)
-            occupied.append(v)
-    l_loc = sum(
-        locality_loss(node_dc[v], setup.local_targets[v], setup.mu) for v in occupied
-    )
-    return dict(scores=scores, outcome=outcome, node_dc=node_dc, occupied_nodes=occupied,
-                l_aux=l_aux, l_loc=l_loc)
+    l_aux = aux_loss(outcome.f, outcome.P, setup.losses.alpha)
+    # one KL term per source node holding tokens
+    node_dc = [outcome.probs[rows].mean(axis=0) for rows, _ in setup.node_rows]
+    l_loc = sum(locality_loss(dc, target, setup.losses.mu)
+                for dc, (_, target) in zip(node_dc, setup.node_rows))
+    return dict(scores=scores, outcome=outcome, node_dc=node_dc, l_aux=l_aux, l_loc=l_loc)
 
 
-def _head(state, y, labels, l_aux, l_loc):
-    """Head stage: logits, mean cross-entropy and the objective aux + loc + mean CE."""
+def _head(state, setup: _TrainSetup, y, cache):
+    """Head stage: logits, mean cross-entropy and the objective aux + loc +
+    mean CE, with the routing stage's losses from ``cache``."""
     logits = y @ state["head"].T
-    l_cross_mean = mean_cross_entropy(logits, labels)
-    return logits, l_cross_mean, l_aux + l_loc + l_cross_mean
+    l_cross_mean = mean_cross_entropy(logits, setup.labels)
+    return logits, l_cross_mean, cache["l_aux"] + cache["l_loc"] + l_cross_mean
 
 
-def _train_forward(state, setup: _TrainSetup, tokens, labels, node_of_token):
+def _train_forward(state, setup: _TrainSetup):
     """Objective plus caches from the routing, expert-layer and head stages."""
-    cache = _route(state, setup, tokens, node_of_token)
-    y, expert_raw, caches = _moe_apply(tokens, cache["outcome"], state["w_in"], state["w_out"])
-    logits, l_cross_mean, objective = _head(state, y, labels, cache["l_aux"], cache["l_loc"])
+    cache = _route(state, setup)
+    y, expert_raw, caches = _moe_apply(setup.tokens, cache["outcome"], state["w_in"], state["w_out"])
+    logits, l_cross_mean, objective = _head(state, setup, y, cache)
     cache.update(expert_raw=expert_raw, expert_caches=caches, y=y, logits=logits,
                  l_cross_mean=l_cross_mean, objective=objective)
     return objective, cache
 
 
-def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, cache):
+def _train_backward(state, setup: _TrainSetup, cache):
     """Analytic gradients of the training objective, keyed like ``state``;
     an expert serving no token gets zero rows."""
+    tokens = setup.tokens
     t = tokens.shape[0]
     outcome = cache["outcome"]
     probs = outcome.probs
 
-    d_logits = cross_entropy_grad(cache["logits"], labels) / t
+    d_logits = cross_entropy_grad(cache["logits"], setup.labels) / t
     grads = {"head": d_logits.T @ cache["y"]}
     d_y = d_logits @ state["head"]
 
@@ -381,12 +380,9 @@ def _train_backward(state, setup: _TrainSetup, tokens, labels, node_of_token, ca
     d_probs[np.arange(t), outcome.expert_of_token] += d_gate
     # P and each node's d_c are token means, so every token gets 1/T of the
     # balance gradient and 1/T_v of its node's locality gradient
-    d_probs += aux_loss_grad_p(outcome.f, setup.alpha) / t
-    for v in cache["occupied_nodes"]:
-        sel = node_of_token == v
-        t_v = int(sel.sum())
-        dkl = locality_loss_grad(cache["node_dc"][v], setup.local_targets[v], setup.mu)
-        d_probs[sel] += dkl / t_v
+    d_probs += aux_loss_grad_p(outcome.f, setup.losses.alpha) / t
+    for (rows, target), dc in zip(setup.node_rows, cache["node_dc"]):
+        d_probs[rows] += locality_loss_grad(dc, target, setup.losses.mu) / len(rows)
 
     d_scores = softmax_backward(probs, d_probs)
 
@@ -403,26 +399,25 @@ _PROBE_TOKENS = 4  # tokens in the start-of-run probe batch
 _PROBE_COORDS = 24  # coordinates checked per tensor
 
 
-def _probe_tensors(state, setup, tokens, labels, node_of_token):
+def _probe_tensors(state, setup: _TrainSetup):
     """``(tensor, grad, objective)`` for every tensor the probe checks.
     ``objective()`` gives the training objective at the tensor's current
     (perturbed) values, bitwise what :func:`_train_forward` gives, by
     rerunning only the stages the tensor feeds."""
-    _, cache = _train_forward(state, setup, tokens, labels, node_of_token)
-    grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
+    _, cache = _train_forward(state, setup)
+    grads = _train_backward(state, setup, cache)
 
     def head(y=cache["y"]):
-        return _head(state, y, labels, cache["l_aux"], cache["l_loc"])[2]
+        return _head(state, setup, y, cache)[2]
 
     def expert(e, idx):
         raw = cache["expert_raw"].copy()
-        raw[idx] = _expert_ffn(tokens[idx], state["w_in"][e], state["w_out"][e])[2]
-        return head(_mix(tokens, cache["outcome"], raw))
+        raw[idx] = _expert_ffn(setup.tokens[idx], state["w_in"][e], state["w_out"][e])[2]
+        return head(_mix(setup.tokens, cache["outcome"], raw))
 
     out = [(state["head"], grads["head"], head)]
     if "gating" in state:
-        out.append((state["gating"], grads["gating"],
-                    lambda: _train_forward(state, setup, tokens, labels, node_of_token)[0]))
+        out.append((state["gating"], grads["gating"], lambda: _train_forward(state, setup)[0]))
     for e, c in enumerate(cache["expert_caches"]):
         # an expert serving no probe token changes no row of the layer output
         fn = (lambda: cache["objective"]) if c is None else (lambda e=e, idx=c[0]: expert(e, idx))
@@ -430,11 +425,11 @@ def _probe_tensors(state, setup, tokens, labels, node_of_token):
     return out
 
 
-def _probe_grad_check(state, setup, tokens, labels, node_of_token, rng) -> float:
+def _probe_grad_check(state, setup: _TrainSetup, rng) -> float:
     """Sampled-coordinate finite-difference check of the analytic gradients:
     :func:`losses.grad_check` on a random sub-vector of each tensor."""
     worst = 0.0
-    for tensor, grad, rerun in _probe_tensors(state, setup, tokens, labels, node_of_token):
+    for tensor, grad, rerun in _probe_tensors(state, setup):
         flat = tensor.reshape(-1)
         picks = rng.choice(flat.size, size=min(_PROBE_COORDS, flat.size), replace=False)
         orig = flat[picks]
@@ -496,11 +491,9 @@ def train(
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
-    tokens = corpus.tokens
-    labels = corpus.labels
-    t, dim = tokens.shape
+    t, dim = corpus.tokens.shape
     hidden = 4 * dim
-    n_classes = int(labels.max()) + 1
+    n_classes = int(corpus.labels.max()) + 1
 
     # contiguous corpus shards per device, as data-parallel ranks would hold:
     # nodes then see different cluster mixes, which is what lets a shared
@@ -514,7 +507,6 @@ def train(
         raise ValueError(
             f"placement covers {expert_nodes.shape[0]} experts, expected {n_experts}"
         )
-    local_targets = np.stack([make_local_target(expert_nodes, v) for v in range(topology.n_nodes)])
 
     rng = np.random.default_rng(seed)
     w_in, w_out = init_experts(n_experts, dim, hidden, rng)
@@ -523,42 +515,35 @@ def train(
         "w_out": w_out,
         "head": rng.standard_normal((n_classes, dim)) / math.sqrt(dim),
     }
-    block_w = hash_outcome = None
+    block_w = None
     if router_kind == "switch":
         state["gating"] = rng.standard_normal((n_experts, dim)) / math.sqrt(dim)
     elif router_kind == "loc":
         block_w = build_block_gating(n_experts, dim)
         state["gating"] = LOC_GAIN * np.eye(dim)
-    else:
-        hash_outcome = hash_route(corpus.token_ids, n_experts)
 
-    setup = _TrainSetup(
-        router_kind=router_kind,
-        block_weights=block_w,
-        hash_outcome=hash_outcome,
-        alpha=loss_cfg.alpha,
-        mu=loss_cfg.mu,
-        local_targets=local_targets,
-        n_nodes=topology.n_nodes,
-        capacity=capacity,
-    )
+    def setup_over(idx) -> _TrainSetup:
+        """The objective over the corpus tokens ``idx`` selects (a slice
+        selects a view, not a copy)."""
+        nodes = node_of_token[idx]
+        return _TrainSetup(
+            router_kind=router_kind,
+            block_weights=block_w,
+            capacity=capacity,
+            losses=loss_cfg,
+            tokens=corpus.tokens[idx],
+            labels=corpus.labels[idx],
+            node_rows=tuple((np.flatnonzero(nodes == v), make_local_target(expert_nodes, v))
+                            for v in np.unique(nodes)),
+            hash_outcome=hash_route(corpus.token_ids[idx], n_experts) if router_kind == "hash" else None,
+        )
 
+    setup = setup_over(slice(None))
     probe_err = 0.0
     if check_gradients:
-        if router_kind == "hash":
-            probe_idx = np.arange(min(_PROBE_TOKENS, t))
-            probe_setup = replace(setup, hash_outcome=hash_route(corpus.token_ids[probe_idx], n_experts))
-        else:
-            probe_idx = _select_probe(_scores(state, setup, tokens))
-            probe_setup = setup
-        probe_err = _probe_grad_check(
-            state,
-            probe_setup,
-            tokens[probe_idx],
-            labels[probe_idx],
-            node_of_token[probe_idx],
-            np.random.default_rng(seed + 1),
-        )
+        probe_idx = (np.arange(min(_PROBE_TOKENS, t)) if router_kind == "hash"
+                     else _select_probe(_scores(state, setup)))
+        probe_err = _probe_grad_check(state, setup_over(probe_idx), np.random.default_rng(seed + 1))
         if probe_err > grad_check_tol:
             raise AssertionError(
                 f"gradient check failed for router {router_kind!r}: "
@@ -568,7 +553,7 @@ def train(
     records: list[TrainRecord] = []
     final_outcome: RoutingOutcome | None = None
     for epoch in range(epochs):
-        objective, cache = _train_forward(state, setup, tokens, labels, node_of_token)
+        objective, cache = _train_forward(state, setup)
         l_cross_sum = cache["l_cross_mean"] * t
 
         outcome = cache["outcome"]
@@ -594,7 +579,7 @@ def train(
         final_outcome = outcome
 
         if lr != 0.0:
-            grads = _train_backward(state, setup, tokens, labels, node_of_token, cache)
+            grads = _train_backward(state, setup, cache)
             for name, g in grads.items():
                 state[name] -= lr * g
         del cache  # free this epoch's z/Phi cache before the next forward

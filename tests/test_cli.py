@@ -342,6 +342,28 @@ class TestTrainToyCommand:
         assert run(["train-toy", "--concentration=-inf", "--out", str(out), "--force"]) == 2
         assert "error: --concentration must be finite, got -inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e-160", "1e-300", "5e-324"])
+    def test_concentration_whose_jitter_overflows_is_usage_error(self, value, tmp_path, capsys):
+        # one error line, no numpy warning, nothing written
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--concentration", value, "--epochs", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: concentration {float(value)} is too small: the jittered tokens' norms overflow\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("router", ["hash", "switch", "loc"])
+    def test_run_with_nodes_holding_no_tokens_writes_finite_csv(self, router, tmp_path):
+        # 16 one-device nodes over 12 tokens: four source nodes hold none
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", router, "--nodes", "16", "--devices-per-node", "1",
+                    "--clusters", "3", "--tokens-per-cluster", "4", "--dim", "8", "--experts", "4",
+                    "--epochs", "5", "--seed", "3", "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) == 5
+        values = np.array([[float(v) for v in row[3:]] for row in rows])
+        assert np.isfinite(values).all()
+        assert (values[:, header.index("l_loc") - 3] > 0).all()
+
     def test_nan_alpha_is_usage_error_not_a_divergence(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         assert run(["train-toy", "--alpha", "nan", "--epochs", "1", "--out", str(out)]) == 2
@@ -559,6 +581,14 @@ class TestCommSimCommand:
         err = self._topology_error(tmp_path, capsys, {**self.TOPOLOGY, "n_nodes": "2"})
         assert "topology field n_nodes='2' is not of type int" in err
 
+    @pytest.mark.parametrize("field", ["intra_bw", "inter_bw", "intra_latency", "inter_latency"])
+    def test_topology_json_non_finite_field_is_usage_error(self, field, tmp_path, capsys):
+        # json writes and reads these floats as NaN, Infinity and -Infinity
+        for value in (float("nan"), float("inf"), float("-inf")):
+            err = self._topology_error(tmp_path, capsys, {**self.TOPOLOGY, field: value})
+            assert f"topology field {field} must be finite, got {value}" in err
+            assert err.count("\n") == 1 and not (tmp_path / "c.csv").exists()
+
     def test_compare_routers_topology_without_nodes_is_usage_error(self, tmp_path, capsys):
         topo = tmp_path / "t.json"
         topo.write_text(json.dumps({**self.TOPOLOGY, "n_nodes": 0}))
@@ -591,6 +621,19 @@ class TestCommSimCommand:
         assert "placement device id 'x' is not of type int" in err
         err = self._placement_error(tmp_path, capsys, {"device_of_expert": 3})
         assert "placement field device_of_expert=3 is not of type list" in err
+
+    @pytest.mark.parametrize("devices, message", [
+        ([0, 1, 2], "placement covers 3 experts, expected 16"),
+        (list(range(15)) + [99], "placement references a device outside the topology"),
+        (list(range(15)) + [-1], "placement references a device outside the topology"),
+    ])
+    def test_placement_that_does_not_fit_is_usage_error_before_the_corpus(
+            self, devices, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_corpus", _no_sampling)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
+        err = self._placement_error(tmp_path, capsys, devices)
+        assert f"error: {tmp_path / 'p.json'}: {message}" in err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

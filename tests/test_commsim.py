@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestTopology:
             ClusterTopology(0, 8, 100e9, 25e9, 1e-6, 1e-6)
         with pytest.raises(ValueError):
             ClusterTopology(2, 8, 100e9, 25e9, -1e-6, 1e-6)
+
+    def test_nan_latency_is_rejected_and_infinite_values_are_kept(self):
+        for latencies in ((math.nan, 1e-6), (1e-6, math.nan)):
+            with pytest.raises(ValueError, match="latencies must be >= 0"):
+                ClusterTopology(2, 8, 100e9, 25e9, *latencies)
+        topo = ClusterTopology(2, 8, math.inf, 25e9, math.inf, math.inf)
+        assert (topo.intra_bw, topo.intra_latency, topo.inter_latency) == (math.inf,) * 3
 
     def test_node_lookup(self):
         assert list(TOPO.node_of(np.array([0, 7, 8, 15]))) == [0, 0, 1, 1]

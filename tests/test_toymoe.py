@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from moelab import defaults, toymoe
 from moelab.commsim import ClusterTopology, round_robin_placement
-from moelab.losses import cross_entropy_grad, mean_cross_entropy
+from moelab.losses import cross_entropy_grad, locality_loss, make_local_target, mean_cross_entropy
 from moelab.router import (
     RoutingOutcome,
     TokenBatch,
@@ -248,6 +248,15 @@ class TestSyntheticCorpus:
         assert np.abs(np.linalg.norm(corpus.tokens, axis=1) - 1).max() <= 1e-9
         assert np.array_equal(np.unique(corpus.labels), np.arange(4))
 
+    def test_concentration_whose_jitter_overflows_is_rejected(self):
+        # at d=32 a 1e150 jitter still squares below the float64 maximum, a
+        # 1e160 one does not; 1/5e-324 is already infinite
+        assert np.abs(np.linalg.norm(small_corpus(dim=32, concentration=1e-150).tokens, axis=1)
+                      - 1).max() <= 1e-9
+        for c in (1e-160, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=f"concentration {c} is too small"):
+                small_corpus(dim=32, concentration=c)
+
 
 class TestTraining:
     def test_zero_learning_rate_is_constant(self):
@@ -425,6 +434,30 @@ class TestTraining:
             train(unlabeled, "loc", 8, round_robin_placement(8, TOPO), TOPO)
 
 
+class TestEmptySourceNodes:
+    """16 one-device nodes over 12 tokens: nodes 3, 7, 11 and 15 hold none."""
+
+    TOPO16 = ClusterTopology(16, 1, 2.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
+    def test_locality_loss_sums_the_occupied_nodes_and_the_probe_passes(self, kind):
+        corpus = small_corpus(n_clusters=3, dim=8, tokens_per_cluster=4)
+        placement = round_robin_placement(4, self.TOPO16)
+        loss_cfg = defaults.DEFAULT_TRAIN_LOSSES
+        run = train(corpus, kind, 4, placement, self.TOPO16, epochs=2, lr=0.5,
+                    loss_cfg=loss_cfg, seed=3)
+        assert run.probe_grad_rel_err <= 1e-4
+        # the mask-based reference on the last epoch's routing, node by node
+        node = self.TOPO16.node_of(run.source_device)
+        occupied = [v for v in range(self.TOPO16.n_nodes) if (node == v).any()]
+        assert occupied == [0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14]
+        probs = run.final_outcome.probs
+        want = sum(locality_loss(probs[node == v].mean(axis=0),
+                                 make_local_target(placement.expert_nodes(self.TOPO16), v), loss_cfg.mu)
+                   for v in occupied)
+        assert run.records[-1].l_loc == want
+
+
 class TestExpertLayerCache:
     def test_backward_reuses_the_forward_cdf(self, monkeypatch):
         # the expert caches carry Phi(z), so the backward pass evaluates no
@@ -435,11 +468,12 @@ class TestExpertLayerCache:
         real_backward = toymoe._train_backward
         checked = []
 
-        def backward(state, setup, tokens, labels, node_of_token, cache):
+        def backward(state, setup, cache):
             before = len(erf_calls)
-            grads = real_backward(state, setup, tokens, labels, node_of_token, cache)
+            grads = real_backward(state, setup, cache)
             assert len(erf_calls) == before
-            d_logits = cross_entropy_grad(cache["logits"], labels) / tokens.shape[0]
+            tokens = setup.tokens
+            d_logits = cross_entropy_grad(cache["logits"], setup.labels) / tokens.shape[0]
             d_raw = cache["outcome"].gate_value[:, None] * (d_logits @ state["head"])
             for e, c in enumerate(cache["expert_caches"]):
                 if c is None:
@@ -518,9 +552,9 @@ class TestStagedProbe:
 
     @staticmethod
     def _probe_inputs(monkeypatch, kind, n_experts, capacity):
-        # the probe batch and parameters exactly as train() hands them over
+        # the parameters and the probe batch's setup exactly as train() hands them over
         captured = []
-        monkeypatch.setattr(toymoe, "_probe_grad_check", lambda *a: captured.append(a[:5]) or 0.0)
+        monkeypatch.setattr(toymoe, "_probe_grad_check", lambda *a: captured.append(a[:2]) or 0.0)
         train(small_corpus(), kind, n_experts, round_robin_placement(n_experts, TOPO), TOPO,
               epochs=1, lr=0.0, seed=0, capacity=capacity)
         return captured[0]
