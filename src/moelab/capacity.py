@@ -269,19 +269,6 @@ class CosineHistograms:
     routed_counts: np.ndarray
     nonrouted_counts: np.ndarray
 
-    def iter_rows(self):
-        """Yield flat (kind, i, j, bin_lo, bin_hi, count) rows for CSV output."""
-        n = self.pair_counts.shape[0]
-        bins = self.bin_edges
-        for i in range(n):
-            for j in range(n):
-                for k in range(bins.size - 1):
-                    yield ("token_pair", i, j, bins[k], bins[k + 1], int(self.pair_counts[i, j, k]))
-        for i in range(n):
-            for k in range(bins.size - 1):
-                yield ("weight_routed", i, i, bins[k], bins[k + 1], int(self.routed_counts[i, k]))
-                yield ("weight_other", i, i, bins[k], bins[k + 1], int(self.nonrouted_counts[i, k]))
-
 
 HIST_BINS = 64  # equal-width cosine bins over [-1, 1]
 HIST_TOKENS_PER_EXPERT = 256  # tokens per expert in the token-token histograms
@@ -310,21 +297,10 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
     pair_counts = np.zeros((n, n, HIST_BINS), dtype=np.int64)
     for i in range(n):
         for j in range(i, n):
-            a, b = groups[i], groups[j]
-            if a.shape[0] == 0 or b.shape[0] == 0:
-                continue
-            cos = np.clip(a @ b.T, -1.0, 1.0)
-            if i == j:
-                if a.shape[0] < 2:
-                    continue
-                iu = np.triu_indices(a.shape[0], k=1)
-                vals = cos[iu]
-            else:
-                vals = cos.ravel()
-            hist, _ = np.histogram(vals, bins=edges)
-            pair_counts[i, j] = hist
-            if i != j:
-                pair_counts[j, i] = hist
+            cos = np.clip(groups[i] @ groups[j].T, -1.0, 1.0)
+            vals = cos[np.triu_indices(len(cos), k=1)] if i == j else cos.ravel()
+            pair_counts[i, j], _ = np.histogram(vals, bins=edges)
+            pair_counts[j, i] = pair_counts[i, j]
 
     wn = weights / np.linalg.norm(weights, axis=1, keepdims=True)
     cos_w = np.empty((batch.n_tokens, n))

@@ -49,7 +49,6 @@ from .router import (
 from .toymoe import (
     COMPARE_LOSSES,
     SyntheticCorpusConfig,
-    assignment_report,
     compare_routers,
     entropy,
     make_synthetic_corpus,
@@ -86,20 +85,12 @@ def _check_overwrite(path: Path, force: bool):
 
 
 def _write_json(path: Path | None, payload: dict, force: bool):
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
     _check_overwrite(path, force)
     path.write_text(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def _fmt(value):
@@ -121,9 +112,7 @@ def _write_csv(path: Path, rows, seed, config: dict, force: bool):
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    meta_path.write_text(
-        json.dumps(_meta(seed, config), sort_keys=True, indent=2, default=_jsonable) + "\n"
-    )
+    meta_path.write_text(json.dumps(_meta(seed, config), sort_keys=True, indent=2) + "\n")
 
 
 def _read_json(path: str):
@@ -313,8 +302,14 @@ def cmd_route_sim(args) -> int:
 
     if args.histograms:
         hist = capacity.cosine_histograms(batch, outcome, weights)
+        bins = list(zip(hist.bin_edges[:-1], hist.bin_edges[1:]))
         hrows = [["kind", "expert_i", "expert_j", "bin_lo", "bin_hi", "count"]]
-        hrows.extend(list(r) for r in hist.iter_rows())
+        for i in range(experts):
+            for j in range(experts):
+                hrows += (["token_pair", i, j, lo, hi, c] for (lo, hi), c in zip(bins, hist.pair_counts[i, j]))
+        for i in range(experts):
+            for (lo, hi), routed, other in zip(bins, hist.routed_counts[i], hist.nonrouted_counts[i]):
+                hrows += [["weight_routed", i, i, lo, hi, routed], ["weight_other", i, i, lo, hi, other]]
         _write_csv(out.with_name(out.stem + ".histograms.csv"), hrows, seed, resolved, args.force)
     return 0
 
@@ -381,28 +376,21 @@ def cmd_train_toy(args) -> int:
     run = train(corpus, args.router, experts, placement, topology,
                 epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
 
-    n = experts
-    header = (
-        ["epoch", "step", "router"]
-        + [f"count_{i}" for i in range(n)]
-        + [f"f_{i}" for i in range(n)]
-        + [f"P_{i}" for i in range(n)]
-        + ["l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task",
-           "locality_fraction", "entropy"]
-    )
-    rows = [header]
+    # run.csv and run.report.csv share each epoch's lead columns; step is always 0,
+    # as the toy takes one full-batch step per epoch
+    lead_cols = ["epoch", "step", "router", *(f"count_{i}" for i in range(experts))]
+    rows = [lead_cols + [f"f_{i}" for i in range(experts)] + [f"P_{i}" for i in range(experts)]
+            + ["l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task", "locality_fraction", "entropy"]]
+    report = [lead_cols + ["entropy", "never_used_fraction", "locality_fraction"]]
+    seen = np.zeros(experts, dtype=bool)  # experts used in this epoch or an earlier one
     for rec in run.records:
-        rows.append(
-            [rec.epoch, rec.step, rec.router_kind]
-            + [int(c) for c in rec.counts]
-            + [v for v in rec.f]
-            + [v for v in rec.P]
-            + [rec.l_aux, rec.l_loc, rec.l_cross, rec.l_cross_mean, rec.l_task,
-               rec.locality_fraction, entropy(rec.f)]
-        )
+        seen |= rec.counts > 0
+        lead = [rec.epoch, 0, run.router_kind, *rec.counts]
+        ent = entropy(rec.f)
+        rows.append(lead + [*rec.f, *rec.P, rec.l_aux, rec.l_loc, rec.l_cross, rec.l_cross_mean,
+                            rec.l_task, rec.locality_fraction, ent])
+        report.append(lead + [ent, (~seen).mean(), rec.locality_fraction])
     _write_csv(out, rows, seed, resolved, args.force)
-
-    report = assignment_report(run.records)
     _write_csv(out.with_name(out.stem + ".report.csv"), report, seed, resolved, args.force)
 
     volume = build_volume_matrix(

@@ -84,11 +84,10 @@ class SyntheticCorpusConfig:
 
 @dataclass
 class TrainRecord:
-    """One training step's routing statistics and loss components."""
+    """One epoch's routing statistics and loss components (the toy takes
+    one full-batch step per epoch)."""
 
     epoch: int
-    step: int
-    router_kind: str
     counts: np.ndarray
     f: np.ndarray
     P: np.ndarray
@@ -102,7 +101,7 @@ class TrainRecord:
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite; carries the
-    diagnostic record for the offending step."""
+    diagnostic record for the offending epoch."""
 
     def __init__(self, message: str, record: TrainRecord):
         super().__init__(message)
@@ -129,7 +128,7 @@ class TrainRun:
     """Everything a finished run exposes for reporting and comparison."""
 
     router_kind: str
-    records: list[TrainRecord]
+    records: list[TrainRecord]  # one per epoch, so never empty (epochs >= 1)
     final_outcome: RoutingOutcome
     source_device: np.ndarray
     probe_grad_rel_err: float
@@ -559,8 +558,6 @@ def train(
         outcome = cache["outcome"]
         record = TrainRecord(
             epoch=epoch,
-            step=0,
-            router_kind=router_kind,
             counts=outcome.assigned_counts(),
             f=outcome.f.copy(),
             P=outcome.P.copy(),
@@ -610,28 +607,3 @@ def entropy(f) -> float:
     pos = f[f > 0]
     return float(-np.sum(pos * np.log(pos)))
 
-
-def assignment_report(records: list[TrainRecord]) -> list[list]:
-    """Per-epoch expert counts plus summary metrics, as CSV-ready rows.
-
-    Columns: epoch, step, router, one count per expert, entropy of f,
-    fraction of experts never used up to that epoch, locality fraction.
-    """
-    if not records:
-        raise ValueError("no records to report")
-    n = records[0].counts.shape[0]
-    header = (
-        ["epoch", "step", "router"]
-        + [f"count_{i}" for i in range(n)]
-        + ["entropy", "never_used_fraction", "locality_fraction"]
-    )
-    rows: list[list] = [header]
-    seen = np.zeros(n, dtype=bool)
-    for rec in records:
-        seen |= rec.counts > 0
-        rows.append(
-            [rec.epoch, rec.step, rec.router_kind]
-            + [int(c) for c in rec.counts]
-            + [entropy(rec.f), float((~seen).mean()), rec.locality_fraction]
-        )
-    return rows

@@ -87,13 +87,13 @@ def check_cap_identity() -> CheckResult:
 
 def check_capacity_bounds() -> CheckResult:
     """The erfc form of the capacity bound must exceed the exponential
-    form at every grid point with d >= 256 and delta * sqrt(d) >= 1.
+    form at every grid point with d >= 256 and delta * sqrt(d) >= 1;
+    ``ec_min`` raises RuntimeError at a point where it does not.
 
     The exact-vs-erfc gap is reported for inspection: at finite d the
     erfc approximation sits slightly above the exact 1/(n p_delta) in the
     moderate regime, so only the erfc > exp leg is gated here.
     """
-    ok = True
     worst_gap = 0.0
     n_points = 0
     for dim in (256, 512, 1024, 2048, 4096):
@@ -101,16 +101,16 @@ def check_capacity_bounds() -> CheckResult:
             delta = mult / math.sqrt(dim)
             if delta >= 1.0:
                 continue
-            res = cap.ec_min(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=_BOUNDS_EXPERTS))
+            try:
+                res = cap.ec_min(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=_BOUNDS_EXPERTS))
+            except RuntimeError as exc:
+                return CheckResult("capacity-bounds", False, f"{exc} at {(delta, dim)}")
             n_points += 1
-            if math.isfinite(res.erfc_bound) and math.isfinite(res.exp_bound):
-                if not res.erfc_bound > res.exp_bound:
-                    ok = False
             if math.isfinite(res.ec_min) and math.isfinite(res.erfc_bound):
                 worst_gap = max(worst_gap, (res.erfc_bound - res.ec_min) / res.ec_min)
     return CheckResult(
         "capacity-bounds",
-        ok,
+        True,
         f"erfc-form > exp-form at {n_points} points; "
         f"max rel gap of erfc form above exact: {worst_gap:.2e}",
     )

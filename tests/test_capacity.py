@@ -311,22 +311,15 @@ class TestCosineHistograms:
 
         w = build_block_gating(4, 8)
         batch = TokenBatch(
-            tokens=np.tile(w[0], (5, 1)), token_ids=np.arange(5)
+            tokens=np.vstack([np.tile(w[0], (5, 1)), w[2]]), token_ids=np.arange(6)
         )
         outcome = route_top1(gate_scores(batch.tokens, w))
         hist = cosine_histograms(batch, outcome, w)
         assert hist.pair_counts[1, 1].sum() == 0
         assert hist.pair_counts[1, 2].sum() == 0
-
-    def test_row_iterator_shape(self):
-        w = build_block_gating(2, 4)
-        from moelab.router import TokenBatch
-
-        batch = TokenBatch(tokens=np.tile(w, (2, 1)), token_ids=np.arange(4))
-        outcome = route_top1(gate_scores(batch.tokens, w))
-        hist = cosine_histograms(batch, outcome, w)
-        rows = list(hist.iter_rows())
-        assert len(rows) == 2 * 2 * 64 + 2 * 64 * 2
+        assert hist.pair_counts[2, 2].sum() == 0  # one token has no distinct pair
+        assert hist.pair_counts[0, 0].sum() == 10 and hist.pair_counts[0, 2].sum() == 5
+        assert np.array_equal(hist.pair_counts, hist.pair_counts.transpose(1, 0, 2))
 
 
 # sample counts either side of the block boundaries of the streamed Monte Carlo

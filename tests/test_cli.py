@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,14 +9,19 @@ import numpy as np
 import pytest
 
 import moelab
-from moelab import cli, verify
+from moelab import capacity, cli, verify
 from moelab.cli import main
+from oracles import fnv1a64_reference
 
 SRC = Path(moelab.__file__).resolve().parents[1]
 
 
 def run(argv):
     return main(argv)
+
+
+def read_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
 
 
 def _no_training(*args, **kwargs):
@@ -113,6 +119,47 @@ class TestVerifyCommand:
         assert run(["verify", "--only", "cap-identity"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_capacity_bounds_pass_on_the_grid(self, capsys):
+        assert run(["verify", "--only", "capacity-bounds"]) == 0
+        assert "capacity-bounds  PASS  erfc-form > exp-form at 25 points;" in capsys.readouterr().out
+
+    def test_capacity_bounds_failure_is_a_fail_row(self, capsys, monkeypatch):
+        # ec_min raises where the erfc form is not above the exp form
+        monkeypatch.setattr(capacity, "erfc", lambda y: 1.0)
+        assert run(["verify", "--only", "capacity-bounds"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(
+            "capacity-bounds  FAIL  erfc-form bound 0.0625 not above exp-form 0.103")
+        assert captured.out.endswith(" at (0.0625, 256)\n")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("seed", [0, 1, 14])
+    def test_monte_carlo_verdicts_follow_their_z(self, seed, capsys, monkeypatch):
+        # each verdict must match its z, PASS or FAIL: a 3-sigma test fails on some
+        # seeds, as uniform-balance does at seed 14 with these sample counts
+        samples = 2000
+        monkeypatch.setattr(verify, "_BALANCE_SAMPLES", samples)
+        monkeypatch.setattr(verify, "_MC_SAMPLES", samples)
+        z_balance = []
+        for dim, n in ((64, 8), (128, 16)):
+            f, sigma = capacity.mc_assignment_fractions(dim, n, samples, seed=seed)
+            z_balance.append(float(np.abs(f - 1.0 / n).max() / sigma))
+        z_mc = 0.0
+        for i, (delta, dim) in enumerate(verify._MC_GRID):
+            analytic = capacity.p_delta(capacity.CapacityTheoryInput(delta, dim, 1))
+            est, stderr = capacity.mc_p_delta(delta, dim, samples, seed=seed + i)
+            z_mc = max(z_mc, abs(est - analytic) / max(stderr, 1e-12))
+
+        for suite, z, texts in (
+            ("uniform-balance", max(z_balance), [f"max|f-1/n|={z:.2f} sigma" for z in z_balance]),
+            ("cap-probability-mc", z_mc, [f"= {z_mc:.2f} sigma"]),
+        ):
+            code = run(["verify", "--only", suite, "--seed", str(seed)])
+            name, status, detail = capsys.readouterr().out.split(None, 2)
+            assert (name, status, code) == ((suite, "PASS", 0) if z <= 3.0 else (suite, "FAIL", 1))
+            for text in texts:
+                assert text in detail
+
     def test_grad_check_passes_where_a_balance_point_sat_below_the_step(self, capsys):
         # seed 130 draws a balance point with an entry under the 1e-5 step
         assert run(["verify", "--only", "grad-check", "--seed", "130"]) == 0
@@ -176,7 +223,25 @@ class TestRouteSimCommand:
         assert code == 0
         hist = tmp_path / "route.histograms.csv"
         assert hist.exists()
-        assert hist.read_text().splitlines()[0] == "kind,expert_i,expert_j,bin_lo,bin_hi,count"
+        lines = hist.read_text().splitlines()
+        assert lines[0] == "kind,expert_i,expert_j,bin_lo,bin_hi,count"
+        assert len(lines) - 1 == 4 * 4 * 64 + 2 * 4 * 64
+
+    def test_hash_router_with_capacity(self, tmp_path):
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--router", "hash", "--tokens", "1000", "--experts", "8",
+                    "--capacity-factor", "0.9", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assigned = np.bincount([fnv1a64_reference(i) % 8 for i in range(1000)], minlength=8)
+        cap = 113  # ceil(1000 * 0.9 / 8)
+        served = np.minimum(assigned, cap)
+        assert (assigned > cap).any()
+        assert rows[:, 0].tolist() == list(range(8))
+        assert rows[:, 1].tolist() == assigned.tolist()
+        assert rows[:, 2].tolist() == served.tolist()
+        assert rows[:, 3].tolist() == (assigned - served).tolist()
+        assert rows[:, 5].tolist() == rows[:, 4].tolist()  # P equals f
+        assert json.loads((tmp_path / "route.csv.meta.json").read_text())["config"]["applied_capacity"] == cap
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "route.csv"
@@ -251,6 +316,33 @@ class TestTrainToyCommand:
         meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
         assert meta["seed"] == 2
         assert meta["config"]["router"] == "loc"
+
+    def test_hash_report_is_balanced_and_shares_the_run_csvs_columns(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", "hash", "--experts", "8", "--epochs", "5", "--lr", "0.1",
+                    "--tokens-per-cluster", "64", "--out", str(out)]) == 0
+        records, report = read_rows(out), read_rows(tmp_path / "run.report.csv")
+        lead = ["epoch", "step", "router", *(f"count_{i}" for i in range(8))]
+        assert report[0] == lead + ["entropy", "never_used_fraction", "locality_fraction"]
+        assert len(report) == len(records) == 6
+        assert [row[:len(lead)] for row in report] == [row[:len(lead)] for row in records]
+        for row, rec in zip(report[1:], records[1:]):
+            assert row[:3] == [rec[0], "0", "hash"]
+            assert float(row[-3]) == pytest.approx(math.log(8), abs=1e-9)
+            assert float(row[-2]) == 0.0
+            assert [row[-3], row[-1]] == [rec[-1], rec[-2]]  # entropy, locality_fraction
+
+    def test_report_never_used_fraction_is_cumulative(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", "switch", "--lr", "0", "--epochs", "2",
+                    "--tokens-per-cluster", "64", "--out", str(out)]) == 0
+        records, report = read_rows(out), read_rows(tmp_path / "run.report.csv")
+        col = report[0].index("never_used_fraction")
+        seen = np.zeros(16, dtype=bool)
+        for rec, row in zip(records[1:], report[1:], strict=True):
+            seen |= np.array(rec[3:19], dtype=int) > 0
+            assert float(row[col]) == (~seen).mean()
+        assert float(report[-1][col]) > 0  # some expert is never used
 
     def test_config_values_must_have_the_flag_type(self, tmp_path, capsys):
         config = tmp_path / "config.json"

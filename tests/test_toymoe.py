@@ -26,7 +26,6 @@ from moelab.toymoe import (
     SyntheticCorpusConfig,
     TrainingDiverged,
     TrainRecord,
-    assignment_report,
     compare_routers,
     entropy,
     flops_per_served_token,
@@ -358,7 +357,10 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
             train(corpus, "switch", 8, placement, TOPO, epochs=60, lr=1e9, seed=0,
                   check_gradients=False)
-        assert exc.value.record.router_kind == "switch"
+        record = exc.value.record
+        assert 0 < record.epoch < 60
+        assert f"at epoch {record.epoch}" in str(exc.value)
+        assert math.isfinite(record.l_aux) and not math.isfinite(record.l_task)
 
     def test_paired_runs_share_expert_init(self):
         corpus = small_corpus()
@@ -654,34 +656,3 @@ class TestAssignmentReport:
         f = np.zeros(8)
         f[3] = 1.0
         assert entropy(f) == 0.0
-
-    def test_report_shape_and_metrics(self):
-        corpus = small_corpus()
-        placement = round_robin_placement(8, TOPO)
-        run = train(corpus, "hash", 8, placement, TOPO, epochs=5, lr=0.1, seed=0,
-                    check_gradients=False)
-        rows = assignment_report(run.records)
-        header, body = rows[0], rows[1:]
-        assert len(body) == 5  # epochs x steps
-        assert header[:3] == ["epoch", "step", "router"]
-        assert "entropy" in header and "never_used_fraction" in header
-        ent_col = header.index("entropy")
-        never_col = header.index("never_used_fraction")
-        for row in body:
-            assert row[ent_col] == pytest.approx(math.log(8), abs=1e-9)
-            assert row[never_col] == 0.0
-
-    def test_never_used_fraction_counts_cumulative(self):
-        corpus = small_corpus()
-        placement = round_robin_placement(8, TOPO)
-        run = train(corpus, "switch", 8, placement, TOPO, epochs=2, lr=0.0, seed=1,
-                    check_gradients=False)
-        rows = assignment_report(run.records)
-        header = rows[0]
-        never_col = header.index("never_used_fraction")
-        used = int((run.records[0].counts > 0).sum())
-        assert rows[1][never_col] == pytest.approx((8 - used) / 8)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            assignment_report([])
