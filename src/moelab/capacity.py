@@ -82,8 +82,48 @@ def p_delta(inp: CapacityTheoryInput) -> float:
     Evaluated through the complementary beta expansion so the deep tail
     (delta close to 1) keeps full relative accuracy.
     """
-    d2 = inp.delta * inp.delta
-    return reg_incomplete_beta_complement(d2, 0.5, (inp.dim - 1) / 2.0)
+    return _p_delta(inp.delta, inp.dim)
+
+
+def _p_delta(delta, dim: int):
+    """p_delta elementwise in delta (a float or an array)."""
+    return reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _reciprocal_or_inf(n: int, v: np.ndarray) -> np.ndarray:
+    """1 / (n * v), and inf where v == 0; a subnormal n * v overflows to inf
+    silently, as in float arithmetic."""
+    with np.errstate(over="ignore"):
+        return np.divide(1.0, n * v, out=np.full_like(v, math.inf), where=v != 0.0)
+
+
+def _ec_min(delta, dim: int, n: int) -> list[CapacityTheoryResult]:
+    """ec_min's result for each delta in a float or a 1-d array; the special
+    functions take the matching path, and the exp form is libm's per point.
+    Raises RuntimeError at the first delta whose erfc form is not above its
+    exp form."""
+    d2 = delta * delta
+    y2 = d2 * dim / (2.0 - d2)
+    y = np.sqrt(y2)
+    p, e, y2, y = np.atleast_1d(_p_delta(delta, dim), erfc(y), y2, y)
+    ec = _reciprocal_or_inf(n, p)
+    erfc_bound = _reciprocal_or_inf(n, e)
+    exp_bound = np.array([_exp_or_inf(v) for v in y2.tolist()]) / n
+    broken = (0.0 < y) & np.isfinite(erfc_bound) & np.isfinite(exp_bound) & ~(erfc_bound > exp_bound)
+    if broken.any():
+        i = np.argmax(broken)
+        raise RuntimeError(
+            f"erfc-form bound {float(erfc_bound[i])} not above exp-form {float(exp_bound[i])}"
+        )
+    columns = (p, ec, erfc_bound, exp_bound, n * p > 1.0, p == 0.0)
+    return [CapacityTheoryResult(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
@@ -95,30 +135,7 @@ def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
     fails.  The exact and erfc forms are both reported so their
     (approximation-order) gap can be inspected.
     """
-    n = inp.n_experts
-    p = p_delta(inp)
-    y2 = inp.delta * inp.delta * inp.dim / (2.0 - inp.delta * inp.delta)
-    y = math.sqrt(y2)
-    ec = math.inf if p == 0.0 else 1.0 / (n * p)
-    e = erfc(y)
-    erfc_bound = math.inf if e == 0.0 else 1.0 / (n * e)
-    try:
-        exp_bound = math.exp(y2) / n
-    except OverflowError:
-        exp_bound = math.inf
-    if 0.0 < y and math.isfinite(erfc_bound) and math.isfinite(exp_bound):
-        if not erfc_bound > exp_bound:
-            raise RuntimeError(
-                f"erfc-form bound {erfc_bound} not above exp-form {exp_bound}"
-            )
-    return CapacityTheoryResult(
-        p_delta=p,
-        ec_min=ec,
-        erfc_bound=erfc_bound,
-        exp_bound=exp_bound,
-        degenerate=n * p > 1.0,
-        unbounded=p == 0.0,
-    )
+    return _ec_min(inp.delta, inp.dim, inp.n_experts)[0]
 
 
 def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel: int, n_experts: int) -> int:
@@ -134,7 +151,8 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
 
 def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, CapacityTheoryResult]]:
     """Capacity bounds along a grid of cosine thresholds, as
-    ``(delta, ec_min result)`` pairs.
+    ``(delta, ec_min result)`` pairs, evaluated over the whole grid at once
+    with the bits of one ec_min call per point.
 
     The grid must be strictly increasing inside (0, 1); the exact bound is
     then non-decreasing along it because p_delta is decreasing in delta.
@@ -142,14 +160,12 @@ def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, Ca
     grid = np.asarray(delta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("delta grid must be a non-empty 1-d sequence")
-    if (grid <= 0).any() or (grid >= 1).any():
+    if not ((grid > 0) & (grid < 1)).all():  # NaN is not inside either
         raise ValueError("delta grid values must lie strictly inside (0, 1)")
-    if (np.diff(grid) <= 0).any():
+    if not (np.diff(grid) > 0).all():
         raise ValueError("delta grid must be strictly increasing")
-    return [
-        (float(delta), ec_min(CapacityTheoryInput(delta=float(delta), dim=dim, n_experts=n_experts)))
-        for delta in grid
-    ]
+    CapacityTheoryInput(float(grid[0]), dim, n_experts)  # checks dim and n_experts
+    return list(zip(grid.tolist(), _ec_min(grid, dim, n_experts)))
 
 
 def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):
@@ -249,7 +265,7 @@ def cap_area_identity_check(delta: float, dim: int) -> tuple[float, float, float
     # A_cap / A_total = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * integral
     ratio = math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)) / math.sqrt(math.pi)
     lhs = 2.0 * ratio * integral
-    rhs = reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+    rhs = _p_delta(delta, dim)
     return lhs, rhs, abs(lhs - rhs)
 
 

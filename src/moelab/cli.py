@@ -194,7 +194,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad --grid {spec!r}: {exc}") from None
     if count < 2 or not 0 < start < stop < 1:
         raise UsageError(f"--grid needs 0 < START < STOP < 1 and COUNT >= 2, got {spec!r}")
-    return np.linspace(start, stop, count)
+    grid = np.linspace(start, stop, count)
+    if not (np.diff(grid) > 0).all():
+        raise UsageError(f"--grid {spec!r} does not give strictly increasing values: "
+                         "COUNT is too large for STOP - START")
+    return grid
 
 
 # --- subcommands ------------------------------------------------------------

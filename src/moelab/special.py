@@ -9,8 +9,10 @@ erf/erfc follow W. J. Cody's rational approximations (Math. Comp. 23,
 erf and erfc are sign and complement arithmetic over it, elementwise over
 arrays; a Python number takes the same operations in float arithmetic,
 with the same bits.  The regularized incomplete beta function uses the classic
-continued fraction (modified Lentz iteration) and operates on scalars,
-which is all the capacity theory needs.
+continued fraction (modified Lentz iteration), elementwise over an array x
+with scalar shapes a and b: all points iterate together, each keeping the
+value of the iteration at which it converges, so an array gives the bits
+a Python number gets from the float loop.
 """
 
 from __future__ import annotations
@@ -234,21 +236,101 @@ def _beta_cf(a, b, x):
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
+    raise _cf_failure(a, b, x)
 
 
-def reg_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b).
+def _cf_failure(a, b, x):
+    return RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
+
+
+def _tiny(v):
+    """v with every entry below _FPMIN in magnitude replaced by _FPMIN."""
+    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _beta_cf_array(a, b, x):
+    """:func:`_beta_cf` over a 1-d array x, in the same operations.  All
+    points iterate together; each point's h is frozen at the iteration
+    where its own |delta - 1| < _CF_EPS, and a point that never converges
+    is NaN."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.full_like(x, np.nan)
+    idx = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / _tiny(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _CF_ITMAX + 1):
+        if not idx.size:
+            break
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _tiny(1.0 + aa * d)
+        c = _tiny(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _tiny(1.0 + aa * d)
+        c = _tiny(1.0 + aa / c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            live = ~done
+            idx, x, c, d, h = idx[live], x[live], c[live], d[live], h[live]
+    return out
+
+
+def _check_unit(x):
+    """Raise ValueError naming the first x (a number or an array) outside
+    [0, 1], NaN included."""
+    if isinstance(x, (float, int)):
+        bad = [] if 0.0 <= x <= 1.0 else [x]
+    else:
+        flat = np.ravel(x)
+        bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()
+    if bad:
+        raise ValueError(f"x must lie in [0, 1], got x={bad[0]}")
+
+
+def _reg_incomplete_beta_array(x, a, b):
+    """reg_incomplete_beta elementwise over the flat array x (inside [0, 1]),
+    with the prefactor from libm per point, as the float path takes it."""
+    out = (x == 1.0).astype(float)  # 0 at x = 0 and 1 at x = 1
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    x = x[inner]
+    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    front = np.array([math.exp(ln_norm + a * math.log(v) + b * math.log1p(-v)) for v in x.tolist()])
+    low = x < (a + 1.0) / (a + b + 2.0)
+    cf = np.empty_like(x)
+    cf[low] = _beta_cf_array(a, b, x[low])
+    cf[~low] = _beta_cf_array(b, a, 1.0 - x[~low])
+    failed = np.flatnonzero(np.isnan(cf))
+    if failed.size:  # the float path's error at the first such point
+        i = failed[0]
+        raise _cf_failure(a, b, float(x[i])) if low[i] else _cf_failure(b, a, float(1.0 - x[i]))
+    out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
+    return out
+
+
+def reg_incomplete_beta(x, a: float, b: float):
+    """Regularized incomplete beta I_x(a, b), elementwise over arrays x.
 
     Cumulative mass of Beta(a, b) on [0, x], normalized by B(a, b).  Uses
     the direct continued fraction when x is below the symmetry threshold
     and the complementary expansion otherwise, which keeps both tails
-    accurate without cancellation.
+    accurate without cancellation.  A Python number takes the float path;
+    an array gives the same bits at every point.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got x={x}")
+    _check_unit(x)
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not isinstance(x, (float, int)):
+        x = np.asarray(x, dtype=float)
+        out = _reg_incomplete_beta_array(x.ravel(), a, b)
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    x = float(x)
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -266,8 +348,8 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def reg_incomplete_beta_complement(x: float, a: float, b: float) -> float:
-    """1 - I_x(a, b) computed without cancellation in the upper tail."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got x={x}")
-    return reg_incomplete_beta(1.0 - x, b, a)
+def reg_incomplete_beta_complement(x, a: float, b: float):
+    """1 - I_x(a, b) computed without cancellation in the upper tail,
+    elementwise over arrays x."""
+    _check_unit(x)
+    return reg_incomplete_beta(np.subtract(1.0, x), b, a)  # np.subtract takes a list as an array

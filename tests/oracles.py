@@ -255,3 +255,27 @@ def one_shot_cosine_histograms(tokens, expert_of_token, weights, per_expert, edg
     routed = np.stack([np.histogram(cos_w[expert_of_token == i, i], bins=edges)[0] for i in range(n)])
     other = np.stack([np.histogram(cos_w[expert_of_token != i, i], bins=edges)[0] for i in range(n)])
     return pair, routed, other
+
+
+def per_point_capacity_curve(dim, n, grid):
+    """(delta, p_delta, ec_min, erfc_bound, exp_bound, degenerate, unbounded)
+    for each delta of the grid, one float evaluation at a time: the capacity
+    bound's formulas written out over the special functions' float paths."""
+    from moelab.special import erfc, reg_incomplete_beta_complement
+
+    rows = []
+    for delta in np.asarray(grid, dtype=float).tolist():
+        p = reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+        y2 = delta * delta * dim / (2.0 - delta * delta)
+        y = math.sqrt(y2)
+        e = erfc(y)
+        try:
+            exp_bound = math.exp(y2) / n
+        except OverflowError:
+            exp_bound = math.inf
+        erfc_bound = math.inf if e == 0.0 else 1.0 / (n * e)
+        if 0.0 < y and math.isfinite(erfc_bound) and math.isfinite(exp_bound) and not erfc_bound > exp_bound:
+            raise RuntimeError(f"erfc-form bound {erfc_bound} not above exp-form {exp_bound}")
+        rows.append((delta, p, math.inf if p == 0.0 else 1.0 / (n * p), erfc_bound, exp_bound,
+                     n * p > 1.0, p == 0.0))
+    return rows

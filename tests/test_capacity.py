@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +36,7 @@ from oracles import (
     one_shot_cosine_histograms,
     one_shot_p_delta,
     one_shot_sphere,
+    per_point_capacity_curve,
     reg_beta_quad,
 )
 
@@ -183,6 +186,54 @@ class TestCapacityCurve:
             capacity_curve(64, 8, [0.5, 0.4])
         with pytest.raises(ValueError):
             capacity_curve(64, 8, [0.0, 0.5])
+        for grid in ([0.1, math.nan], [math.nan], [0.1, math.inf]):  # rejected before any point is computed
+            with pytest.raises(ValueError, match=re.escape("strictly inside (0, 1)")):
+                capacity_curve(64, 8, grid)
+
+
+def row_bits(rows):
+    """Rows of floats and bools, with each float as its bit pattern and each
+    bool tagged by type, so -0.0 differs from 0.0 and a numpy bool from a bool."""
+    return [tuple(v.hex() if type(v) is float else (type(v), v) for v in row) for row in rows]
+
+
+class TestCapacityCurveOracle:
+    GRIDS = [
+        (256, 16, np.linspace(0.02 / 16, 5.0 / 16, 400)),  # the benchmark's range at d = 256
+        (16, 4, np.geomspace(1e-9, 0.999, 200)),  # degenerate rows; 1 - delta^2 rounds to 1
+        (4096, 16, np.linspace(5e-4, 0.99, 300)),  # unbounded rows; the exp form overflows
+        (2, 64, np.linspace(0.01, 0.99, 50)),
+    ]
+
+    def test_grid_equals_the_per_point_curve_bitwise(self):
+        seen = dict.fromkeys(["low branch", "high branch", "degenerate", "unbounded", "exp overflow"], 0)
+        for dim, n, grid in self.GRIDS:
+            want = per_point_capacity_curve(dim, n, grid)
+            curve = [(delta, *dataclasses.astuple(res)) for delta, res in capacity_curve(dim, n, grid)]
+            points = [(delta, *dataclasses.astuple(ec_min(theory(delta, dim, n)))) for delta in grid.tolist()]
+            assert row_bits(curve) == row_bits(want)
+            assert row_bits(points) == row_bits(want)
+            # p_delta is I_x((d - 1) / 2, 1/2) at x = 1 - delta^2; its branch is set by x
+            x, a = 1.0 - grid * grid, (dim - 1) / 2.0
+            low = x < (a + 1.0) / (a + 2.5)
+            seen["low branch"] += int(low.sum())
+            seen["high branch"] += int((~low & (x < 1.0)).sum())
+            seen["degenerate"] += sum(row[5] for row in want)
+            seen["unbounded"] += sum(row[6] for row in want)
+            seen["exp overflow"] += sum(row[4] == math.inf for row in want)
+        assert all(seen.values()), seen
+
+    def test_broken_invariant_raises_at_the_first_failing_point(self, monkeypatch):
+        # erfc replaced by 1 beyond y = 1 drops the erfc form below the exp form there
+        real = moelab.capacity.erfc
+        monkeypatch.setattr(moelab.capacity, "erfc", lambda y: np.where(np.asarray(y) > 1.0, 1.0, real(y)))
+        grid = np.linspace(0.01, 0.5, 50)
+        with pytest.raises(RuntimeError) as first:
+            for delta in grid.tolist():
+                ec_min(theory(delta, 512))
+        assert "erfc-form bound" in str(first.value)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(first.value))}$"):
+            capacity_curve(512, 16, grid)
 
 
 class TestSphereSampling:

@@ -107,6 +107,18 @@ class TestCapacityCommand:
         assert f"error: {flag} does not apply with --grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_that_repeats_values_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 100 points between 0.5 and its second float above round onto repeats
+        def no_curve(*args, **kwargs):
+            raise AssertionError("a usage error must be found before any bound is computed")
+        monkeypatch.setattr(capacity, "capacity_curve", no_curve)
+        out = tmp_path / "curve.csv"
+        assert run(["capacity", "--grid", "0.5:0.5000000000000002:100", "--dim", "16",
+                    "--experts", "4", "--out", str(out)]) == 2
+        assert "error: --grid '0.5:0.5000000000000002:100' does not give strictly increasing" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moelab import special
 from moelab.special import (
     erf,
     erfc,
@@ -155,6 +156,7 @@ class TestIncompleteBeta:
     def test_bounds(self):
         assert reg_incomplete_beta(0.0, 2.0, 3.0) == 0.0
         assert reg_incomplete_beta(1.0, 2.0, 3.0) == 1.0
+        assert reg_incomplete_beta(np.array([0.0, 1.0]), 2.0, 3.0).tolist() == [0.0, 1.0]
 
     def test_uniform_density(self):
         assert reg_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -172,6 +174,10 @@ class TestIncompleteBeta:
             assert reg_incomplete_beta(x, a, b) == pytest.approx(
                 reg_beta_quad(x, a, b), abs=1e-10
             )
+            # the array path, on points either side of the branch threshold
+            xs = np.array([x, x / 3.0, (1.0 + x) / 2.0])
+            want = [reg_beta_quad(float(v), a, b) for v in xs]
+            assert reg_incomplete_beta(xs, a, b) == pytest.approx(want, abs=1e-10)
 
     def test_large_dim_matches_erf_limit(self):
         # at delta^2 = 1/(d - 3/2) with d = 4096 the value approaches
@@ -185,6 +191,10 @@ class TestIncompleteBeta:
         comp = reg_incomplete_beta_complement(0.75, 0.5, 127.5)
         assert comp == pytest.approx(reg_beta_quad(0.25, 127.5, 0.5), rel=1e-10)
         assert 0.0 < comp < 1e-15
+        comps = reg_incomplete_beta_complement(np.array([0.75, 0.8]), 0.5, 127.5)
+        want = [reg_beta_quad(0.25, 127.5, 0.5), reg_beta_quad(0.2, 127.5, 0.5)]
+        assert comps == pytest.approx(want, rel=1e-10)
+        assert (comps < 1e-15).all()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -195,3 +205,48 @@ class TestIncompleteBeta:
             reg_incomplete_beta(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             reg_incomplete_beta(0.5, 1.0, -2.0)
+        for a, b in ((0.0, 1.0), (1.0, -2.0)):
+            with pytest.raises(ValueError, match="shape parameters must be positive"):
+                reg_incomplete_beta(np.array([0.5]), a, b)
+
+
+# the shapes the capacity theory uses: a = 1/2 and b = (d - 1) / 2, and swapped
+beta_shapes = st.sampled_from([0.5] + [(d - 1) / 2.0 for d in range(2, 8193)])
+
+
+def outcome(call):
+    """A call's value as bit patterns, or its error as (type, message)."""
+    try:
+        return bits(call()).tolist()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIncompleteBetaArrayPath:
+    # 1e-4 and 0.5 fall either side of the branch threshold at a = 1/2,
+    # b = 2047.5, and so do 1 - 1e-4 and 0.5 for the complement
+    @no_deadline
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), beta_shapes, beta_shapes)
+    @example([0.0, 1e-4, 0.5, 1.0], 0.5, 2047.5)
+    def test_array_path_equals_the_float_path(self, xs, a, b):
+        x = np.array(xs)
+        for f in (reg_incomplete_beta, reg_incomplete_beta_complement):
+            want = bits([f(v, a, b) for v in xs])
+            assert np.array_equal(bits(f(x, a, b)), want)
+            assert np.array_equal(bits(f(x.reshape(1, -1), a, b)), want.reshape(1, -1))
+            got = f(x[0].reshape(()), a, b)
+            assert type(got) is float and bits(got) == want[0]
+
+    @no_deadline
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats()), min_size=1, max_size=8),
+           beta_shapes, beta_shapes, st.sampled_from([1, 3, 10, special._CF_ITMAX]))
+    def test_array_path_raises_the_float_paths_errors(self, xs, a, b, itmax):
+        # the float path's error at the first x outside [0, 1] (NaN included),
+        # which is found before anything is computed; else, at a cut
+        # iteration limit, its error at the first point that does not converge
+        invalid = [v for v in xs if not 0.0 <= v <= 1.0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(special, "_CF_ITMAX", itmax)
+            for f in (reg_incomplete_beta, reg_incomplete_beta_complement):
+                want = outcome(lambda: f(invalid[0], a, b) if invalid else [f(v, a, b) for v in xs])
+                assert outcome(lambda: f(np.array(xs), a, b)) == want
