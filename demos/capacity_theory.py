@@ -58,8 +58,9 @@ for delta in (0.01, 0.03, 0.05, 0.08):
     )
 
 print("\nCapacity grows steeply as the required angle shrinks (d=512, n=16):")
-for delta, res in capacity_curve(512, 16, np.linspace(0.05, 0.4, 8)):
-    print(f"  delta={delta:.3f}  ec_min={res.ec_min:12.2f}")
+curve = capacity_curve(512, 16, np.linspace(0.05, 0.4, 8))
+for delta, bound in zip(curve["delta"], curve["ec_min"]):
+    print(f"  delta={delta:.3f}  ec_min={bound:12.2f}")
 
 # --- the everyday ceiling formula used by schedulers ----------------------
 

@@ -104,11 +104,11 @@ def _reciprocal_or_inf(n: int, v: np.ndarray) -> np.ndarray:
         return np.divide(1.0, n * v, out=np.full_like(v, math.inf), where=v != 0.0)
 
 
-def _ec_min(delta, dim: int, n: int) -> list[CapacityTheoryResult]:
-    """ec_min's result for each delta in a float or a 1-d array; the special
-    functions take the matching path, and the exp form is libm's per point.
-    Raises RuntimeError at the first delta whose erfc form is not above its
-    exp form."""
+def _ec_min(delta, dim: int, n: int) -> dict[str, np.ndarray]:
+    """ec_min's result fields, by name, as 1-d arrays over a float or a 1-d
+    array of deltas; the special functions take the matching path, and the
+    exp form is libm's per point.  Raises RuntimeError at the first delta
+    whose erfc form is not above its exp form."""
     d2 = delta * delta
     y2 = d2 * dim / (2.0 - d2)
     y = np.sqrt(y2)
@@ -122,8 +122,8 @@ def _ec_min(delta, dim: int, n: int) -> list[CapacityTheoryResult]:
         raise RuntimeError(
             f"erfc-form bound {float(erfc_bound[i])} not above exp-form {float(exp_bound[i])}"
         )
-    columns = (p, ec, erfc_bound, exp_bound, n * p > 1.0, p == 0.0)
-    return [CapacityTheoryResult(*row) for row in zip(*(col.tolist() for col in columns))]
+    return {"p_delta": p, "ec_min": ec, "erfc_bound": erfc_bound, "exp_bound": exp_bound,
+            "degenerate": n * p > 1.0, "unbounded": p == 0.0}
 
 
 def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
@@ -135,7 +135,8 @@ def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
     fails.  The exact and erfc forms are both reported so their
     (approximation-order) gap can be inspected.
     """
-    return _ec_min(inp.delta, inp.dim, inp.n_experts)[0]
+    fields = _ec_min(inp.delta, inp.dim, inp.n_experts)
+    return CapacityTheoryResult(**{name: col[0].item() for name, col in fields.items()})
 
 
 def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel: int, n_experts: int) -> int:
@@ -149,15 +150,17 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
     return math.ceil(batch_size * capacity_factor / (expert_parallel * n_experts))
 
 
-def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, CapacityTheoryResult]]:
-    """Capacity bounds along a grid of cosine thresholds, as
-    ``(delta, ec_min result)`` pairs, evaluated over the whole grid at once
-    with the bits of one ec_min call per point.
+def capacity_curve(dim: int, n_experts: int, delta_grid) -> dict[str, np.ndarray]:
+    """Capacity bounds along a grid of cosine thresholds, as columns: ``"delta"``
+    (the grid) and then each CapacityTheoryResult field, in field order, each
+    a 1-d array with one entry per grid point (float64, or bool for the
+    flags).  The whole grid is evaluated at once, with the bits of one ec_min
+    call per point.
 
     The grid must be strictly increasing inside (0, 1); the exact bound is
     then non-decreasing along it because p_delta is decreasing in delta.
     """
-    grid = np.asarray(delta_grid, dtype=float)
+    grid = np.array(delta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("delta grid must be a non-empty 1-d sequence")
     if not ((grid > 0) & (grid < 1)).all():  # NaN is not inside either
@@ -165,7 +168,7 @@ def capacity_curve(dim: int, n_experts: int, delta_grid) -> list[tuple[float, Ca
     if not (np.diff(grid) > 0).all():
         raise ValueError("delta grid must be strictly increasing")
     CapacityTheoryInput(float(grid[0]), dim, n_experts)  # checks dim and n_experts
-    return list(zip(grid.tolist(), _ec_min(grid, dim, n_experts)))
+    return {"delta": grid, **_ec_min(grid, dim, n_experts)}
 
 
 def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):

@@ -4,10 +4,13 @@ Subcommands: ``capacity`` (bound queries and curves), ``verify`` (oracle
 suites), ``route-sim`` (routing statistics on sphere tokens), ``train-toy``
 (toy MoE training), ``comm-sim`` (cluster communication model).
 
-Artifact contract: CSV files carry a header row and plain ``repr`` floats;
-every CSV gets a ``<name>.meta.json`` sidecar and every JSON output embeds
+Artifact contract: a command hands each CSV over as columns (header name to
+a list or 1-d array of one type) and it is written a column at a time: a
+header row, then cells printed by ``str`` (plain ``repr`` floats); every CSV
+gets a ``<name>.meta.json`` sidecar and every JSON output embeds
 {tool, version, seed, config}, so a rerun with identical flags and seed is
-byte-identical.  Existing outputs are never overwritten without --force.
+byte-identical.  A command checks all its output paths before it computes,
+and never overwrites one without --force.
 Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
 """
 
@@ -79,40 +82,48 @@ def _meta(seed, config: dict) -> dict:
     return {"tool": "moelab", "version": __version__, "seed": seed, "config": config}
 
 
-def _check_overwrite(path: Path, force: bool):
-    if path.exists() and not force:
-        raise UsageError(f"refusing to overwrite {path} (pass --force)")
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".meta.json")
 
 
-def _write_json(path: Path | None, payload: dict, force: bool):
+def _check_outputs(force: bool, *csv_paths: Path, json_path: Path | None = None):
+    """Refuse, without --force, to overwrite any output: each CSV, its meta
+    sidecar, the JSON file.  A command calls this once, before it computes,
+    so a refusal writes nothing."""
+    paths = [p for path in csv_paths for p in (path, _sidecar(path))]
+    if json_path is not None:
+        paths.append(json_path)
+    for path in paths:
+        if path.exists() and not force:
+            raise UsageError(f"refusing to overwrite {path} (pass --force)")
+
+
+def _write_json(path: Path | None, payload: dict):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    _check_overwrite(path, force)
     path.write_text(text)
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _write_csv(path: Path, columns: dict, seed, config: dict):
+    """Write the column names, then a row per entry, and the sidecar <path>.meta.json.
 
-
-def _write_csv(path: Path, rows, seed, config: dict, force: bool):
-    """Write data rows plus the meta sidecar <path>.meta.json."""
-    _check_overwrite(path, force)
-    meta_path = path.with_name(path.name + ".meta.json")
-    _check_overwrite(meta_path, force)
+    A column is a list or 1-d array of one type.  numpy gives it one dtype and
+    ``str`` prints each entry (``repr`` for a float), so a list mixing ints and
+    floats, or ints past int64, prints as floats, and a string loses any
+    trailing NUL."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    meta_path.write_text(json.dumps(_meta(seed, config), sort_keys=True, indent=2) + "\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+    _sidecar(path).write_text(json.dumps(_meta(seed, config), sort_keys=True, indent=2) + "\n")
+
+
+def _numbered(prefix: str, matrix: np.ndarray) -> dict:
+    """The columns of a matrix as CSV columns named prefix_0, prefix_1, ..."""
+    return {f"{prefix}_{j}": col for j, col in enumerate(matrix.T)}
 
 
 def _read_json(path: str):
@@ -222,14 +233,12 @@ def cmd_capacity(args) -> int:
         query = capacity.CapacityTheoryInput(args.delta if grid is None else grid[0], args.dim, args.experts)
 
     if grid is not None:
+        _check_outputs(args.force, out)
         resolved = {"dim": args.dim, "experts": args.experts, "grid": args.grid, "seed": args.seed}
-        names = [f.name for f in dataclasses.fields(capacity.CapacityTheoryResult)]
-        rows = [["delta", *names]]
-        # getattr, not astuple: astuple deep-copies, which costs about as much per row as ec_min
-        for delta, res in capacity.capacity_curve(args.dim, args.experts, grid):
-            rows.append([delta, *(getattr(res, name) for name in names)])
-        _write_csv(out, rows, args.seed, resolved, args.force)
+        _write_csv(out, capacity.capacity_curve(args.dim, args.experts, grid), args.seed, resolved)
         return 0
+
+    _check_outputs(args.force, json_path=out)
 
     resolved = {"delta": args.delta, "dim": args.dim, "experts": args.experts, "seed": args.seed}
     res = capacity.ec_min(query)
@@ -244,7 +253,7 @@ def cmd_capacity(args) -> int:
         }
     payload = _meta(args.seed, resolved)
     payload["result"] = result
-    _write_json(out, payload, args.force)
+    _write_json(out, payload)
     return 0
 
 
@@ -270,6 +279,7 @@ def cmd_route_sim(args) -> int:
     if experts < 1:
         raise UsageError(f"n_experts must be >= 1, got {experts}")
     out = Path(args.out)
+    hist_out = out.with_name(out.stem + ".histograms.csv")
     with _usage_errors():
         sphere = capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
         if router == "block":
@@ -284,6 +294,7 @@ def cmd_route_sim(args) -> int:
         "router": router, "tokens": tokens, "dim": dim, "experts": experts,
         "noise_std": args.noise_std, "capacity_factor": args.capacity_factor, "seed": seed,
     }
+    _check_outputs(args.force, out, *([hist_out] if args.histograms else []))
 
     batch = capacity.sample_unit_sphere(sphere)
     if router == "block":
@@ -298,23 +309,24 @@ def cmd_route_sim(args) -> int:
 
     assigned = outcome.assigned_counts()
     served = outcome.served_counts()
-    rows = [["expert", "assigned", "served", "dropped", "f", "P"]]
-    for i in range(experts):
-        rows.append([i, int(assigned[i]), int(served[i]), int(assigned[i] - served[i]),
-                     outcome.f[i], outcome.P[i]])
-    _write_csv(out, rows, seed, resolved, args.force)
+    _write_csv(out, {"expert": np.arange(experts), "assigned": assigned, "served": served,
+                     "dropped": assigned - served, "f": outcome.f, "P": outcome.P}, seed, resolved)
 
     if args.histograms:
         hist = capacity.cosine_histograms(batch, outcome, weights)
-        bins = list(zip(hist.bin_edges[:-1], hist.bin_edges[1:]))
-        hrows = [["kind", "expert_i", "expert_j", "bin_lo", "bin_hi", "count"]]
-        for i in range(experts):
-            for j in range(experts):
-                hrows += (["token_pair", i, j, lo, hi, c] for (lo, hi), c in zip(bins, hist.pair_counts[i, j]))
-        for i in range(experts):
-            for (lo, hi), routed, other in zip(bins, hist.routed_counts[i], hist.nonrouted_counts[i]):
-                hrows += [["weight_routed", i, i, lo, hi, routed], ["weight_other", i, i, lo, hi, other]]
-        _write_csv(out.with_name(out.stem + ".histograms.csv"), hrows, seed, resolved, args.force)
+        # token_pair rows over (i, j, bin), then weight_routed and weight_other over (i, bin)
+        i, j, pair_bin = (a.ravel() for a in np.indices(hist.pair_counts.shape))
+        w, w_bin, kind = (a.ravel() for a in np.indices((*hist.routed_counts.shape, 2)))
+        bins = np.concatenate([pair_bin, w_bin])
+        _write_csv(hist_out, {
+            "kind": np.concatenate([np.full(i.size, "token_pair"), np.array(["weight_routed", "weight_other"])[kind]]),
+            "expert_i": np.concatenate([i, w]),
+            "expert_j": np.concatenate([j, w]),
+            "bin_lo": hist.bin_edges[bins],
+            "bin_hi": hist.bin_edges[bins + 1],
+            "count": np.concatenate([hist.pair_counts.ravel(),
+                                     np.stack([hist.routed_counts, hist.nonrouted_counts], axis=-1).ravel()]),
+        }, seed, resolved)
     return 0
 
 
@@ -354,6 +366,8 @@ def cmd_train_toy(args) -> int:
     if args.out is None:
         raise UsageError("train-toy requires --out")
     out = Path(args.out)
+    report_out, volumes_out = (out.with_name(out.stem + suffix) for suffix in (".report.csv", ".volumes.csv"))
+    _check_outputs(args.force, out, report_out, volumes_out)
     experts, seed = args.experts, args.seed
     with _usage_errors():
         topology = dataclasses.replace(defaults.DEFAULT_TOPOLOGY, n_nodes=args.nodes,
@@ -380,29 +394,29 @@ def cmd_train_toy(args) -> int:
     run = train(corpus, args.router, experts, placement, topology,
                 epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
 
+    records = run.records
+    counts = np.array([rec.counts for rec in records])
     # run.csv and run.report.csv share each epoch's lead columns; step is always 0,
     # as the toy takes one full-batch step per epoch
-    lead_cols = ["epoch", "step", "router", *(f"count_{i}" for i in range(experts))]
-    rows = [lead_cols + [f"f_{i}" for i in range(experts)] + [f"P_{i}" for i in range(experts)]
-            + ["l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task", "locality_fraction", "entropy"]]
-    report = [lead_cols + ["entropy", "never_used_fraction", "locality_fraction"]]
-    seen = np.zeros(experts, dtype=bool)  # experts used in this epoch or an earlier one
-    for rec in run.records:
-        seen |= rec.counts > 0
-        lead = [rec.epoch, 0, run.router_kind, *rec.counts]
-        ent = entropy(rec.f)
-        rows.append(lead + [*rec.f, *rec.P, rec.l_aux, rec.l_loc, rec.l_cross, rec.l_cross_mean,
-                            rec.l_task, rec.locality_fraction, ent])
-        report.append(lead + [ent, (~seen).mean(), rec.locality_fraction])
-    _write_csv(out, rows, seed, resolved, args.force)
-    _write_csv(out.with_name(out.stem + ".report.csv"), report, seed, resolved, args.force)
+    lead = {"epoch": [rec.epoch for rec in records], "step": [0] * len(records),
+            "router": [run.router_kind] * len(records), **_numbered("count", counts)}
+    ent = [entropy(rec.f) for rec in records]
+    locality = [rec.locality_fraction for rec in records]
+    _write_csv(out, {
+        **lead, **_numbered("f", np.array([rec.f for rec in records])),
+        **_numbered("P", np.array([rec.P for rec in records])),
+        **{name: [getattr(rec, name) for rec in records]
+           for name in ("l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task")},
+        "locality_fraction": locality, "entropy": ent,
+    }, seed, resolved)
+    seen = np.logical_or.accumulate(counts > 0)  # experts used in this epoch or an earlier one
+    _write_csv(report_out, {**lead, "entropy": ent, "never_used_fraction": (~seen).mean(axis=1),
+                            "locality_fraction": locality}, seed, resolved)
 
     volume = build_volume_matrix(
         run.final_outcome, placement, defaults.DEFAULT_TOKEN_BYTES, run.source_device, topology
     )
-    vrows = [[f"to_dev_{j}" for j in range(volume.shape[1])]]
-    vrows.extend(list(row) for row in volume)
-    _write_csv(out.with_name(out.stem + ".volumes.csv"), vrows, seed, resolved, args.force)
+    _write_csv(volumes_out, _numbered("to_dev", volume), seed, resolved)
     return 0
 
 
@@ -415,6 +429,7 @@ def cmd_comm_sim(args) -> int:
         if not args.compare_routers and not isinstance(getattr(args, dest), (type(None), _Default)):
             raise UsageError(f"--{dest.replace('_', '-')} applies only with --compare-routers")
     out = Path(args.out)
+    _check_outputs(args.force, out)
     topology = _topology_from_json(args.topology)
     with _usage_errors("--tp-group: "):
         topology.check_group_size(args.tp_group)
@@ -450,14 +465,11 @@ def cmd_comm_sim(args) -> int:
     phase_bytes = {p.kind: 0.0 for p in plan.phases}
     for p in plan.phases:
         phase_bytes[p.kind] += p.total_bytes
-    rows = [
-        ["tp_group", "plain_alltoall_s", "groupwise_total_s",
-         "dispatch_bytes", "allgather_bytes", "input_bytes"],
-        [args.tp_group, plain, grouped,
-         phase_bytes.get("all_to_all", 0.0), phase_bytes.get("all_gather", 0.0),
-         float(volume.sum())],
-    ]
-    _write_csv(out, rows, args.seed, resolved, args.force)
+    _write_csv(out, {
+        "tp_group": [args.tp_group], "plain_alltoall_s": [plain], "groupwise_total_s": [grouped],
+        "dispatch_bytes": [phase_bytes.get("all_to_all", 0.0)],
+        "allgather_bytes": [phase_bytes.get("all_gather", 0.0)], "input_bytes": [float(volume.sum())],
+    }, args.seed, resolved)
     return 0
 
 
@@ -480,17 +492,12 @@ def _comm_sim_compare(args, topology, out) -> int:
     runs = compare_routers(corpus, experts, placement, topology, epochs=args.epochs, seed=seed)
     report = compare_strategies(runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
                                 tp_group_size=args.tp_group)
-    header = ["router", "entropy", "locality_fraction", "plain_alltoall_s",
-              "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s", "comm_share"]
-    rows = [header]
-    for row in report:
-        kind = row["router"]
-        rows.append([
-            kind, entropy(runs[kind].records[-1].f), row["locality_fraction"],
-            row["plain_alltoall_s"], row["groupwise_alltoall_s"],
-            row["modeled_compute_s"], row["visible_comm_s"], row["comm_share"],
-        ])
-    _write_csv(out, rows, seed, resolved, args.force)
+    kinds = [row["router"] for row in report]
+    _write_csv(out, {
+        "router": kinds, "entropy": [entropy(runs[kind].records[-1].f) for kind in kinds],
+        **{name: [row[name] for row in report] for name in ("locality_fraction", "plain_alltoall_s",
+           "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s", "comm_share")},
+    }, seed, resolved)
     return 0
 
 

@@ -6,6 +6,7 @@ the library code it checks.  Integrable endpoint singularities are removed
 by power substitutions before applying composite Gauss-Legendre rules.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -279,3 +280,22 @@ def per_point_capacity_curve(dim, n, grid):
         rows.append((delta, p, math.inf if p == 0.0 else 1.0 / (n * p), erfc_bound, exp_bound,
                      n * p > 1.0, p == 0.0))
     return rows
+
+
+def rowwise_csv(path, rows):
+    """Write rows to a CSV file one cell at a time: a float (Python or numpy)
+    as its repr, a bool and an int by value, anything else by str."""
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])

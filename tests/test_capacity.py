@@ -166,20 +166,31 @@ class TestEmpiricalCapacity:
             empirical_capacity(32, 1.0, 16, 0)
 
 
+CURVE_COLUMNS = ["delta", *(field.name for field in dataclasses.fields(CapacityTheoryResult))]
+
+
 class TestCapacityCurve:
+    def test_columns_are_the_grid_then_the_result_fields(self):
+        grid = np.linspace(0.01, 0.5, 50)
+        curve = capacity_curve(512, 16, grid)
+        assert list(curve) == CURVE_COLUMNS
+        for name, col in curve.items():
+            assert isinstance(col, np.ndarray) and col.shape == grid.shape, name
+            assert col.dtype == (bool if name in ("degenerate", "unbounded") else np.float64), name
+        assert np.array_equal(curve["delta"], grid)
+
     def test_monotone_non_decreasing(self):
-        curve = capacity_curve(512, 16, np.linspace(0.01, 0.5, 50))
-        values = [res.ec_min for _, res in curve]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = capacity_curve(512, 16, np.linspace(0.01, 0.5, 50))["ec_min"]
+        assert (np.diff(values) >= 0).all()
 
     def test_small_delta_limit(self):
         curve = capacity_curve(512, 16, [1e-9, 1e-6])
-        assert curve[0][1].ec_min == pytest.approx(1 / 16, rel=1e-6)
+        assert curve["ec_min"][0] == pytest.approx(1 / 16, rel=1e-6)
 
     def test_spot_value_vs_quadrature(self):
-        (delta, res), = capacity_curve(512, 16, [0.1])
+        (bound,) = capacity_curve(512, 16, [0.1])["ec_min"]
         p = 1.0 - reg_beta_quad(0.01, 0.5, 255.5)
-        assert res.ec_min == pytest.approx(1.0 / (16 * p), rel=1e-9)
+        assert bound == pytest.approx(1.0 / (16 * p), rel=1e-9)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +200,13 @@ class TestCapacityCurve:
         for grid in ([0.1, math.nan], [math.nan], [0.1, math.inf]):  # rejected before any point is computed
             with pytest.raises(ValueError, match=re.escape("strictly inside (0, 1)")):
                 capacity_curve(64, 8, grid)
+
+
+def column_bits(column):
+    """A column's dtype and entries, each float64 as its bit pattern, so -0.0
+    differs from 0.0 and a 2-d array from a 1-d one."""
+    col = np.asarray(column)
+    return col.dtype, (col.view(np.uint64) if col.dtype == np.float64 else col).tolist()
 
 
 def row_bits(rows):
@@ -209,9 +227,11 @@ class TestCapacityCurveOracle:
         seen = dict.fromkeys(["low branch", "high branch", "degenerate", "unbounded", "exp overflow"], 0)
         for dim, n, grid in self.GRIDS:
             want = per_point_capacity_curve(dim, n, grid)
-            curve = [(delta, *dataclasses.astuple(res)) for delta, res in capacity_curve(dim, n, grid)]
+            curve = capacity_curve(dim, n, grid)
+            assert list(curve) == CURVE_COLUMNS
+            for name, col in zip(CURVE_COLUMNS, zip(*want)):
+                assert column_bits(curve[name]) == column_bits(col), name
             points = [(delta, *dataclasses.astuple(ec_min(theory(delta, dim, n)))) for delta in grid.tolist()]
-            assert row_bits(curve) == row_bits(want)
             assert row_bits(points) == row_bits(want)
             # p_delta is I_x((d - 1) / 2, 1/2) at x = 1 - delta^2; its branch is set by x
             x, a = 1.0 - grid * grid, (dim - 1) / 2.0

@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import moelab
 from moelab import capacity, cli, verify
 from moelab.cli import main
-from oracles import fnv1a64_reference
+from oracles import fnv1a64_reference, rowwise_csv
 
 SRC = Path(moelab.__file__).resolve().parents[1]
 
@@ -30,6 +33,70 @@ def _no_training(*args, **kwargs):
 
 def _no_sampling(*args, **kwargs):
     raise AssertionError("a usage error must be found before any sampling")
+
+
+def _no_bounds(*args, **kwargs):
+    raise AssertionError("a usage error must be found before any bound is computed")
+
+
+def refuses(argv, tmp_path, existing, capsys) -> None:
+    """argv exits 2 naming the one existing output, which is left as it was
+    and is all tmp_path holds."""
+    path = tmp_path / existing
+    path.write_text("kept\n")
+    assert run(argv) == 2
+    assert f"error: refusing to overwrite {path} (pass --force)" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [existing]
+    assert path.read_text() == "kept\n"
+
+
+# Cells of one type each; the writer gives a column one numpy dtype.  Floats
+# cover +-0.0, subnormals, 1e16 and above, NaN and +-inf.  Ints stay in int64
+# and no string ends in NUL: test_a_column_takes_one_numpy_dtype shows why.
+CELLS = {
+    "float": st.floats(),
+    "int": st.integers(-2**63, 2**63 - 1),
+    "bool": st.booleans(),
+    "numpy bool": st.booleans().map(np.bool_),
+    "str": st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    """Named columns of one length, each a list or an array of one cell type."""
+    length = draw(st.integers(0, 6))
+    columns = {}
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))):
+        col = draw(st.lists(CELLS[kind], min_size=length, max_size=length))
+        columns[f"{kind} {k}"] = np.array(col) if draw(st.booleans()) else col
+    return columns
+
+
+class TestCsvWriter:
+    @given(csv_columns())
+    @example({"float": [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308,
+                        math.nan, math.inf, -math.inf, 0.1]})
+    @example({"int": np.arange(3), "bool": [True, False, True], "numpy bool": np.array([False, True, True]),
+              "str": ["token_pair", "a,b", 'say "x"']})
+    def test_columns_give_the_bytes_of_the_row_writer(self, columns):
+        rows = [list(columns), *zip(*columns.values())]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "columns.csv"), Path(tmp, "rows.csv")
+            cli._write_csv(got, columns, 0, {})
+            rowwise_csv(want, rows)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("column, written, rowwise", [
+        ([0, 0.5], "0.0\n0.5\n", "0\n0.5\n"),  # ints and floats make a float column
+        ([0, 2**63], "0.0\n9.223372036854776e+18\n", "0\n9223372036854775808\n"),  # past int64 too
+        (["a\x00", "b\x00c"], "a\nb\x00c\n", "a\x00\nb\x00c\n"),  # a numpy string drops a trailing NUL
+    ])
+    def test_a_column_takes_one_numpy_dtype(self, column, written, rowwise, tmp_path):
+        cli._write_csv(tmp_path / "columns.csv", {"x": column}, 0, {})
+        rowwise_csv(tmp_path / "rows.csv", [["x"], *([v] for v in column)])
+        assert (tmp_path / "columns.csv").read_text() == "x\n" + written
+        assert (tmp_path / "rows.csv").read_text() == "x\n" + rowwise
 
 
 class TestCapacityCommand:
@@ -118,6 +185,17 @@ class TestCapacityCommand:
         assert "error: --grid '0.5:0.5000000000000002:100' does not give strictly increasing" in (
             capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("query, existing", [
+        (["--grid", "0.1:0.5:3"], "curve.out.meta.json"),
+        (["--delta", "0.1", "--mc-samples", "100"], "curve.out"),
+    ])
+    def test_existing_output_is_refused_before_any_bound_is_computed(self, query, existing, tmp_path,
+                                                                     capsys, monkeypatch):
+        for name in ("capacity_curve", "ec_min", "mc_p_delta"):
+            monkeypatch.setattr(capacity, name, _no_bounds)
+        refuses(["capacity", *query, "--dim", "16", "--experts", "8", "--out", str(tmp_path / "curve.out")],
+                tmp_path, existing, capsys)
 
 
 class TestVerifyCommand:
@@ -310,6 +388,12 @@ class TestRouteSimCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", ["r.histograms.csv.meta.json", "r.histograms.csv", "r.csv.meta.json"])
+    def test_existing_output_is_refused_before_any_sampling(self, existing, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.capacity, "sample_unit_sphere", _no_sampling)
+        refuses(["route-sim", "--tokens", "500", "--histograms", "--out", str(tmp_path / "r.csv")],
+                tmp_path, existing, capsys)
+
 
 class TestTrainToyCommand:
     def test_writes_records_report_and_volumes(self, tmp_path):
@@ -489,6 +573,13 @@ class TestTrainToyCommand:
         assert run(args) == 2
         assert "force" in capsys.readouterr().err
         assert run(args + ["--force"]) == 0
+
+    @pytest.mark.parametrize("existing", ["run.volumes.csv", "run.report.csv.meta.json", "run.csv"])
+    def test_existing_output_is_refused_before_any_training(self, existing, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_corpus", _no_sampling)
+        monkeypatch.setattr(cli, "train", _no_training)
+        refuses(["train-toy", "--router", "hash", "--epochs", "3", "--out", str(tmp_path / "run.csv")],
+                tmp_path, existing, capsys)
 
 
 class TestCommSimCommand:
@@ -820,6 +911,16 @@ class TestCommSimCommand:
         rows = {r.split(",")[0]: r.split(",") for r in lines[1:]}
         loc_col = header.index("locality_fraction")
         assert float(rows["loc"][loc_col]) >= float(rows["switch"][loc_col])
+
+    @pytest.mark.parametrize("source, existing", [
+        (["--compare-routers"], "c.csv.meta.json"),
+        (["--compare-routers"], "c.csv"),
+        (["--volumes", "missing.csv"], "c.csv"),  # refused before the volumes are read
+    ])
+    def test_existing_output_is_refused_before_any_work(self, source, existing, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_corpus", _no_sampling)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
+        refuses(["comm-sim", *source, "--out", str(tmp_path / "c.csv")], tmp_path, existing, capsys)
 
 
 class TestDeterminism:
