@@ -9,8 +9,8 @@ a list or 1-d array of one type) and it is written a column at a time: a
 header row, then cells printed by ``str`` (plain ``repr`` floats); every CSV
 gets a ``<name>.meta.json`` sidecar and every JSON output embeds
 {tool, version, seed, config}, so a rerun with identical flags and seed is
-byte-identical.  A command checks all its output paths before it computes,
-and never overwrites one without --force.
+byte-identical.  A command checks all its output paths, and that their
+directories exist, before it computes, and never overwrites one without --force.
 Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
 """
 
@@ -87,13 +87,17 @@ def _sidecar(path: Path) -> Path:
 
 
 def _check_outputs(force: bool, *csv_paths: Path, json_path: Path | None = None):
-    """Refuse, without --force, to overwrite any output: each CSV, its meta
-    sidecar, the JSON file.  A command calls this once, before it computes,
-    so a refusal writes nothing."""
+    """Refuse an output (each CSV, its meta sidecar, the JSON file) whose
+    directory is missing or not a directory, and, without --force, one that
+    exists.  A command calls this once, before it computes, so a refusal
+    writes nothing."""
     paths = [p for path in csv_paths for p in (path, _sidecar(path))]
     if json_path is not None:
         paths.append(json_path)
     for path in paths:
+        if not path.parent.is_dir():
+            why = "is not a directory" if path.parent.exists() else "does not exist"
+            raise UsageError(f"cannot write {path}: {path.parent} {why}")
         if path.exists() and not force:
             raise UsageError(f"refusing to overwrite {path} (pass --force)")
 

@@ -24,12 +24,21 @@ realistic batch size.  The loss gradients come from :mod:`moelab.losses`
 and are back-propagated by hand; :func:`moelab.losses.grad_check` checks
 the whole chain on a probe batch at run start, rerunning per perturbed
 tensor only the forward stages (routing, expert layer, head) it feeds.
+
+:func:`compare_routers` trains the paired runs at once, in up to three
+processes (the caller and two forked workers of about 58 MB peak RSS each),
+each with OpenBLAS on one thread, so its runs no longer depend on the BLAS
+thread count.  :func:`train` alone runs at the caller's BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +115,9 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message: str, record: TrainRecord):
         super().__init__(message)
         self.record = record
+
+    def __reduce__(self):  # survives pickling, so a worker process can raise it
+        return type(self), (self.args[0], self.record)
 
 
 # Desk-scale calibration of the regularizer weights for the toy training
@@ -593,12 +605,91 @@ def train(
     )
 
 
+# (getter, setter) symbol pairs an OpenBLAS build may export
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_thread_fns():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    loaded OpenBLAS exports both."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = {ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread and give the caller's count
+    back afterwards, also on error; yields whether OpenBLAS could be pinned."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield False
+        return
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _train_paired(kind, corpus, n_experts, placement, topology, epochs, seed) -> TrainRun:
+    return train(corpus, kind, n_experts, placement, topology,
+                 epochs=epochs, loss_cfg=COMPARE_LOSSES[kind], seed=seed)
+
+
 def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlacement,
                     topology: ClusterTopology, *, epochs: int, seed: int) -> dict[str, TrainRun]:
-    """The paired runs: each router of :data:`COMPARE_LOSSES`, in order, trained with its losses."""
-    return {kind: train(corpus, kind, n_experts, placement, topology,
-                        epochs=epochs, loss_cfg=loss_cfg, seed=seed)
-            for kind, loss_cfg in COMPARE_LOSSES.items()}
+    """The paired runs: each router of :data:`COMPARE_LOSSES`, in order, trained with its losses.
+
+    The runs are independent, so they train at once: the first router in
+    this process and each other router in its own forked worker, up to
+    three processes in all (a worker peaks at about 58 MB RSS on the
+    default corpus), each with OpenBLAS pinned to one thread.  The toy's
+    matrices are too small for BLAS threads to pay, and the pin makes every
+    run, so every compare artifact, the same whatever BLAS thread count the
+    caller has; the caller's count is restored on return, also on error.
+    :func:`train` called alone, as ``train-toy`` does, still runs at the
+    caller's count.  Where OpenBLAS
+    cannot be pinned or there is no ``fork`` start method, the runs train
+    here, in order.  The first router, in order, whose run fails raises its
+    own exception; a worker that dies raises ``BrokenProcessPool`` (a
+    RuntimeError).  No worker outlives the call.
+    """
+    # imported here, not with the module: they would add some 30 modules to every command's start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    run = functools.partial(_train_paired, corpus=corpus, n_experts=n_experts, placement=placement,
+                            topology=topology, epochs=epochs, seed=seed)
+    first, *rest = COMPARE_LOSSES
+    with _one_blas_thread() as pinned:
+        if not pinned or "fork" not in multiprocessing.get_all_start_methods():
+            return {kind: run(kind) for kind in COMPARE_LOSSES}
+        with ProcessPoolExecutor(len(rest), mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = {kind: pool.submit(run, kind) for kind in rest}
+            runs = {first: run(first)}
+            runs.update((kind, future.result()) for kind, future in futures.items())
+    return runs
 
 
 def entropy(f) -> float:

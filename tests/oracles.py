@@ -282,6 +282,18 @@ def per_point_capacity_curve(dim, n, grid):
     return rows
 
 
+def sequential_compare_routers(corpus, n_experts, placement, topology, *, epochs, seed):
+    """The paired runs as one loop in this process: each router of
+    COMPARE_LOSSES, in order, under the one-BLAS-thread pin compare_routers
+    holds, so the two agree bit for bit."""
+    from moelab import toymoe
+
+    with toymoe._one_blas_thread():
+        return {kind: toymoe.train(corpus, kind, n_experts, placement, topology,
+                                   epochs=epochs, loss_cfg=loss_cfg, seed=seed)
+                for kind, loss_cfg in toymoe.COMPARE_LOSSES.items()}
+
+
 def rowwise_csv(path, rows):
     """Write rows to a CSV file one cell at a time: a float (Python or numpy)
     as its repr, a bool and an int by value, anything else by str."""

@@ -50,6 +50,17 @@ def refuses(argv, tmp_path, existing, capsys) -> None:
     assert path.read_text() == "kept\n"
 
 
+def refuses_bad_directory(argv, out_name, tmp_path, capsys) -> None:
+    """argv with --out in a missing directory, then in a 'directory' that
+    is a regular file, exits 2 naming the output and writes nothing."""
+    (tmp_path / "file").write_text("kept\n")
+    for parent, why in (("nodir", "does not exist"), ("file", "is not a directory")):
+        out = tmp_path / parent / out_name
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {out.parent} {why}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 # Cells of one type each; the writer gives a column one numpy dtype.  Floats
 # cover +-0.0, subnormals, 1e16 and above, NaN and +-inf.  Ints stay in int64
 # and no string ends in NUL: test_a_column_takes_one_numpy_dtype shows why.
@@ -196,6 +207,14 @@ class TestCapacityCommand:
             monkeypatch.setattr(capacity, name, _no_bounds)
         refuses(["capacity", *query, "--dim", "16", "--experts", "8", "--out", str(tmp_path / "curve.out")],
                 tmp_path, existing, capsys)
+
+    @pytest.mark.parametrize("query", [["--grid", "0.1:0.5:3"], ["--delta", "0.1", "--mc-samples", "100"]])
+    def test_output_without_a_directory_is_refused_before_any_bound_is_computed(self, query, tmp_path,
+                                                                                 capsys, monkeypatch):
+        for name in ("capacity_curve", "ec_min", "mc_p_delta"):
+            monkeypatch.setattr(capacity, name, _no_bounds)
+        refuses_bad_directory(["capacity", *query, "--dim", "16", "--experts", "8"], "curve.out",
+                              tmp_path, capsys)
 
 
 class TestVerifyCommand:
@@ -394,6 +413,10 @@ class TestRouteSimCommand:
         refuses(["route-sim", "--tokens", "500", "--histograms", "--out", str(tmp_path / "r.csv")],
                 tmp_path, existing, capsys)
 
+    def test_output_without_a_directory_is_refused_before_any_sampling(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.capacity, "sample_unit_sphere", _no_sampling)
+        refuses_bad_directory(["route-sim", "--tokens", "500", "--histograms"], "r.csv", tmp_path, capsys)
+
 
 class TestTrainToyCommand:
     def test_writes_records_report_and_volumes(self, tmp_path):
@@ -580,6 +603,11 @@ class TestTrainToyCommand:
         monkeypatch.setattr(cli, "train", _no_training)
         refuses(["train-toy", "--router", "hash", "--epochs", "3", "--out", str(tmp_path / "run.csv")],
                 tmp_path, existing, capsys)
+
+    def test_output_without_a_directory_is_refused_before_any_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_corpus", _no_sampling)
+        monkeypatch.setattr(cli, "train", _no_training)
+        refuses_bad_directory(["train-toy", "--router", "hash", "--epochs", "3"], "run.csv", tmp_path, capsys)
 
 
 class TestCommSimCommand:
@@ -922,6 +950,12 @@ class TestCommSimCommand:
         monkeypatch.setattr(cli, "compare_routers", _no_training)
         refuses(["comm-sim", *source, "--out", str(tmp_path / "c.csv")], tmp_path, existing, capsys)
 
+    @pytest.mark.parametrize("source", [["--compare-routers", "--epochs", "5"], ["--volumes", "missing.csv"]])
+    def test_output_without_a_directory_is_refused_before_any_work(self, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_corpus", _no_sampling)
+        monkeypatch.setattr(cli, "compare_routers", _no_training)
+        refuses_bad_directory(["comm-sim", *source], "c.csv", tmp_path, capsys)
+
 
 class TestDeterminism:
     def test_train_toy_reruns_are_byte_identical(self, tmp_path):
@@ -934,6 +968,23 @@ class TestDeterminism:
             assert code == 0
         for name in ("run.csv", "run.report.csv", "run.volumes.csv", "run.csv.meta.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_compare_routers_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        blobs = []
+        for threads in (None, "1", "2"):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            where = tmp_path / f"threads-{threads}"
+            where.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "moelab", "comm-sim", "--compare-routers",
+                                   "--epochs", "2", "--out", "c.csv"],
+                                  cwd=where, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append([(where / name).read_bytes() for name in ("c.csv", "c.csv.meta.json")])
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_capacity_reruns_are_byte_identical(self, tmp_path):
         outs = []

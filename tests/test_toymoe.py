@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import pickle
 import tracemalloc
+from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -38,7 +43,7 @@ from moelab.toymoe import (
     train,
 )
 
-from oracles import straight_line_moe_forward
+from oracles import sequential_compare_routers, straight_line_moe_forward
 
 TOPO = ClusterTopology(2, 4, 100e9, 25e9, 10e-6, 30e-6)
 
@@ -362,6 +367,16 @@ class TestTraining:
         assert f"at epoch {record.epoch}" in str(exc.value)
         assert math.isfinite(record.l_aux) and not math.isfinite(record.l_task)
 
+    def test_divergence_survives_pickling(self):
+        # a worker process hands its exception back pickled
+        record = TrainRecord(epoch=3, counts=np.array([2, 0]), f=np.array([1.0, 0.0]),
+                             P=np.array([0.75, 0.25]), l_aux=0.5, l_loc=0.0, l_cross=math.inf,
+                             l_cross_mean=math.inf, l_task=math.inf, locality_fraction=0.5)
+        exc = pickle.loads(pickle.dumps(TrainingDiverged("non-finite objective inf at epoch 3", record)))
+        assert type(exc) is TrainingDiverged
+        assert str(exc) == "non-finite objective inf at epoch 3"
+        assert_same_bits(exc.record, record)
+
     def test_paired_runs_share_expert_init(self):
         corpus = small_corpus()
         placement = round_robin_placement(8, TOPO)
@@ -434,6 +449,158 @@ class TestTraining:
         unlabeled = TokenBatch(tokens=corpus.tokens, token_ids=corpus.token_ids)
         with pytest.raises(ValueError, match="label"):
             train(unlabeled, "loc", 8, round_robin_placement(8, TOPO), TOPO)
+
+
+def assert_same_bits(got, want, where="value"):
+    """got and want hold the same values bit for bit: dataclasses field by
+    field, dicts key by key in order, lists item by item, arrays by dtype,
+    shape and bytes, floats by their hex form."""
+    assert type(got) is type(want), where
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            assert_same_bits(getattr(got, field.name), getattr(want, field.name), f"{where}.{field.name}")
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_bits(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_bits(g, w, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    elif isinstance(want, float):
+        assert got.hex() == want.hex(), where
+    else:
+        assert got == want, where
+
+
+def probe_fault_for(kinds):
+    """A backward pass whose head gradient is 1% off for the routers in
+    ``kinds``, which fails their start-of-run probe."""
+    real_backward = toymoe._train_backward
+
+    def backward(state, setup, cache):
+        grads = real_backward(state, setup, cache)
+        if setup.router_kind in kinds:
+            grads["head"] = grads["head"] * 1.01
+        return grads
+
+    return backward
+
+
+forks = pytest.mark.skipif(
+    toymoe._openblas_thread_fns() is None or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="compare_routers trains in-process without an OpenBLAS setter or fork")
+
+
+class TestCompareRouters:
+    """compare_routers trains the first router here and each other one in a
+    forked worker, all on one BLAS thread."""
+
+    @staticmethod
+    def small():
+        return small_corpus(), 8, round_robin_placement(8, TOPO), TOPO
+
+    @pytest.mark.parametrize("corpus, epochs", [("small", 3), ("default", 2)])
+    def test_equals_the_sequential_oracle_bit_for_bit(self, corpus, epochs):
+        if corpus == "small":
+            args = self.small()
+        else:
+            args = (make_synthetic_corpus(defaults.DEFAULT_CORPUS), defaults.DEFAULT_N_EXPERTS,
+                    defaults.default_placement(), defaults.DEFAULT_TOPOLOGY)
+        seed = 0 if corpus == "small" else defaults.DEFAULT_SEED
+        got = compare_routers(*args, epochs=epochs, seed=seed)
+        assert_same_bits(got, sequential_compare_routers(*args, epochs=epochs, seed=seed), "runs")
+
+    @forks
+    def test_only_the_first_router_trains_here_on_one_blas_thread(self, monkeypatch):
+        get, _ = toymoe._openblas_thread_fns()
+        real_train = toymoe.train
+        here = []  # a forked worker appends to its own copy
+
+        def train_here(corpus, kind, *args, **kwargs):
+            here.append((kind, get()))
+            return real_train(corpus, kind, *args, **kwargs)
+
+        monkeypatch.setattr(toymoe, "train", train_here)
+        assert list(compare_routers(*self.small(), epochs=1, seed=0)) == ["hash", "switch", "loc"]
+        assert here == [("hash", 1)]
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({"switch", "loc"}, "switch"), ({"hash", "loc"}, "hash"), ({"loc"}, "loc")])
+    def test_the_first_failing_router_in_order_raises_its_own_error(self, failing, raised, monkeypatch):
+        monkeypatch.setattr(toymoe, "_train_backward", probe_fault_for(failing))
+        with pytest.raises(AssertionError, match=f"gradient check failed for router '{raised}'"):
+            compare_routers(*self.small(), epochs=1, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_divergence_in_the_loc_worker_raises_as_in_process(self, monkeypatch):
+        real_forward = toymoe._train_forward
+
+        def diverging(state, setup):
+            objective, cache = real_forward(state, setup)
+            if setup.router_kind == "loc" and len(setup.tokens) > toymoe._PROBE_TOKENS:
+                objective = math.nan  # every training epoch, never the probe's objective
+            return objective, cache
+
+        monkeypatch.setattr(toymoe, "_train_forward", diverging)
+        with pytest.raises(TrainingDiverged) as forked:
+            compare_routers(*self.small(), epochs=2, seed=0)
+        with pytest.raises(TrainingDiverged) as here:
+            sequential_compare_routers(*self.small(), epochs=2, seed=0)
+        assert str(forked.value) == str(here.value) == "non-finite objective nan at epoch 0"
+        assert_same_bits(forked.value.record, here.value.record, "record")
+
+    @forks
+    def test_blas_thread_count_is_restored_after_success_and_failure(self, monkeypatch):
+        get, put = toymoe._openblas_thread_fns()
+        before = get()
+        put(2)  # a count other than the pin's
+        try:
+            compare_routers(*self.small(), epochs=1, seed=0)
+            assert get() == 2
+            monkeypatch.setattr(toymoe, "_train_backward", probe_fault_for({"switch"}))
+            with pytest.raises(AssertionError):
+                compare_routers(*self.small(), epochs=1, seed=0)
+            assert get() == 2
+        finally:
+            put(before)
+
+    @forks
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        compare_routers(*self.small(), epochs=1, seed=0)
+        assert multiprocessing.active_children() == []
+        parent = os.getpid()
+        real_train = toymoe.train
+
+        def train_or_die(corpus, kind, *args, **kwargs):
+            if kind == "loc" and os.getpid() != parent:
+                os._exit(3)
+            return real_train(corpus, kind, *args, **kwargs)
+
+        monkeypatch.setattr(toymoe, "train", train_or_die)
+        with pytest.raises(BrokenProcessPool) as exc:
+            compare_routers(*self.small(), epochs=1, seed=0)
+        assert isinstance(exc.value, RuntimeError)  # the CLI's exit 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("missing", ["setter", "fork"])
+    def test_in_process_path_equals_the_oracle(self, missing, monkeypatch):
+        want = sequential_compare_routers(*self.small(), epochs=2, seed=0)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the in-process path forks no worker")
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+        with toymoe._one_blas_thread():  # the oracle's pin, held around the call
+            if missing == "setter":
+                monkeypatch.setattr(toymoe, "_openblas_thread_fns", lambda: None)
+            else:
+                monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            got = compare_routers(*self.small(), epochs=2, seed=0)
+        assert_same_bits(got, want, "runs")
 
 
 class TestEmptySourceNodes:
