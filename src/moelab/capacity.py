@@ -147,7 +147,11 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
             f"must be positive, got ({batch_size}, {capacity_factor}, "
             f"{expert_parallel}, {n_experts})"
         )
-    return math.ceil(batch_size * capacity_factor / (expert_parallel * n_experts))
+    budget = batch_size * capacity_factor / (expert_parallel * n_experts)
+    if not math.isfinite(budget):
+        raise ValueError(f"capacity budget {batch_size} * {capacity_factor} / "
+                         f"({expert_parallel} * {n_experts}) is not finite")
+    return math.ceil(budget)
 
 
 def capacity_curve(dim: int, n_experts: int, delta_grid) -> dict[str, np.ndarray]:

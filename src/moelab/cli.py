@@ -406,11 +406,13 @@ def cmd_train_toy(args) -> int:
             "router": [run.router_kind] * len(records), **_numbered("count", counts)}
     ent = [entropy(rec.f) for rec in records]
     locality = [rec.locality_fraction for rec in records]
+    l_cross = [rec.l_cross_mean * corpus.n_tokens for rec in records]  # the summed cross-entropy
     _write_csv(out, {
         **lead, **_numbered("f", np.array([rec.f for rec in records])),
         **_numbered("P", np.array([rec.P for rec in records])),
-        **{name: [getattr(rec, name) for rec in records]
-           for name in ("l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task")},
+        "l_aux": [rec.l_aux for rec in records], "l_loc": [rec.l_loc for rec in records],
+        "l_cross": l_cross, "l_cross_mean": [rec.l_cross_mean for rec in records],
+        "l_task": [rec.l_aux + rec.l_loc + total for rec, total in zip(records, l_cross)],
         "locality_fraction": locality, "entropy": ent,
     }, seed, resolved)
     seen = np.logical_or.accumulate(counts > 0)  # experts used in this epoch or an earlier one
@@ -494,13 +496,12 @@ def _comm_sim_compare(args, topology, out) -> int:
         "losses": {kind: {"alpha": cfg.alpha, "mu": cfg.mu} for kind, cfg in COMPARE_LOSSES.items()},
     }
     runs = compare_routers(corpus, experts, placement, topology, epochs=args.epochs, seed=seed)
-    report = compare_strategies(runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
-                                tp_group_size=args.tp_group)
-    kinds = [row["router"] for row in report]
+    last = [run.records[-1] for run in runs.values()]  # each run's record of its final outcome
     _write_csv(out, {
-        "router": kinds, "entropy": [entropy(runs[kind].records[-1].f) for kind in kinds],
-        **{name: [row[name] for row in report] for name in ("locality_fraction", "plain_alltoall_s",
-           "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s", "comm_share")},
+        "router": list(runs), "entropy": [entropy(rec.f) for rec in last],
+        "locality_fraction": [rec.locality_fraction for rec in last],
+        **compare_strategies(runs, placement, topology, defaults.DEFAULT_TOKEN_BYTES,
+                             tp_group_size=args.tp_group),
     }, seed, resolved)
     return 0
 

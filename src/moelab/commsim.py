@@ -23,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 OVERLAP_RATIO = 0.5  # share of modeled compute that hides communication in compare_strategies
+DEVICE_FLOPS = 1e12  # illustrative per-device flop/s behind modeled compute time
 _BLOCK_PAIRS = 1 << 16  # sender-receiver pairs alltoall_cost holds per block of senders
 
 
@@ -247,40 +248,44 @@ def locality_fraction(outcome, placement: ExpertPlacement, source_map, topology:
     return float(np.mean(dest_node == src_node))
 
 
+def flops_per_served_token(dim: int, hidden: int) -> int:
+    """Expert work per served token; independent of the expert count."""
+    return 4 * dim * hidden + hidden + dim
+
+
+def forward_flops(outcome, dim: int, hidden: int) -> int:
+    """Expert work of an outcome's served tokens; dropped tokens cost nothing."""
+    return int((~outcome.dropped).sum()) * flops_per_served_token(dim, hidden)
+
+
 def compare_strategies(
     runs: dict,
     placement: ExpertPlacement,
     topology: ClusterTopology,
     token_bytes: int,
     tp_group_size: int = 8,
-) -> list[dict]:
-    """Model communication for the final assignment of each training run.
+) -> dict[str, list[float]]:
+    """Model one step of each training run at its final assignment.
 
     ``runs`` maps a router name to an object exposing ``final_outcome``,
-    ``source_device`` and ``modeled_compute_seconds`` (a toy-training
-    run).  For each router the report carries plain and group-wise modeled
-    seconds, the locality fraction, and the visible communication share of
-    a modeled epoch, where visible = max(0, comm - OVERLAP_RATIO * compute); the overlap
-    term is a deliberately coarse stand-in for interleaved execution.
+    ``source_device`` and ``params["w_in"]`` (a toy-training run; the
+    stacked weights give the experts' hidden width and dim).  Returns
+    columns, one entry per run in order: plain and group-wise All-to-All
+    seconds, the compute (the run's :func:`forward_flops` spread evenly
+    over the devices at DEVICE_FLOPS each), the visible communication
+    max(0, plain - OVERLAP_RATIO * compute), a deliberately coarse stand-in
+    for interleaved execution, and its share of compute plus visible comm.
     """
-    rows = []
-    for name, run in runs.items():
-        outcome = run.final_outcome
-        volume = build_volume_matrix(outcome, placement, token_bytes, run.source_device, topology)
+    columns = {name: [] for name in ("plain_alltoall_s", "groupwise_alltoall_s", "modeled_compute_s",
+                                     "visible_comm_s", "comm_share")}
+    for run in runs.values():
+        volume = build_volume_matrix(run.final_outcome, placement, token_bytes, run.source_device, topology)
         plain = alltoall_cost(volume, topology)
         grouped, _ = groupwise_alltoall_cost(volume, topology, tp_group_size)
-        frac = locality_fraction(outcome, placement, run.source_device, topology)
-        compute = run.modeled_compute_seconds
+        hidden, dim = run.params["w_in"].shape[1:]
+        compute = forward_flops(run.final_outcome, dim, hidden) / (DEVICE_FLOPS * topology.total_devices)
         visible = max(0.0, plain - OVERLAP_RATIO * compute)
-        rows.append(
-            {
-                "router": name,
-                "plain_alltoall_s": plain,
-                "groupwise_alltoall_s": grouped,
-                "locality_fraction": frac,
-                "modeled_compute_s": compute,
-                "visible_comm_s": visible,
-                "comm_share": visible / (compute + visible) if compute + visible > 0 else 0.0,
-            }
-        )
-    return rows
+        share = visible / (compute + visible) if compute + visible > 0 else 0.0
+        for name, value in zip(columns, (plain, grouped, compute, visible, share)):
+            columns[name].append(value)
+    return columns

@@ -3,8 +3,8 @@
 The cluster numbers are declared configuration for the cost model, not
 measurements of any real machine; the toy-training numbers are the
 desk-scale calibration the shipped demos and acceptance checks run with.
-Model constants, such as ``toymoe.DEVICE_FLOPS`` and
-``commsim.OVERLAP_RATIO``, live with their models.
+Model constants live with their models: the cost model's
+``commsim.DEVICE_FLOPS`` and ``commsim.OVERLAP_RATIO``, for one.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ Three router kinds are supported:
                penalties can steer routing while the gating rows stay
                frozen.
 
-The optimizer descends on aux + locality + per-token-mean cross-entropy.
-The summed cross-entropy and its task-loss total are computed and logged
-alongside; the mean is used for the descent direction because the summed
-form scales with the token count and drowns the O(1) regularizers at any
-realistic batch size.  The loss gradients come from :mod:`moelab.losses`
-and are back-propagated by hand; :func:`moelab.losses.grad_check` checks
-the whole chain on a probe batch at run start, rerunning per perturbed
-tensor only the forward stages (routing, expert layer, head) it feeds.
+The optimizer descends on aux + locality + per-token-mean cross-entropy:
+the summed form scales with the token count and drowns the O(1)
+regularizers at any realistic batch size.  A run records the losses it
+computed; the summed cross-entropy and task total derived from them are
+left to the CLI, which writes them.  The loss gradients come from
+:mod:`moelab.losses` and are back-propagated by hand;
+:func:`moelab.losses.grad_check` checks the whole chain on a probe batch
+at run start, rerunning per perturbed tensor only the forward stages
+(routing, expert layer, head) it feeds.
 
 :func:`compare_routers` trains the paired runs at once, in up to three
 processes (the caller and two forked workers of about 58 MB peak RSS each),
@@ -102,9 +103,7 @@ class TrainRecord:
     P: np.ndarray
     l_aux: float
     l_loc: float
-    l_cross: float
     l_cross_mean: float
-    l_task: float
     locality_fraction: float
 
 
@@ -132,7 +131,6 @@ COMPARE_LOSSES = {"hash": LossConfig(0.0, 0.0), "switch": LossConfig(0.0, 0.0), 
 
 # the loc pre-gating projection starts at LOC_GAIN * I: a useful softmax temperature
 LOC_GAIN = 0.2
-DEVICE_FLOPS = 1e12  # illustrative per-device flop/s behind modeled compute time
 
 
 @dataclass
@@ -144,7 +142,6 @@ class TrainRun:
     final_outcome: RoutingOutcome
     source_device: np.ndarray
     probe_grad_rel_err: float
-    modeled_compute_seconds: float
     params: dict  # the trained tensors: head, w_in, w_out and, for switch and loc, gating
 
 
@@ -191,15 +188,6 @@ def gelu_grad(x, cdf=None):
     out *= x
     out += cdf
     return out
-
-
-def flops_per_served_token(dim: int, hidden: int) -> int:
-    """Expert work per served token; independent of the expert count."""
-    return 4 * dim * hidden + hidden + dim
-
-
-def forward_flops(outcome: RoutingOutcome, dim: int, hidden: int) -> int:
-    return int((~outcome.dropped).sum()) * flops_per_served_token(dim, hidden)
 
 
 def init_experts(n_experts: int, dim: int, hidden: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +491,6 @@ def train(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
     t, dim = corpus.tokens.shape
-    hidden = 4 * dim
     n_classes = int(corpus.labels.max()) + 1
 
     # contiguous corpus shards per device, as data-parallel ranks would hold:
@@ -520,7 +507,7 @@ def train(
         )
 
     rng = np.random.default_rng(seed)
-    w_in, w_out = init_experts(n_experts, dim, hidden, rng)
+    w_in, w_out = init_experts(n_experts, dim, 4 * dim, rng)
     state = {
         "w_in": w_in,
         "w_out": w_out,
@@ -565,8 +552,6 @@ def train(
     final_outcome: RoutingOutcome | None = None
     for epoch in range(epochs):
         objective, cache = _train_forward(state, setup)
-        l_cross_sum = cache["l_cross_mean"] * t
-
         outcome = cache["outcome"]
         record = TrainRecord(
             epoch=epoch,
@@ -575,9 +560,7 @@ def train(
             P=outcome.P.copy(),
             l_aux=cache["l_aux"],
             l_loc=cache["l_loc"],
-            l_cross=l_cross_sum,
             l_cross_mean=cache["l_cross_mean"],
-            l_task=cache["l_aux"] + cache["l_loc"] + l_cross_sum,
             locality_fraction=locality_fraction(outcome, placement, source_device, topology),
         )
         if not math.isfinite(objective):
@@ -593,14 +576,12 @@ def train(
                 state[name] -= lr * g
         del cache  # free this epoch's z/Phi cache before the next forward
 
-    compute_s = forward_flops(final_outcome, dim, hidden) / (DEVICE_FLOPS * n_dev)
     return TrainRun(
         router_kind=router_kind,
         records=records,
         final_outcome=final_outcome,
         source_device=source_device,
         probe_grad_rel_err=probe_err,
-        modeled_compute_seconds=compute_s,
         params=state,
     )
 

@@ -34,6 +34,8 @@ from moelab.cli import main as cli_main
 from moelab.commsim import (
     alltoall_cost,
     build_volume_matrix,
+    flops_per_served_token,
+    forward_flops,
     groupwise_alltoall_cost,
     locality_fraction,
 )
@@ -59,8 +61,6 @@ from moelab.router import (
 from moelab.toymoe import (
     compare_routers,
     entropy,
-    flops_per_served_token,
-    forward_flops,
     init_experts,
     make_synthetic_corpus,
     moe_forward,

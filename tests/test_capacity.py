@@ -165,6 +165,13 @@ class TestEmpiricalCapacity:
         with pytest.raises(ValueError):
             empirical_capacity(32, 1.0, 16, 0)
 
+    def test_rejects_a_budget_that_is_not_finite(self):
+        # 1000 * 1e300 / 8 is finite and its ceiling exact; 1000 * 1e308 overflows
+        assert empirical_capacity(1000, 1e300, 1, 8) == math.ceil(1000 * 1e300 / 8)
+        for factor in (1e308, math.inf):
+            with pytest.raises(ValueError, match="is not finite"):
+                empirical_capacity(1000, factor, 1, 8)
+
 
 CURVE_COLUMNS = ["delta", *(field.name for field in dataclasses.fields(CapacityTheoryResult))]
 

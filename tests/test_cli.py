@@ -372,6 +372,14 @@ class TestRouteSimCommand:
         assert "error: --capacity-factor must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_capacity_factor_whose_budget_overflows_is_usage_error(self, tmp_path, capsys):
+        # 1e300 still gives a finite budget; 1000 * 1e308 overflows to inf
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--tokens", "1000", "--capacity-factor", "1e308",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: capacity budget 1000 * 1e+308 / (1 * 8) is not finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_experts_not_dividing_dim_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "route.csv"
         assert run(["route-sim", "--router", "block", "--tokens", "100", "--dim", "64",
@@ -435,6 +443,21 @@ class TestTrainToyCommand:
         meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
         assert meta["seed"] == 2
         assert meta["config"]["router"] == "loc"
+
+    @pytest.mark.parametrize("router", ["hash", "switch", "loc"])
+    def test_loss_totals_are_derived_from_the_logged_losses(self, router, tmp_path):
+        # l_cross is the summed cross-entropy l_cross_mean * T, and l_task is
+        # l_aux + l_loc + l_cross, bit for bit
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--router", router, "--epochs", "3", "--tokens-per-cluster", "64",
+                    "--out", str(out)]) == 0
+        header, *rows = read_rows(out)
+        tokens = 4 * 64  # the default four clusters
+        for row in rows:
+            loss = {name: float(row[header.index(name)])
+                    for name in ("l_aux", "l_loc", "l_cross", "l_cross_mean", "l_task")}
+            assert loss["l_cross"].hex() == (loss["l_cross_mean"] * tokens).hex()
+            assert loss["l_task"].hex() == (loss["l_aux"] + loss["l_loc"] + loss["l_cross"]).hex()
 
     def test_hash_report_is_balanced_and_shares_the_run_csvs_columns(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -13,11 +13,14 @@ from moelab.commsim import (
     alltoall_cost,
     build_volume_matrix,
     compare_strategies,
+    flops_per_served_token,
+    forward_flops,
     groupwise_alltoall_cost,
     locality_fraction,
     round_robin_placement,
 )
-from moelab.router import RoutingOutcome
+from moelab.router import RoutingOutcome, hash_route
+from moelab.toymoe import SyntheticCorpusConfig, make_synthetic_corpus, train
 
 from oracles import (
     groupwise_cost_reference,
@@ -412,10 +415,17 @@ class TestCostMemory:
 
 
 class _FakeRun:
-    def __init__(self, outcome, source, compute=1e-3):
+    """What compare_strategies reads of a run: its final outcome, the token
+    sources and the stacked expert weights' shape (zeros here)."""
+
+    def __init__(self, outcome, source, dim=32):
         self.final_outcome = outcome
         self.source_device = source
-        self.modeled_compute_seconds = compute
+        self.params = {"w_in": np.zeros((outcome.n_experts, 4 * dim, dim))}
+
+
+COST_COLUMNS = ["plain_alltoall_s", "groupwise_alltoall_s", "modeled_compute_s", "visible_comm_s",
+                "comm_share"]
 
 
 class TestCompareStrategies:
@@ -428,10 +438,9 @@ class TestCompareStrategies:
             "a": _FakeRun(outcome_for(experts), src),
             "b": _FakeRun(outcome_for(experts.copy()), src.copy()),
         }
-        rows = compare_strategies(runs, placement, TOPO, 4096, tp_group_size=8)
-        assert rows[0]["plain_alltoall_s"] == rows[1]["plain_alltoall_s"]
-        assert rows[0]["groupwise_alltoall_s"] == rows[1]["groupwise_alltoall_s"]
-        assert rows[0]["locality_fraction"] == rows[1]["locality_fraction"]
+        columns = compare_strategies(runs, placement, TOPO, 4096, tp_group_size=8)
+        for name in COST_COLUMNS:
+            assert columns[name][0] == columns[name][1], name
 
     def test_report_columns(self):
         rng = np.random.default_rng(10)
@@ -440,9 +449,37 @@ class TestCompareStrategies:
             name: _FakeRun(outcome_for(rng.integers(0, 16, 500)), rng.integers(0, D, 500))
             for name in ("hash", "switch", "loc")
         }
-        rows = compare_strategies(runs, placement, TOPO, 4096)
-        assert len(rows) == 3
-        for row in rows:
-            assert {"router", "plain_alltoall_s", "groupwise_alltoall_s",
-                    "locality_fraction", "comm_share"} <= set(row)
-            assert row["visible_comm_s"] >= 0.0
+        columns = compare_strategies(runs, placement, TOPO, 4096)
+        assert list(columns) == COST_COLUMNS
+        assert all(len(col) == 3 for col in columns.values())
+        assert all(v >= 0.0 for v in columns["visible_comm_s"])
+
+
+class TestModeledCompute:
+    def test_flops_per_served_token_independent_of_expert_count(self):
+        d, h, t = 8, 32, 64
+        per_token = []
+        for n in (2, 4, 8):
+            outcome = hash_route(np.arange(t), n)
+            served = int((~outcome.dropped).sum())
+            per_token.append(forward_flops(outcome, d, h) / served)
+        assert per_token[0] == per_token[1] == per_token[2] == flops_per_served_token(d, h)
+
+    def test_compute_column_charges_the_served_tokens_of_real_runs(self):
+        # one run serves every token, the other runs at a capacity below the
+        # mean load; each costs its served tokens' flops over D devices
+        d, n = 16, 8
+        corpus = make_synthetic_corpus(SyntheticCorpusConfig(4, d, 64, 8.0, seed=3))
+        placement = round_robin_placement(n, TOPO)
+        runs = {
+            name: train(corpus, "switch", n, placement, TOPO, epochs=2, seed=0, capacity=cap,
+                        check_gradients=False)
+            for name, cap in (("uncapped", None), ("capped", corpus.n_tokens // (2 * n)))
+        }
+        served = [int((~run.final_outcome.dropped).sum()) for run in runs.values()]
+        assert served[0] == corpus.n_tokens > served[1]
+        compute = compare_strategies(runs, placement, TOPO, 4096)["modeled_compute_s"]
+        for got, count in zip(compute, served):
+            want = count * flops_per_served_token(d, 4 * d) / (commsim.DEVICE_FLOPS * D)
+            assert got.hex() == want.hex()
+        assert compute[1] < compute[0]

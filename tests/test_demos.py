@@ -1,8 +1,6 @@
 """The narrative demos run to completion against the current library API.
 
 Each demo runs as a subprocess with the moelab under test on its path.
-``demos/toy_training.py`` is left out: it takes about ten seconds and calls
-the same ``train`` the acceptance tests exercise.
 """
 
 import os
@@ -18,7 +16,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = Path(moelab.__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["capacity_theory.py", "comm_model.py", "routing_balance.py"])
+@pytest.mark.parametrize("name", ["capacity_theory.py", "comm_model.py", "routing_balance.py",
+                                  "toy_training.py"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

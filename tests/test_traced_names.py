@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` rebinds each ``(module, name)`` of its ``TRACED``
 table at run time, and ``perfbench/workloads.py`` calls ``toymoe.train``
 and reads ``defaults`` directly; a name deleted or a parameter renamed in
-the library would fail only there.  Both files are read by path, so the
-benchmark is not imported as a package.
+the library would fail only there.  ``workloads.py`` also restates some
+library policies and constants, which must not drift from the library's.
+Both files are read by path, so the benchmark is not imported as a package.
 """
 
 import ast
@@ -13,7 +14,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from moelab import defaults, toymoe
+from moelab import commsim, defaults, toymoe
 from moelab.losses import LossConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,3 +64,17 @@ def test_compare_losses_match_the_benchmarks_copy():
     # with it, in a change to the benchmark.
     zero = LossConfig(alpha=0.0, mu=0.0)
     assert toymoe.COMPARE_LOSSES == {"hash": zero, "switch": zero, "loc": defaults.DEFAULT_TRAIN_LOSSES}
+
+
+def test_cost_constants_match_the_benchmarks_copies():
+    # perfbench/workloads.py::_check_compare recomputes the compare CSV's
+    # modeled compute and visible communication from its own copies of
+    # these constants.  A change here has to move them with it, in a
+    # change to the benchmark.
+    names = ("DEVICE_FLOPS", "OVERLAP_RATIO")
+    copies = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(WORKLOADS.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id in names
+    }
+    assert copies == {name: getattr(commsim, name) for name in names}
