@@ -106,9 +106,8 @@ def _reciprocal_or_inf(n: int, v: np.ndarray) -> np.ndarray:
 
 def _ec_min(delta, dim: int, n: int) -> dict[str, np.ndarray]:
     """ec_min's result fields, by name, as 1-d arrays over a float or a 1-d
-    array of deltas; the special functions take the matching path, and the
-    exp form is libm's per point.  Raises RuntimeError at the first delta
-    whose erfc form is not above its exp form."""
+    array of deltas; the exp form is libm's per point.  Raises RuntimeError
+    at the first delta whose erfc form is not above its exp form."""
     d2 = delta * delta
     y2 = d2 * dim / (2.0 - d2)
     y = np.sqrt(y2)
@@ -239,41 +238,49 @@ def mc_assignment_fractions(dim: int, n_experts: int, n_samples: int, seed: int 
     return counts / n_samples, sigma
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
-    count on first use and returned read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+_GL_NODES = 160  # Gauss-Legendre nodes of the cap quadrature
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once on first
+    use and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _gauss_legendre(f, a: float, b: float, n_nodes: int = 160) -> float:
-    nodes, weights = _legendre_rule(n_nodes)
+def _gauss_legendre(f, a: float, b: float) -> float:
+    nodes, weights = _legendre_rule()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return float(half * np.sum(weights * f(mid + half * nodes)))
 
 
-def cap_area_identity_check(delta: float, dim: int) -> tuple[float, float, float]:
-    """Two-cap area fraction by direct quadrature vs. the beta identity.
+def cap_area_identity_check(delta, dim: int):
+    """Two-cap area fraction by direct quadrature vs. the beta identity,
+    elementwise in delta (a float or an array).
 
     lhs integrates sin^(d-2) over the polar angle of the cap and
-    normalizes by the full-sphere area; rhs is
-    1 - I_{delta^2}(1/2, (d-1)/2).  Returns (lhs, rhs, abs_err).
+    normalizes by the full-sphere area, one quadrature per delta; rhs is
+    1 - I_{delta^2}(1/2, (d-1)/2), evaluated once over all deltas.
+    Returns (lhs, rhs, abs_err): three floats for a float delta, else
+    three arrays of delta's shape.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    flat = np.ravel(delta)
+    bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()  # NaN included
+    if bad:
+        raise ValueError(f"delta must lie in [0, 1], got {bad[0]}")
     if dim < 3:
         raise ValueError(f"dim must be >= 3 for the cap quadrature, got {dim}")
-    phi = math.acos(delta)
-    integral = _gauss_legendre(lambda t: np.sin(t) ** (dim - 2), 0.0, phi)
     # A_cap / A_total = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * integral
     ratio = math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)) / math.sqrt(math.pi)
-    lhs = 2.0 * ratio * integral
-    rhs = _p_delta(delta, dim)
-    return lhs, rhs, abs(lhs - rhs)
+    lhs = np.array([2.0 * ratio * _gauss_legendre(lambda t: np.sin(t) ** (dim - 2), 0.0, math.acos(v))
+                    for v in flat.tolist()]).reshape(np.shape(delta))
+    rhs = _p_delta(np.asarray(delta, dtype=float), dim)
+    err = np.abs(lhs - rhs)
+    return (float(lhs), rhs, float(err)) if lhs.ndim == 0 else (lhs, rhs, err)
 
 
 @dataclass

@@ -7,12 +7,12 @@ results against direct numeric quadrature instead of trusting a library.
 erf/erfc follow W. J. Cody's rational approximations (Math. Comp. 23,
 1969): one kernel evaluates each of his three intervals of |x| once, and
 erf and erfc are sign and complement arithmetic over it, elementwise over
-arrays; a Python number takes the same operations in float arithmetic,
-with the same bits.  The regularized incomplete beta function uses the classic
+arrays.  The regularized incomplete beta function uses the classic
 continued fraction (modified Lentz iteration), elementwise over an array x
 with scalar shapes a and b: all points iterate together, each keeping the
-value of the iteration at which it converges, so an array gives the bits
-a Python number gets from the float loop.
+value of the iteration at which it converges.  Every function has this one
+array path: a Python number goes through it as a 0-d array and comes back
+as a float.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ _ERFC_XBIG = 26.543  # erfc underflows to 0 beyond this
 
 
 def _horner(t, p, q):
-    """Numerator and denominator of Cody's rational form in t: p[-1] leads
-    the numerator, the denominator is monic, and the order is his.  On an
-    array the two buffers are updated in place; on a float the same
-    operations run in float arithmetic."""
+    """Numerator and denominator of Cody's rational form in the array t:
+    p[-1] leads the numerator, the denominator is monic, and the order is
+    his.  The two buffers are updated in place."""
     num = p[-1] * t
     den = t + q[0]
     for a, b in zip(p, q[1:]):
@@ -150,28 +149,8 @@ def _cody(x):
     return out, rest
 
 
-def _cody_float(y):
-    """Cody's kernel on one float y = |x|: (value, small), value being
-    erf(y) if small (y <= 0.46875) and erfc(y) otherwise, from the same
-    intervals and operations as :func:`_cody`."""
-    if y <= _ERF_SMALL:
-        return _erf_small(y), True
-    if y > _ERFC_XBIG:
-        return 0.0, False
-    if y > _ERFC_MID:
-        return float(_erfc_large(y)), False
-    return float(_erfc_mid(y)), False
-
-
 def erfc(x):
-    """Complementary error function, elementwise over arrays."""
-    # NaN takes the array path: float ops would give it another sign bit
-    if isinstance(x, (float, int)) and x == x:
-        x = float(x)
-        v, small = _cody_float(abs(x))
-        if small:
-            v = 1.0 - v
-        return 2.0 - v if x < 0.0 else v
+    """Complementary error function, elementwise over arrays; a number gives a float."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out, rest = _cody(flat)
@@ -184,12 +163,7 @@ def erfc(x):
 
 
 def erf(x):
-    """Error function, elementwise over arrays."""
-    # NaN takes the array path: float ops would give it another sign bit
-    if isinstance(x, (float, int)) and x == x:
-        x = float(x)
-        v, small = _cody_float(abs(x))
-        return math.copysign(v if small else 1.0 - v, x)
+    """Error function, elementwise over arrays; a number gives a float."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out, rest = _cody(flat)
@@ -202,57 +176,16 @@ _CF_ITMAX = 2000
 _FPMIN = 1e-300
 
 
-def _beta_cf(a, b, x):
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise _cf_failure(a, b, x)
-
-
-def _cf_failure(a, b, x):
-    return RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
 def _tiny(v):
     """v with every entry below _FPMIN in magnitude replaced by _FPMIN."""
     return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
 
 
-def _beta_cf_array(a, b, x):
-    """:func:`_beta_cf` over a 1-d array x, in the same operations.  All
-    points iterate together; each point's h is frozen at the iteration
-    where its own |delta - 1| < _CF_EPS, and a point that never converges
-    is NaN."""
+def _beta_cf(a, b, x):
+    """Continued fraction for the incomplete beta function (modified Lentz)
+    over a 1-d array x.  All points iterate together; each point's h is
+    frozen at the iteration where its own |delta - 1| < _CF_EPS, and a
+    point that never converges is NaN."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -282,21 +215,34 @@ def _beta_cf_array(a, b, x):
     return out
 
 
+def _cf_failure(a, b, x):
+    return RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
+
+
 def _check_unit(x):
-    """Raise ValueError naming the first x (a number or an array) outside
-    [0, 1], NaN included."""
-    if isinstance(x, (float, int)):
-        bad = [] if 0.0 <= x <= 1.0 else [x]
-    else:
-        flat = np.ravel(x)
-        bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()
+    """Raise ValueError naming the first x outside [0, 1], NaN included."""
+    flat = np.ravel(x)
+    bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()
     if bad:
         raise ValueError(f"x must lie in [0, 1], got x={bad[0]}")
 
 
-def _reg_incomplete_beta_array(x, a, b):
-    """reg_incomplete_beta elementwise over the flat array x (inside [0, 1]),
-    with the prefactor from libm per point, as the float path takes it."""
+def reg_incomplete_beta(x, a: float, b: float):
+    """Regularized incomplete beta I_x(a, b), elementwise over arrays x; a
+    number gives a float.
+
+    Cumulative mass of Beta(a, b) on [0, x], normalized by B(a, b).  Uses
+    the direct continued fraction when x is below the symmetry threshold
+    and the complementary expansion otherwise, which keeps both tails
+    accurate without cancellation.  The prefactor comes from libm, point by
+    point.  A point whose continued fraction does not converge raises
+    RuntimeError, at the first such point.
+    """
+    _check_unit(x)
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
     out = (x == 1.0).astype(float)  # 0 at x = 0 and 1 at x = 1
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     x = x[inner]
@@ -304,52 +250,18 @@ def _reg_incomplete_beta_array(x, a, b):
     front = np.array([math.exp(ln_norm + a * math.log(v) + b * math.log1p(-v)) for v in x.tolist()])
     low = x < (a + 1.0) / (a + b + 2.0)
     cf = np.empty_like(x)
-    cf[low] = _beta_cf_array(a, b, x[low])
-    cf[~low] = _beta_cf_array(b, a, 1.0 - x[~low])
+    cf[low] = _beta_cf(a, b, x[low])
+    cf[~low] = _beta_cf(b, a, 1.0 - x[~low])
     failed = np.flatnonzero(np.isnan(cf))
-    if failed.size:  # the float path's error at the first such point
+    if failed.size:
         i = failed[0]
         raise _cf_failure(a, b, float(x[i])) if low[i] else _cf_failure(b, a, float(1.0 - x[i]))
     out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
-    return out
-
-
-def reg_incomplete_beta(x, a: float, b: float):
-    """Regularized incomplete beta I_x(a, b), elementwise over arrays x.
-
-    Cumulative mass of Beta(a, b) on [0, x], normalized by B(a, b).  Uses
-    the direct continued fraction when x is below the symmetry threshold
-    and the complementary expansion otherwise, which keeps both tails
-    accurate without cancellation.  A Python number takes the float path;
-    an array gives the same bits at every point.
-    """
-    _check_unit(x)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not isinstance(x, (float, int)):
-        x = np.asarray(x, dtype=float)
-        out = _reg_incomplete_beta_array(x.ravel(), a, b)
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def reg_incomplete_beta_complement(x, a: float, b: float):
     """1 - I_x(a, b) computed without cancellation in the upper tail,
-    elementwise over arrays x."""
+    elementwise over arrays x; a number gives a float."""
     _check_unit(x)
     return reg_incomplete_beta(np.subtract(1.0, x), b, a)  # np.subtract takes a list as an array

@@ -28,8 +28,9 @@ at run start, rerunning per perturbed tensor only the forward stages
 
 :func:`compare_routers` trains the paired runs at once, in up to three
 processes (the caller and two forked workers of about 58 MB peak RSS each),
-each with OpenBLAS on one thread, so its runs no longer depend on the BLAS
-thread count.  :func:`train` alone runs at the caller's BLAS thread count.
+each with OpenBLAS on one thread, so its runs do not depend on the BLAS
+thread count.  ``train-toy`` holds the same pin around :func:`train`; a
+library caller of :func:`train` keeps its own BLAS thread count.
 """
 
 from __future__ import annotations
@@ -649,12 +650,10 @@ def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlaceme
     matrices are too small for BLAS threads to pay, and the pin makes every
     run, so every compare artifact, the same whatever BLAS thread count the
     caller has; the caller's count is restored on return, also on error.
-    :func:`train` called alone, as ``train-toy`` does, still runs at the
-    caller's count.  Where OpenBLAS
-    cannot be pinned or there is no ``fork`` start method, the runs train
-    here, in order.  The first router, in order, whose run fails raises its
-    own exception; a worker that dies raises ``BrokenProcessPool`` (a
-    RuntimeError).  No worker outlives the call.
+    Where OpenBLAS cannot be pinned or there is no ``fork`` start method,
+    the runs train here, in order.  The first router, in order, whose run
+    fails raises its own exception; a worker that dies raises
+    ``BrokenProcessPool`` (a RuntimeError).  No worker outlives the call.
     """
     # imported here, not with the module: they would add some 30 modules to every command's start
     import multiprocessing

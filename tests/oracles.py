@@ -83,6 +83,78 @@ def cody_index_set_reference(x):
     return erf, erfc
 
 
+def _float_beta_cf(a, b, x):
+    """Continued fraction for the incomplete beta function (modified Lentz),
+    one float at a time, with the kernel's constants read at call time."""
+    from moelab import special as s
+
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < s._FPMIN:
+        d = s._FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, s._CF_ITMAX + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < s._FPMIN:
+            d = s._FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < s._FPMIN:
+            c = s._FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < s._FPMIN:
+            d = s._FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < s._FPMIN:
+            c = s._FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < s._CF_EPS:
+            return h
+    raise RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
+
+
+def float_reg_incomplete_beta(x, a, b):
+    """I_x(a, b) for one number x, in float arithmetic: the straight-line
+    loop the array kernel must match bit for bit, errors included."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got x={x}")
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _float_beta_cf(a, b, x) / a
+    return 1.0 - front * _float_beta_cf(b, a, 1.0 - x) / b
+
+
+def float_reg_incomplete_beta_complement(x, a, b):
+    """1 - I_x(a, b) for one number x, as I_{1-x}(b, a) in float arithmetic."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got x={x}")
+    return float_reg_incomplete_beta(1.0 - x, b, a)
+
+
 def reg_beta_quad(x, a, b):
     """I_x(a, b) by quadrature of the defining integral.
 
@@ -261,15 +333,14 @@ def one_shot_cosine_histograms(tokens, expert_of_token, weights, per_expert, edg
 def per_point_capacity_curve(dim, n, grid):
     """(delta, p_delta, ec_min, erfc_bound, exp_bound, degenerate, unbounded)
     for each delta of the grid, one float evaluation at a time: the capacity
-    bound's formulas written out over the special functions' float paths."""
-    from moelab.special import erfc, reg_incomplete_beta_complement
-
+    bound's formulas written out over the float incomplete beta and the
+    index-set erfc above."""
     rows = []
     for delta in np.asarray(grid, dtype=float).tolist():
-        p = reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+        p = float_reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
         y2 = delta * delta * dim / (2.0 - delta * delta)
         y = math.sqrt(y2)
-        e = erfc(y)
+        e = float(cody_index_set_reference(y)[1][0])
         try:
             exp_bound = math.exp(y2) / n
         except OverflowError:
@@ -280,6 +351,20 @@ def per_point_capacity_curve(dim, n, grid):
         rows.append((delta, p, math.inf if p == 0.0 else 1.0 / (n * p), erfc_bound, exp_bound,
                      n * p > 1.0, p == 0.0))
     return rows
+
+
+def per_point_cap_identity(delta, dim):
+    """(lhs, rhs, abs_err) of the two-cap identity at one float delta, in
+    float arithmetic: a 160-node Gauss-Legendre quadrature of sin^(d-2) over
+    [0, acos(delta)] against the float incomplete beta above."""
+    nodes, weights = np.polynomial.legendre.leggauss(160)
+    phi = math.acos(delta)
+    mid, half = 0.5 * phi, 0.5 * phi
+    integral = float(half * np.sum(weights * np.sin(mid + half * nodes) ** (dim - 2)))
+    ratio = math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)) / math.sqrt(math.pi)
+    lhs = 2.0 * ratio * integral
+    rhs = float_reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def sequential_compare_routers(corpus, n_experts, placement, topology, *, epochs, seed):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import moelab
+from moelab import verify
 from moelab.capacity import (
     _BLOCK_ROWS,
     HIST_BINS,
@@ -36,6 +37,7 @@ from oracles import (
     one_shot_cosine_histograms,
     one_shot_p_delta,
     one_shot_sphere,
+    per_point_cap_identity,
     per_point_capacity_curve,
     reg_beta_quad,
 )
@@ -328,6 +330,38 @@ class TestCapAreaIdentity:
         for dim in (32, 48, 64):
             _, _, err = cap_area_identity_check(0.3, dim)
             assert err <= 1e-6
+
+    def test_array_equals_the_per_point_reference_bitwise(self):
+        grid = np.array([0.0, 1e-3, 0.1, 0.25, 0.5, 0.9, 0.999, 1.0])
+        for dim in (3, 8, 20, 256):
+            want = [per_point_cap_identity(delta, dim) for delta in grid.tolist()]
+            got = cap_area_identity_check(grid, dim)
+            for col, ref in zip(got, zip(*want)):
+                assert col.shape == grid.shape
+                assert column_bits(col) == column_bits(ref)
+            square = cap_area_identity_check(grid.reshape(2, 4), dim)
+            assert [col.shape for col in square] == [(2, 4)] * 3
+            assert [column_bits(col.ravel()) for col in square] == [column_bits(col) for col in got]
+
+    def test_float_delta_gives_three_floats(self):
+        for delta in (0.0, 0.3, 1.0, 1):
+            got = cap_area_identity_check(delta, 12)
+            assert [type(v) for v in got] == [float] * 3
+            assert column_bits(got) == column_bits(per_point_cap_identity(float(delta), 12))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, -math.inf])
+    def test_delta_outside_the_unit_interval_anywhere_is_rejected(self, bad):
+        for deltas in ([bad, 0.5], [0.2, 0.5, bad], [[0.1, bad], [0.3, 0.4]]):
+            with pytest.raises(ValueError, match=re.escape(f"delta must lie in [0, 1], got {bad}")):
+                cap_area_identity_check(np.array(deltas), 8)
+        with pytest.raises(ValueError, match="delta must lie"):
+            cap_area_identity_check(bad, 8)
+
+    def test_verify_row_is_the_worst_per_point_error(self):
+        worst = max(per_point_cap_identity(float(delta), dim)[2]
+                    for dim in range(3, 21) for delta in np.arange(0.1, 0.95, 0.1))
+        assert verify.check_cap_identity() == verify.CheckResult(
+            "cap-identity", True, f"max abs err {worst:.2e}")
 
 
 class TestCosineHistograms:

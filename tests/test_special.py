@@ -13,7 +13,14 @@ from moelab.special import (
     reg_incomplete_beta_complement,
 )
 
-from oracles import cody_index_set_reference, erf_quad, erfc_quad, reg_beta_quad
+from oracles import (
+    cody_index_set_reference,
+    erf_quad,
+    erfc_quad,
+    float_reg_incomplete_beta,
+    float_reg_incomplete_beta_complement,
+    reg_beta_quad,
+)
 
 
 finite = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
@@ -116,15 +123,14 @@ class TestErf:
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(-10, 10, 401)
-        vec = erf(xs)
-        scal = np.array([erf(float(x)) for x in xs])
-        assert np.array_equal(vec, scal)
-        assert np.array_equal(erfc(xs), np.array([erfc(float(x)) for x in xs]))
+        for f, want in zip((erf, erfc), cody_index_set_reference(xs)):
+            assert np.array_equal(bits(f(xs)), bits(want))
+            assert np.array_equal(bits([f(float(x)) for x in xs]), bits(want))
 
 
 class TestErfBitIdentity:
-    # the whole-array kernel and the float path must give the bits of the
-    # straight index-set evaluation (tests/oracles.py), not merely close values
+    # the whole-array kernel, on arrays and on numbers, must give the bits of
+    # the straight index-set evaluation (tests/oracles.py), not merely close values
     EDGES = [float.fromhex(h) for h in TestErf.PINNED] + [
         math.inf, -math.inf, math.nan, -math.nan,
         2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310, -5e-324,
@@ -146,10 +152,10 @@ class TestErfBitIdentity:
     @no_deadline
     @given(st.one_of(st.floats(), st.integers(-40, 40)))
     def test_scalar_path_equals_the_one_element_array(self, x):
-        for f in (erf, erfc):
+        for f, want in zip((erf, erfc), cody_index_set_reference(float(x))):
             got = f(x)
             assert type(got) is float
-            assert bits(got) == bits(f(np.array([float(x)])))[0]
+            assert bits(got) == bits(want)[0]
 
 
 class TestIncompleteBeta:
@@ -222,6 +228,11 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+# each kernel with its float reference (tests/oracles.py)
+BETA_PAIRS = ((reg_incomplete_beta, float_reg_incomplete_beta),
+              (reg_incomplete_beta_complement, float_reg_incomplete_beta_complement))
+
+
 class TestIncompleteBetaArrayPath:
     # 1e-4 and 0.5 fall either side of the branch threshold at a = 1/2,
     # b = 2047.5, and so do 1 - 1e-4 and 0.5 for the complement
@@ -230,8 +241,10 @@ class TestIncompleteBetaArrayPath:
     @example([0.0, 1e-4, 0.5, 1.0], 0.5, 2047.5)
     def test_array_path_equals_the_float_path(self, xs, a, b):
         x = np.array(xs)
-        for f in (reg_incomplete_beta, reg_incomplete_beta_complement):
-            want = bits([f(v, a, b) for v in xs])
+        for f, ref in BETA_PAIRS:
+            want = bits([ref(v, a, b) for v in xs])
+            scalars = [f(v, a, b) for v in xs]
+            assert all(type(v) is float for v in scalars) and np.array_equal(bits(scalars), want)
             assert np.array_equal(bits(f(x, a, b)), want)
             assert np.array_equal(bits(f(x.reshape(1, -1), a, b)), want.reshape(1, -1))
             got = f(x[0].reshape(()), a, b)
@@ -241,12 +254,12 @@ class TestIncompleteBetaArrayPath:
     @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats()), min_size=1, max_size=8),
            beta_shapes, beta_shapes, st.sampled_from([1, 3, 10, special._CF_ITMAX]))
     def test_array_path_raises_the_float_paths_errors(self, xs, a, b, itmax):
-        # the float path's error at the first x outside [0, 1] (NaN included),
+        # the float reference's error at the first x outside [0, 1] (NaN included),
         # which is found before anything is computed; else, at a cut
         # iteration limit, its error at the first point that does not converge
         invalid = [v for v in xs if not 0.0 <= v <= 1.0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(special, "_CF_ITMAX", itmax)
-            for f in (reg_incomplete_beta, reg_incomplete_beta_complement):
-                want = outcome(lambda: f(invalid[0], a, b) if invalid else [f(v, a, b) for v in xs])
+            for f, ref in BETA_PAIRS:
+                want = outcome(lambda: ref(invalid[0], a, b) if invalid else [ref(v, a, b) for v in xs])
                 assert outcome(lambda: f(np.array(xs), a, b)) == want
