@@ -52,7 +52,6 @@ from .router import (
 from .toymoe import (
     COMPARE_LOSSES,
     SyntheticCorpusConfig,
-    _one_blas_thread,
     compare_routers,
     entropy,
     make_synthetic_corpus,
@@ -396,9 +395,8 @@ def cmd_train_toy(args) -> int:
         "tokens_per_cluster": args.tokens_per_cluster, "concentration": args.concentration,
         "seed": seed, "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
     }
-    with _one_blas_thread():  # the artifacts must not depend on the BLAS thread count
-        run = train(corpus, args.router, experts, placement, topology,
-                    epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
+    run = train(corpus, args.router, experts, placement, topology,
+                epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
 
     records = run.records
     counts = np.array([rec.counts for rec in records])

@@ -26,11 +26,12 @@ left to the CLI, which writes them.  The loss gradients come from
 at run start, rerunning per perturbed tensor only the forward stages
 (routing, expert layer, head) it feeds.
 
-:func:`compare_routers` trains the paired runs at once, in up to three
-processes (the caller and two forked workers of about 58 MB peak RSS each),
-each with OpenBLAS on one thread, so its runs do not depend on the BLAS
-thread count.  ``train-toy`` holds the same pin around :func:`train`; a
-library caller of :func:`train` keeps its own BLAS thread count.
+Every :func:`train` call runs with OpenBLAS on one thread and gives the
+caller's count back on return: the toy's matrices are too small for BLAS
+threads to pay, and the pin makes a run's bits the same whatever thread
+count the caller, the CLI included, has.  :func:`compare_routers` trains
+the paired runs at once, in up to three processes (the caller and two
+forked workers of about 58 MB peak RSS each).
 """
 
 from __future__ import annotations
@@ -459,6 +460,55 @@ def _select_probe(scores):
     return ok[:_PROBE_TOKENS]
 
 
+# (getter, setter) symbol pairs an OpenBLAS build may export
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_thread_fns():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    loaded OpenBLAS exports both."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = {ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run each call of the decorated function with OpenBLAS on one thread
+    and give the caller's count back afterwards, also on error; without a
+    loaded OpenBLAS setter, change nothing."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@_one_blas_thread()
 def train(
     corpus: TokenBatch,
     router_kind: str,
@@ -483,6 +533,8 @@ def train(
     a given seed.  Experts have hidden width ``4 * dim``.  With
     ``capacity`` set, each step serves at most that many tokens per
     expert (in batch order) and the rest pass through the layer unchanged.
+    Every call trains with OpenBLAS on one thread and gives the caller's
+    count back, so its bits do not depend on the BLAS thread count.
     """
     if router_kind not in ("hash", "switch", "loc"):
         raise ValueError(f"unknown router kind {router_kind!r}")
@@ -587,53 +639,6 @@ def train(
     )
 
 
-# (getter, setter) symbol pairs an OpenBLAS build may export
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-def _openblas_thread_fns():
-    """(get, set) of the loaded OpenBLAS's thread count, or None when no
-    loaded OpenBLAS exports both."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    libs = {ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread and give the caller's count
-    back afterwards, also on error; yields whether OpenBLAS could be pinned."""
-    fns = _openblas_thread_fns()
-    if fns is None:
-        yield False
-        return
-    get, put = fns
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
-
-
 def _train_paired(kind, corpus, n_experts, placement, topology, epochs, seed) -> TrainRun:
     return train(corpus, kind, n_experts, placement, topology,
                  epochs=epochs, loss_cfg=COMPARE_LOSSES[kind], seed=seed)
@@ -646,13 +651,11 @@ def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlaceme
     The runs are independent, so they train at once: the first router in
     this process and each other router in its own forked worker, up to
     three processes in all (a worker peaks at about 58 MB RSS on the
-    default corpus), each with OpenBLAS pinned to one thread.  The toy's
-    matrices are too small for BLAS threads to pay, and the pin makes every
-    run, so every compare artifact, the same whatever BLAS thread count the
-    caller has; the caller's count is restored on return, also on error.
-    Where OpenBLAS cannot be pinned or there is no ``fork`` start method,
-    the runs train here, in order.  The first router, in order, whose run
-    fails raises its own exception; a worker that dies raises
+    default corpus), each on the one OpenBLAS thread :func:`train` holds.
+    Where OpenBLAS cannot be pinned (three processes of several BLAS
+    threads each would crowd the cores) or there is no ``fork`` start
+    method, the runs train here, in order.  The first router, in order,
+    whose run fails raises its own exception; a worker that dies raises
     ``BrokenProcessPool`` (a RuntimeError).  No worker outlives the call.
     """
     # imported here, not with the module: they would add some 30 modules to every command's start
@@ -661,14 +664,13 @@ def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlaceme
 
     run = functools.partial(_train_paired, corpus=corpus, n_experts=n_experts, placement=placement,
                             topology=topology, epochs=epochs, seed=seed)
+    if _openblas_thread_fns() is None or "fork" not in multiprocessing.get_all_start_methods():
+        return {kind: run(kind) for kind in COMPARE_LOSSES}
     first, *rest = COMPARE_LOSSES
-    with _one_blas_thread() as pinned:
-        if not pinned or "fork" not in multiprocessing.get_all_start_methods():
-            return {kind: run(kind) for kind in COMPARE_LOSSES}
-        with ProcessPoolExecutor(len(rest), mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = {kind: pool.submit(run, kind) for kind in rest}
-            runs = {first: run(first)}
-            runs.update((kind, future.result()) for kind, future in futures.items())
+    with ProcessPoolExecutor(len(rest), mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {kind: pool.submit(run, kind) for kind in rest}
+        runs = {first: run(first)}
+        runs.update((kind, future.result()) for kind, future in futures.items())
     return runs
 
 

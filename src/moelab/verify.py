@@ -29,17 +29,23 @@ class CheckResult:
     detail: str
 
 
+def _worst(values) -> float:
+    """The largest of ``values`` (numbers, or equal-length arrays of them),
+    NaN if any is NaN, so a gate ``worst <= tol`` fails on it; max() would
+    drop a NaN, as every comparison with NaN is false."""
+    return float(np.max(values))
+
+
 def check_uniform_balance(seed: int = 2) -> CheckResult:
     """Orthogonal equal-norm gating must route uniform sphere tokens
     evenly: every assignment fraction within 3 binomial sigma of 1/n."""
-    worst = 0.0
+    zs = []
     detail = []
     for dim, n in ((64, 8), (128, 16)):
         f, sigma = cap.mc_assignment_fractions(dim, n, _BALANCE_SAMPLES, seed=seed)
-        z = float(np.abs(f - 1.0 / n).max() / sigma)
-        worst = max(worst, z)
-        detail.append(f"(d={dim},n={n}) max|f-1/n|={z:.2f} sigma")
-    return CheckResult("uniform-balance", worst <= 3.0, "; ".join(detail))
+        zs.append(float(np.abs(f - 1.0 / n).max() / sigma))
+        detail.append(f"(d={dim},n={n}) max|f-1/n|={zs[-1]:.2f} sigma")
+    return CheckResult("uniform-balance", _worst(zs) <= 3.0, "; ".join(detail))
 
 
 _MC_GRID = (
@@ -59,35 +65,32 @@ _MC_GRID = (
 def check_cap_probability_mc(seed: int = 2) -> CheckResult:
     """Monte Carlo two-cap probability vs. the incomplete-beta formula,
     within 3 binomial standard errors on every grid case."""
-    worst = 0.0
-    worst_case = None
+    zs = []
     for i, (delta, dim) in enumerate(_MC_GRID):
         analytic = cap.p_delta(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=1))
         est, stderr = cap.mc_p_delta(delta, dim, _MC_SAMPLES, seed=seed + i)
-        z = abs(est - analytic) / max(stderr, 1e-12)
-        if z > worst:
-            worst, worst_case = z, (delta, dim)
+        zs.append(abs(est - analytic) / max(stderr, 1e-12))
+    i = int(np.argmax(zs))  # the first worst case, or the first NaN one
     return CheckResult(
         "cap-probability-mc",
-        worst <= 3.0,
-        f"10 cases, worst |mc-analytic| = {worst:.2f} sigma at {worst_case}",
+        zs[i] <= 3.0,
+        f"10 cases, worst |mc-analytic| = {zs[i]:.2f} sigma at {_MC_GRID[i]}",
     )
 
 
 def check_cap_identity() -> CheckResult:
     """Spherical-cap quadrature vs. the beta identity, abs err <= 1e-6
     for d in 3..20 and delta in 0.1..0.9."""
-    worst = 0.0
-    for dim in range(3, 21):
-        _, _, err = cap.cap_area_identity_check(np.arange(0.1, 0.95, 0.1), dim)
-        worst = max(worst, *err.tolist())
+    worst = _worst([cap.cap_area_identity_check(np.arange(0.1, 0.95, 0.1), dim)[2]
+                    for dim in range(3, 21)])
     return CheckResult("cap-identity", worst <= 1e-6, f"max abs err {worst:.2e}")
 
 
 def check_capacity_bounds() -> CheckResult:
     """The erfc form of the capacity bound must exceed the exponential
     form at every grid point with d >= 256 and delta * sqrt(d) >= 1;
-    ``ec_min`` raises RuntimeError at a point where it does not.
+    ``ec_min`` raises RuntimeError at a point where it does not.  A NaN
+    bound fails too; an infinite one is legal (p_delta = 0 gives one).
 
     The exact-vs-erfc gap is reported for inspection: at finite d the
     erfc approximation sits slightly above the exact 1/(n p_delta) in the
@@ -104,6 +107,8 @@ def check_capacity_bounds() -> CheckResult:
                 res = cap.ec_min(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=_BOUNDS_EXPERTS))
             except RuntimeError as exc:
                 return CheckResult("capacity-bounds", False, f"{exc} at {(delta, dim)}")
+            if any(math.isnan(b) for b in (res.ec_min, res.erfc_bound, res.exp_bound)):  # inf is legal
+                return CheckResult("capacity-bounds", False, f"NaN bound at {(delta, dim)}")
             n_points += 1
             if math.isfinite(res.ec_min) and math.isfinite(res.erfc_bound):
                 worst_gap = max(worst_gap, (res.erfc_bound - res.ec_min) / res.ec_min)
@@ -118,7 +123,7 @@ def check_capacity_bounds() -> CheckResult:
 def check_grad(seed: int = 2) -> CheckResult:
     """Analytic gradients of all three losses vs. central differences."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for _ in range(_GRAD_POINTS):
         kind = rng.integers(3)
         if kind == 0:
@@ -153,7 +158,8 @@ def check_grad(seed: int = 2) -> CheckResult:
                 lambda lg: losses.cross_entropy_grad(lg.reshape(t, k), targets).ravel(),
                 rng.normal(0, 2, t * k),
             )
-        worst = max(worst, err)
+        errs.append(err)
+    worst = _worst(errs)
     return CheckResult(
         "grad-check", worst <= _GRAD_REL_TOL, f"{_GRAD_POINTS} points, max rel err {worst:.2e}"
     )

@@ -369,14 +369,12 @@ def per_point_cap_identity(delta, dim):
 
 def sequential_compare_routers(corpus, n_experts, placement, topology, *, epochs, seed):
     """The paired runs as one loop in this process: each router of
-    COMPARE_LOSSES, in order, under the one-BLAS-thread pin compare_routers
-    holds, so the two agree bit for bit."""
+    COMPARE_LOSSES, in order, trained with its losses."""
     from moelab import toymoe
 
-    with toymoe._one_blas_thread():
-        return {kind: toymoe.train(corpus, kind, n_experts, placement, topology,
-                                   epochs=epochs, loss_cfg=loss_cfg, seed=seed)
-                for kind, loss_cfg in toymoe.COMPARE_LOSSES.items()}
+    return {kind: toymoe.train(corpus, kind, n_experts, placement, topology,
+                               epochs=epochs, loss_cfg=loss_cfg, seed=seed)
+            for kind, loss_cfg in toymoe.COMPARE_LOSSES.items()}
 
 
 def rowwise_csv(path, rows):

@@ -71,6 +71,12 @@ from oracles import straight_line_moe_forward
 SEED = defaults.DEFAULT_SEED
 
 
+def nan_max(values) -> float:
+    """The largest of ``values``, NaN if any is NaN, so that a gate
+    ``worst <= tol`` fails on it (max() would drop a NaN)."""
+    return float(np.max(values))
+
+
 def report(num: int, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num} failed: {detail}"
@@ -99,11 +105,12 @@ def test_criterion_1_cap_probability_and_monte_carlo():
         (0.03125, 1024), (0.015625, 4096), (0.25, 16), (0.5, 8), (0.1, 64),
         (0.2, 32), (0.3, 12), (0.15, 48), (0.05, 128), (0.35, 10),
     ]
-    worst_z = 0.0
+    zs = []
     for i, (delta, dim) in enumerate(grid):
         analytic = p_delta(CapacityTheoryInput(delta, dim, 1))
         est, stderr = mc_p_delta(delta, dim, 1_000_000, seed=SEED + i)
-        worst_z = max(worst_z, abs(est - analytic) / max(stderr, 1e-300))
+        zs.append(abs(est - analytic) / max(stderr, 1e-300))
+    worst_z = nan_max(zs)
     ok &= worst_z <= 3.0
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30.0
@@ -114,11 +121,8 @@ def test_criterion_2_cap_area_identity_and_erf_limit():
     from moelab.capacity import cap_area_identity_check
     from moelab.special import reg_incomplete_beta
 
-    worst = 0.0
-    for dim in range(3, 21):
-        for delta in np.arange(0.1, 0.95, 0.1):
-            _, _, err = cap_area_identity_check(float(delta), dim)
-            worst = max(worst, err)
+    worst = nan_max([cap_area_identity_check(float(delta), dim)[2]
+                     for dim in range(3, 21) for delta in np.arange(0.1, 0.95, 0.1)])
     d = 4096
     beta_val = reg_incomplete_beta(1.0 / (d - 1.5), 0.5, (d - 1) / 2.0)
     erf_target = 0.6826894921370859
@@ -162,10 +166,11 @@ def test_criterion_3_capacity_bound_chain_as_printed():
 
 
 def test_criterion_4_balanced_assignment():
-    worst = 0.0
+    zs = []
     for dim, n in ((64, 8), (128, 16)):
         f, sigma = mc_assignment_fractions(dim, n, 100_000, seed=SEED)
-        worst = max(worst, float(np.abs(f - 1.0 / n).max() / sigma))
+        zs.append(np.abs(f - 1.0 / n).max() / sigma)
+    worst = nan_max(zs)
     ok = worst <= 3.0
     report(4, ok, f"10^5 sphere tokens, (64,8) and (128,16): worst |f - 1/n| = {worst:.2f} sigma")
 
@@ -182,7 +187,7 @@ def test_criterion_5_loss_contracts_and_gradients():
         d = rng.dirichlet(np.ones(int(rng.integers(2, 10))))
         ok &= abs(locality_loss(d, d, 1.0)) <= 1e-12
     # analytic vs central finite differences at 100 random points
-    worst = 0.0
+    errs = []
     for i in range(100):
         kind = i % 3
         if kind == 0:
@@ -215,7 +220,8 @@ def test_criterion_5_loss_contracts_and_gradients():
                 lambda lg: cross_entropy_grad(lg.reshape(t, k), targets).ravel(),
                 rng.normal(0, 2, t * k),
             )
-        worst = max(worst, err)
+        errs.append(err)
+    worst = nan_max(errs)
     ok &= worst <= 1e-4
     report(5, ok, f"loss identities exact; gradients at 100 points, max rel err {worst:.2e}")
 
@@ -335,7 +341,7 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 
 def test_criterion_9_forward_oracle_and_flop_invariance():
-    worst = 0.0
+    diffs = []
     rng = np.random.default_rng(SEED)
     for trial in range(3):
         d, h, n = 8, 12, 4
@@ -348,7 +354,8 @@ def test_criterion_9_forward_oracle_and_flop_invariance():
             batch.tokens, outcome.expert_of_token, outcome.gate_value,
             outcome.dropped, w_in, w_out,
         )
-        worst = max(worst, float(np.abs(y - oracle).max()))
+        diffs.append(np.abs(y - oracle).max())
+    worst = nan_max(diffs)
     per_token = set()
     for n in (2, 4, 8, 16):
         d, h = 16, 32

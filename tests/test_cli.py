@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -268,6 +269,57 @@ class TestVerifyCommand:
             assert (name, status, code) == ((suite, "PASS", 0) if z <= 3.0 else (suite, "FAIL", 1))
             for text in texts:
                 assert text in detail
+
+    @staticmethod
+    def _nan_at(name, where):
+        """capacity.<name> with NaN in its float outputs where ``where(*args)`` holds."""
+        real = getattr(capacity, name)
+
+        def nan_here(*args, **kwargs):
+            got = real(*args, **kwargs)
+            if not where(*args):
+                return got
+            if name == "ec_min":
+                return dataclasses.replace(got, erfc_bound=math.nan)
+            est, spread = got
+            return est * math.nan, spread
+
+        return nan_here
+
+    @pytest.mark.parametrize("suite, name, where, text", [
+        ("uniform-balance", "mc_assignment_fractions", lambda dim, n, *_: n == 16,
+         "; (d=128,n=16) max|f-1/n|=nan sigma"),
+        ("cap-probability-mc", "mc_p_delta", lambda delta, *_: delta == 0.1,
+         "  10 cases, worst |mc-analytic| = nan sigma at (0.1, 64)"),
+        ("capacity-bounds", "ec_min", lambda inp: inp.dim == 1024 and inp.delta == 2.0 / 32,
+         "  NaN bound at (0.0625, 1024)"),
+    ], ids=["uniform-balance", "cap-probability-mc", "capacity-bounds"])
+    def test_a_nan_fails_its_suite_and_is_named(self, suite, name, where, text, capsys, monkeypatch):
+        monkeypatch.setattr(capacity, name, self._nan_at(name, where))
+        assert run(["verify", "--only", suite]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{suite}  FAIL") and out.endswith(f"{text}\n")
+
+    def test_nan_errors_fail_cap_identity_and_grad_check(self, capsys, monkeypatch):
+        real_identity = capacity.cap_area_identity_check
+
+        def identity_with_a_nan(delta, dim):
+            lhs, rhs, err = real_identity(delta, dim)
+            return lhs, rhs, np.where(np.arange(err.size) == 3, math.nan, err) if dim == 7 else err
+
+        monkeypatch.setattr(capacity, "cap_area_identity_check", identity_with_a_nan)
+        monkeypatch.setattr(verify.losses, "cross_entropy_grad", lambda logits, labels: np.full(logits.shape, math.nan))
+        assert run(["verify", "--only", "cap-identity"]) == 1
+        assert run(["verify", "--only", "grad-check"]) == 1
+        assert capsys.readouterr().out == (
+            "cap-identity  FAIL  max abs err nan\ngrad-check  FAIL  100 points, max rel err nan\n")
+
+    def test_an_infinite_bound_is_legal(self, capsys, monkeypatch):
+        real = capacity.ec_min
+        monkeypatch.setattr(capacity, "ec_min", lambda inp: dataclasses.replace(
+            real(inp), ec_min=math.inf, erfc_bound=math.inf, exp_bound=math.inf) if inp.dim == 256 else real(inp))
+        assert run(["verify", "--only", "capacity-bounds"]) == 0
+        assert "capacity-bounds  PASS  erfc-form > exp-form at 25 points;" in capsys.readouterr().out
 
     def test_grad_check_passes_where_a_balance_point_sat_below_the_step(self, capsys):
         # seed 130 draws a balance point with an entry under the 1e-5 step

@@ -1,3 +1,5 @@
+import contextlib
+import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -6,6 +8,7 @@ import pickle
 import tracemalloc
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,28 @@ def _numpy_blas():
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         return None
     return blas.get("name"), blas.get("version")
+
+
+def _openblas_kernel():
+    """The kernel the loaded OpenBLAS picked at run time (``SkylakeX``,
+    ``Haswell``, ...; ``OPENBLAS_CORETYPE`` overrides the CPU's pick), None
+    if no loaded OpenBLAS reports one.  numpy's build configuration names
+    only the build's baseline, not this kernel."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for lib in sorted({ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def small_corpus(**overrides):
@@ -502,17 +527,22 @@ class TestCompareRouters:
 
     @forks
     def test_only_the_first_router_trains_here_on_one_blas_thread(self, monkeypatch):
-        get, _ = toymoe._openblas_thread_fns()
-        real_train = toymoe.train
-        here = []  # a forked worker appends to its own copy
+        get, put = toymoe._openblas_thread_fns()
+        real_forward = toymoe._train_forward
+        here = set()  # a forked worker adds to its own copy
 
-        def train_here(corpus, kind, *args, **kwargs):
-            here.append((kind, get()))
-            return real_train(corpus, kind, *args, **kwargs)
+        def forward(state, setup):
+            here.add((setup.router_kind, get()))
+            return real_forward(state, setup)
 
-        monkeypatch.setattr(toymoe, "train", train_here)
-        assert list(compare_routers(*self.small(), epochs=1, seed=0)) == ["hash", "switch", "loc"]
-        assert here == [("hash", 1)]
+        monkeypatch.setattr(toymoe, "_train_forward", forward)
+        before = get()
+        put(2)  # a count other than the pin's
+        try:
+            assert list(compare_routers(*self.small(), epochs=1, seed=0)) == ["hash", "switch", "loc"]
+        finally:
+            put(before)
+        assert here == {("hash", 1)}
 
     @pytest.mark.parametrize("failing, raised", [
         ({"switch", "loc"}, "switch"), ({"hash", "loc"}, "hash"), ({"loc"}, "loc")])
@@ -580,13 +610,62 @@ class TestCompareRouters:
             raise AssertionError("the in-process path forks no worker")
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
-        with toymoe._one_blas_thread():  # the oracle's pin, held around the call
-            if missing == "setter":
-                monkeypatch.setattr(toymoe, "_openblas_thread_fns", lambda: None)
-            else:
-                monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-            got = compare_routers(*self.small(), epochs=2, seed=0)
+        if missing == "setter":
+            monkeypatch.setattr(toymoe, "_openblas_thread_fns", lambda: None)
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        got = compare_routers(*self.small(), epochs=2, seed=0)
         assert_same_bits(got, want, "runs")
+
+
+@pytest.mark.skipif(toymoe._openblas_thread_fns() is None, reason="no loaded OpenBLAS exports a thread setter")
+class TestTrainOnOneBlasThread:
+    """train() runs on one OpenBLAS thread whatever count its caller set,
+    and gives the caller's count back."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def caller_threads(count):
+        """Run the block with the OpenBLAS thread count set to ``count``;
+        yields the count's getter."""
+        get, put = toymoe._openblas_thread_fns()
+        before = get()
+        put(count)
+        try:
+            yield get
+        finally:
+            put(before)
+
+    # on a 2-vCPU OpenBLAS host an unpinned run differs between one and two
+    # threads from epoch 10 (loc, seed 13) and epoch 3 (switch, seed 101) on
+    @pytest.mark.parametrize("kind, seed, epochs", [("loc", 13, 12), ("switch", 101, 5)])
+    def test_runs_are_the_same_bits_at_one_and_two_caller_threads(self, kind, seed, epochs):
+        corpus = make_synthetic_corpus(dataclasses.replace(defaults.DEFAULT_CORPUS, seed=seed))
+        args = (corpus, kind, defaults.DEFAULT_N_EXPERTS, defaults.default_placement(), defaults.DEFAULT_TOPOLOGY)
+        with self.caller_threads(1):
+            one = train(*args, epochs=epochs, seed=seed)
+        with self.caller_threads(2):
+            two = train(*args, epochs=epochs, seed=seed)
+        assert_same_bits(two, one, "run")
+
+    def test_trains_on_one_thread_and_gives_the_callers_count_back_also_on_error(self, monkeypatch):
+        get, _ = toymoe._openblas_thread_fns()
+        real_forward = toymoe._train_forward
+        inside = set()
+
+        def forward(state, setup):
+            inside.add(get())
+            return real_forward(state, setup)
+
+        monkeypatch.setattr(toymoe, "_train_forward", forward)
+        args = (small_corpus(), "switch", 8, round_robin_placement(8, TOPO), TOPO)
+        with self.caller_threads(2):
+            train(*args, epochs=1, seed=0)
+            assert get() == 2 and inside == {1}
+            monkeypatch.setattr(toymoe, "_train_backward", probe_fault_for({"switch"}))
+            with pytest.raises(AssertionError, match="gradient check failed for router 'switch'"):
+                train(*args, epochs=1, seed=0)
+            assert get() == 2
 
 
 class TestEmptySourceNodes:
@@ -681,9 +760,11 @@ class TestExpertLayerCache:
     # float.hex() of the probe's worst relative error and the last epoch's
     # mean cross-entropy on the default corpus at seed 2, as the expert layer
     # gave them before it cached Phi(z).  Pinned with the OpenBLAS that
-    # numpy bundles, at the version below; another BLAS may round the matmuls
-    # differently, so elsewhere the pins are skipped.
+    # numpy bundles, at the version below, running its SkylakeX kernel;
+    # another BLAS, or another kernel of the same build, may round the
+    # matmuls differently, so elsewhere the pins are skipped.
     PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
+    PINNED_KERNEL = "SkylakeX"
     PINNED = {
         "hash": ("0x1.2eeefa57fbaafp-19", "0x1.5b3168fb5ee3ep+0"),
         "switch": ("0x1.2386f0df04ea8p-15", "0x1.627eb021c799ap+0"),
@@ -694,6 +775,8 @@ class TestExpertLayerCache:
     def test_probe_and_loss_are_bitwise_pinned(self, kind):
         if _numpy_blas() != self.PINNED_BLAS:
             pytest.skip(f"pins taken with {self.PINNED_BLAS}, numpy uses {_numpy_blas()}")
+        if _openblas_kernel() != self.PINNED_KERNEL:
+            pytest.skip(f"pins taken on the {self.PINNED_KERNEL} kernel, OpenBLAS runs {_openblas_kernel()}")
         topology = defaults.DEFAULT_TOPOLOGY
         run = train(make_synthetic_corpus(defaults.DEFAULT_CORPUS), kind, 16,
                     defaults.default_placement(16, topology), topology,
