@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .router import RoutingOutcome, TokenBatch, build_block_gating
-from .special import erfc, reg_incomplete_beta_complement
+from .special import erfc, reg_incomplete_beta
 
 _BLOCK_ROWS = 4096  # rows the sphere Monte Carlo draws and reduces at a time
 
@@ -77,17 +77,15 @@ class SphereSampleConfig:
 
 
 def p_delta(inp: CapacityTheoryInput) -> float:
-    """Two-cap assignment probability 1 - I_{delta^2}(1/2, (d-1)/2).
-
-    Evaluated through the complementary beta expansion so the deep tail
-    (delta close to 1) keeps full relative accuracy.
-    """
+    """Two-cap assignment probability 1 - I_{delta^2}(1/2, (d-1)/2)."""
     return _p_delta(inp.delta, inp.dim)
 
 
 def _p_delta(delta, dim: int):
-    """p_delta elementwise in delta (a float or an array)."""
-    return reg_incomplete_beta_complement(delta * delta, 0.5, (dim - 1) / 2.0)
+    """p_delta elementwise in delta (a float or an array), as the identity
+    I_{1-delta^2}((d-1)/2, 1/2): the deep tail (delta close to 1) comes
+    straight from the continued fraction, at full relative accuracy."""
+    return reg_incomplete_beta(1.0 - delta * delta, (dim - 1) / 2.0, 0.5)
 
 
 def _exp_or_inf(v: float) -> float:

@@ -395,8 +395,9 @@ def cmd_train_toy(args) -> int:
         "tokens_per_cluster": args.tokens_per_cluster, "concentration": args.concentration,
         "seed": seed, "token_bytes": defaults.DEFAULT_TOKEN_BYTES,
     }
-    run = train(corpus, args.router, experts, placement, topology,
-                epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
+    with np.errstate(all="ignore"):  # a diverging run reports itself by its error line alone
+        run = train(corpus, args.router, experts, placement, topology,
+                    epochs=args.epochs, lr=args.lr, loss_cfg=loss_cfg, seed=seed)
 
     records = run.records
     counts = np.array([rec.counts for rec in records])

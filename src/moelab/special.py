@@ -9,10 +9,11 @@ erf/erfc follow W. J. Cody's rational approximations (Math. Comp. 23,
 erf and erfc are sign and complement arithmetic over it, elementwise over
 arrays.  The regularized incomplete beta function uses the classic
 continued fraction (modified Lentz iteration), elementwise over an array x
-with scalar shapes a and b: all points iterate together, each keeping the
-value of the iteration at which it converges.  Every function has this one
-array path: a Python number goes through it as a 0-d array and comes back
-as a float.
+with scalar shapes a and b: the points of each tail iterate together, each
+keeping the value of the iteration at which it converges, and a tail that
+holds no point is not run.  A caller that needs 1 - I_x(a, b) evaluates
+I_{1-x}(b, a).  Every function has this one array path: a Python number
+goes through it as a 0-d array and comes back as a float.
 """
 
 from __future__ import annotations
@@ -250,18 +251,13 @@ def reg_incomplete_beta(x, a: float, b: float):
     front = np.array([math.exp(ln_norm + a * math.log(v) + b * math.log1p(-v)) for v in x.tolist()])
     low = x < (a + 1.0) / (a + b + 2.0)
     cf = np.empty_like(x)
-    cf[low] = _beta_cf(a, b, x[low])
-    cf[~low] = _beta_cf(b, a, 1.0 - x[~low])
+    if low.any():
+        cf[low] = _beta_cf(a, b, x[low])
+    if not low.all():
+        cf[~low] = _beta_cf(b, a, 1.0 - x[~low])
     failed = np.flatnonzero(np.isnan(cf))
     if failed.size:
         i = failed[0]
         raise _cf_failure(a, b, float(x[i])) if low[i] else _cf_failure(b, a, float(1.0 - x[i]))
     out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def reg_incomplete_beta_complement(x, a: float, b: float):
-    """1 - I_x(a, b) computed without cancellation in the upper tail,
-    elementwise over arrays x; a number gives a float."""
-    _check_unit(x)
-    return reg_incomplete_beta(np.subtract(1.0, x), b, a)  # np.subtract takes a list as an array

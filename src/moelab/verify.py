@@ -101,8 +101,6 @@ def check_capacity_bounds() -> CheckResult:
     for dim in (256, 512, 1024, 2048, 4096):
         for mult in (1.0, 1.5, 2.0, 3.0, 5.0):
             delta = mult / math.sqrt(dim)
-            if delta >= 1.0:
-                continue
             try:
                 res = cap.ec_min(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=_BOUNDS_EXPERTS))
             except RuntimeError as exc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import moelab
-from moelab import verify
+from moelab import special, verify
 from moelab.capacity import (
     _BLOCK_ROWS,
     HIST_BINS,
@@ -63,6 +63,31 @@ class TestPDelta:
         value = p_delta(theory(0.25, 16))
         expected = 1.0 - reg_beta_quad(0.25**2, 0.5, 7.5)
         assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_deep_tail_keeps_full_relative_accuracy(self):
+        # delta^2 = 0.75 and 0.8 at d = 256, where 1 - I_{delta^2}(1/2, 127.5)
+        # would lose every digit to cancellation; one point, then the array path
+        deltas = np.sqrt([0.75, 0.8])
+        want = [reg_beta_quad(0.25, 127.5, 0.5), reg_beta_quad(0.2, 127.5, 0.5)]
+        points = [p_delta(theory(float(delta), 256)) for delta in deltas]
+        assert points == pytest.approx(want, rel=1e-10)
+        assert all(0.0 < v < 1e-15 for v in points)
+        assert capacity_curve(256, 16, deltas)["p_delta"] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("query", [p_delta, ec_min])
+    def test_one_point_checks_its_argument_once_and_runs_one_tail(self, query, monkeypatch):
+        calls = dict.fromkeys(["_check_unit", "_beta_cf"], 0)
+
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
+        query(theory(0.3, 256))
+        assert calls == {"_check_unit": 1, "_beta_cf": 1}
 
     def test_monotone_decreasing_in_delta_and_dim(self):
         deltas = np.linspace(0.05, 0.95, 10)

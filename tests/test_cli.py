@@ -111,6 +111,32 @@ class TestCsvWriter:
         assert (tmp_path / "rows.csv").read_text() == "x\n" + rowwise
 
 
+DIM_AND_EXPERTS = ["--dim", "16", "--experts", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["route-sim"], "route-sim requires --out"),
+    (["train-toy"], "train-toy requires --out"),
+    (["comm-sim"], "comm-sim requires --out"),
+    (["capacity", "--grid", "0.1:0.5", *DIM_AND_EXPERTS, "--out", "c.csv"],
+     "--grid expects START:STOP:COUNT, got '0.1:0.5'"),
+    (["capacity", "--grid", "0.1:0.5:x", *DIM_AND_EXPERTS, "--out", "c.csv"],
+     "bad --grid '0.1:0.5:x': invalid literal for int() with base 10: 'x'"),
+    (["capacity", "--grid", "0.5:0.1:3", *DIM_AND_EXPERTS, "--out", "c.csv"],
+     "--grid needs 0 < START < STOP < 1 and COUNT >= 2, got '0.5:0.1:3'"),
+    (["capacity", "--grid", "0.1:0.5:3", *DIM_AND_EXPERTS], "--grid output is CSV; pass --out"),
+    (["capacity", *DIM_AND_EXPERTS], "capacity requires --delta (or --grid)"),
+    (["train-toy", "--config", "c.json", "--out", "run.csv"],
+     "config value router='nope' is not one of hash, switch, loc"),
+])
+def test_usage_error_is_one_error_line_and_writes_nothing(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"router": "nope"}))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 class TestCapacityCommand:
     def test_json_query(self, tmp_path, capsys):
         out = tmp_path / "cap.json"
@@ -569,14 +595,16 @@ class TestTrainToyCommand:
                     "--tokens-per-cluster", "64", "--seed", "2", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].split(",")[3:6] == ["count_0", "f_0", "P_0"]
 
-    def test_divergence_is_a_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "run.csv"
-        with np.errstate(all="ignore"):
-            code = run(["train-toy", "--router", "switch", "--lr", "1e9", "--epochs", "20",
-                        "--tokens-per-cluster", "64", "--out", str(out)])
-        assert code == 1
-        assert "error: non-finite objective" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("argv, message", [
+        (["--router", "switch", "--lr", "1e9", "--epochs", "20", "--tokens-per-cluster", "64"],
+         "non-finite objective nan at epoch 5"),
+        (["--router", "loc", "--mu", "1e308"], "non-finite objective inf at epoch 0"),
+    ])
+    def test_divergence_is_a_runtime_error_and_its_one_line(self, argv, message, tmp_path, capsys):
+        # no floating-point warning either: the suite makes a RuntimeWarning an error
+        assert run(["train-toy", *argv, "--out", str(tmp_path / "run.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_epochs_flag_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
