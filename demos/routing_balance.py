@@ -11,14 +11,7 @@ capacity enforcement drops overflow tokens in batch order.  Run:
 import numpy as np
 
 from moelab.capacity import SphereSampleConfig, cosine_histograms, sample_unit_sphere
-from moelab.router import (
-    apply_capacity,
-    build_block_gating,
-    gate_scores,
-    hash_route,
-    route_top1,
-    switch_route,
-)
+from moelab.router import apply_capacity, build_block_gating, gate_scores, hash_route, route_top1
 
 N_EXPERTS, DIM, TOKENS = 8, 64, 50_000
 
@@ -37,7 +30,7 @@ hashed = hash_route(batch.token_ids, N_EXPERTS)
 print(f"  hash         : {hashed.f.round(4)}")
 
 rng = np.random.default_rng(1)
-dense = switch_route(batch.tokens, rng.standard_normal((N_EXPERTS, DIM)) / np.sqrt(DIM))
+dense = route_top1(batch.tokens @ (rng.standard_normal((N_EXPERTS, DIM)) / np.sqrt(DIM)).T)
 print(f"  random dense : {dense.f.round(4)}   (no symmetry guarantee)")
 
 # --- capacity enforcement ---------------------------------------------------

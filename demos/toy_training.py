@@ -18,7 +18,7 @@ from moelab.toymoe import compare_routers, entropy, make_synthetic_corpus
 corpus = make_synthetic_corpus(defaults.DEFAULT_CORPUS)
 n = defaults.DEFAULT_N_EXPERTS
 # hash and switch train with no balance or locality penalty, loc with both
-runs = compare_routers(corpus, n, defaults.default_placement(), defaults.DEFAULT_TOPOLOGY,
+runs = compare_routers(corpus, defaults.default_placement(), defaults.DEFAULT_TOPOLOGY,
                        epochs=defaults.DEFAULT_EPOCHS, seed=defaults.DEFAULT_SEED)
 for kind, run in runs.items():
     last = run.records[-1]

@@ -249,13 +249,6 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_legendre(f, a: float, b: float) -> float:
-    nodes, weights = _legendre_rule()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.sum(weights * f(mid + half * nodes)))
-
-
 def cap_area_identity_check(delta, dim: int):
     """Two-cap area fraction by direct quadrature vs. the beta identity,
     elementwise in delta (a float or an array).
@@ -274,8 +267,10 @@ def cap_area_identity_check(delta, dim: int):
         raise ValueError(f"dim must be >= 3 for the cap quadrature, got {dim}")
     # A_cap / A_total = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * integral
     ratio = math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)) / math.sqrt(math.pi)
-    lhs = np.array([2.0 * ratio * _gauss_legendre(lambda t: np.sin(t) ** (dim - 2), 0.0, math.acos(v))
-                    for v in flat.tolist()]).reshape(np.shape(delta))
+    nodes, weights = _legendre_rule()
+    halves = [0.5 * math.acos(v) for v in flat.tolist()]  # over [0, acos(delta)], midpoint = half-width
+    lhs = np.array([2.0 * ratio * (h * np.sum(weights * np.sin(h + h * nodes) ** (dim - 2)))
+                    for h in halves]).reshape(np.shape(delta))
     rhs = _p_delta(np.asarray(delta, dtype=float), dim)
     err = np.abs(lhs - rhs)
     return (float(lhs), rhs, float(err)) if lhs.ndim == 0 else (lhs, rhs, err)

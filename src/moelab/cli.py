@@ -41,14 +41,7 @@ from .commsim import (
     groupwise_alltoall_cost,
 )
 from .losses import LossConfig
-from .router import (
-    apply_capacity,
-    build_block_gating,
-    gate_scores,
-    hash_route,
-    route_top1,
-    switch_route,
-)
+from .router import apply_capacity, build_block_gating, gate_scores, hash_route, route_top1
 from .toymoe import (
     COMPARE_LOSSES,
     SyntheticCorpusConfig,
@@ -140,13 +133,6 @@ def _read_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_config_file(path: str) -> dict:
-    config = _read_json(path)
-    if not isinstance(config, dict):
-        raise UsageError(f"config file {path}: expected a JSON object, got {type(config).__name__}")
-    return config
-
-
 def _is_a(value, kind) -> bool:
     """JSON value type check: an int also serves a float, a bool never a number."""
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
@@ -169,9 +155,13 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
 
     A key is a flag name without its dashes; keys that name no such flag are
     ignored.  A value must have its flag's type (an int also serves a float
-    flag and is kept as given) and be one of the flag's choices, if it has any.
+    flag), is then converted by that type as the flag's value is (an int too
+    large for a float is a usage error), and must be one of the flag's
+    choices, if it has any.
     """
-    config = _load_config_file(path)
+    config = _read_json(path)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path}: expected a JSON object, got {type(config).__name__}")
     values = {}
     for action in command._actions:
         key = action.dest.replace("_", "-")
@@ -180,6 +170,10 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
         value = config[key]
         if not _is_a(value, action.type):
             raise UsageError(f"config value {key}={value!r} is not of type {action.type.__name__}")
+        try:
+            value = action.type(value)
+        except OverflowError:
+            raise UsageError(f"config value {key} is too large for a {action.type.__name__}") from None
         if action.choices is not None and value not in action.choices:
             raise UsageError(f"config value {key}={value!r} is not one of {', '.join(action.choices)}")
         values[action.dest] = value
@@ -304,7 +298,7 @@ def cmd_route_sim(args) -> int:
     if router == "block":
         outcome = route_top1(gate_scores(batch.tokens, weights, args.noise_std, seed=seed))
     elif router == "switch":
-        outcome = switch_route(batch.tokens, weights)
+        outcome = route_top1(batch.tokens @ weights.T)
     else:
         outcome = hash_route(batch.token_ids, experts)
     if cap_tokens is not None:
@@ -469,9 +463,7 @@ def cmd_comm_sim(args) -> int:
     }
     plain = alltoall_cost(volume, topology)
     grouped, plan = groupwise_alltoall_cost(volume, topology, args.tp_group)
-    phase_bytes = {p.kind: 0.0 for p in plan.phases}
-    for p in plan.phases:
-        phase_bytes[p.kind] += p.total_bytes
+    phase_bytes = {p.kind: p.total_bytes for p in plan.phases}  # a plan has at most one phase per kind
     _write_csv(out, {
         "tp_group": [args.tp_group], "plain_alltoall_s": [plain], "groupwise_total_s": [grouped],
         "dispatch_bytes": [phase_bytes.get("all_to_all", 0.0)],
@@ -496,7 +488,7 @@ def _comm_sim_compare(args, topology, out) -> int:
         "topology": args.topology or "default", "placement": args.placement or "default",
         "losses": {kind: {"alpha": cfg.alpha, "mu": cfg.mu} for kind, cfg in COMPARE_LOSSES.items()},
     }
-    runs = compare_routers(corpus, experts, placement, topology, epochs=args.epochs, seed=seed)
+    runs = compare_routers(corpus, placement, topology, epochs=args.epochs, seed=seed)
     last = [run.records[-1] for run in runs.values()]  # each run's record of its final outcome
     _write_csv(out, {
         "router": list(runs), "entropy": [entropy(rec.f) for rec in last],

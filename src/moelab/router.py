@@ -1,5 +1,6 @@
 """Token routing: block-orthogonal gating, scored top-1 selection with
-capacity enforcement, and hash / learnable-dense baseline routers.
+capacity enforcement, and the hash baseline router.  A dense (switch)
+router is ``route_top1(tokens @ W.T)``: raw inner products, no relu.
 
 This is the one place where scores become probabilities, an assignment,
 a gate and the batch statistics ``f`` and ``P``: every router returns a
@@ -243,21 +244,3 @@ def hash_route(token_ids, n_experts: int) -> RoutingOutcome:
     ids = np.atleast_1d(np.asarray(token_ids, dtype=np.int64))
     expert = (fnv1a64(ids) % np.uint64(n_experts)).astype(np.int64)
     return RoutingOutcome(expert_of_token=expert, probs=np.eye(n_experts)[expert])
-
-
-def switch_route(tokens: np.ndarray, learnable_weights: np.ndarray) -> RoutingOutcome:
-    """Top-1 routing of the (T, d) ``tokens`` over a trainable dense
-    gating matrix.
-
-    Identical mechanics to :func:`route_top1` but the scores are raw inner
-    products (no relu), softmaxed directly.
-    """
-    learnable_weights = np.asarray(learnable_weights, dtype=float)
-    if not np.isfinite(learnable_weights).all():
-        raise ValueError("gating matrix contains non-finite entries")
-    if tokens.shape[1] != learnable_weights.shape[1]:
-        raise ValueError(
-            f"token dim {tokens.shape[1]} does not match gating dim "
-            f"{learnable_weights.shape[1]}"
-        )
-    return route_top1(tokens @ learnable_weights.T)

@@ -216,10 +216,6 @@ def _beta_cf(a, b, x):
     return out
 
 
-def _cf_failure(a, b, x):
-    return RuntimeError(f"beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
 def _check_unit(x):
     """Raise ValueError naming the first x outside [0, 1], NaN included."""
     flat = np.ravel(x)
@@ -258,6 +254,7 @@ def reg_incomplete_beta(x, a: float, b: float):
     failed = np.flatnonzero(np.isnan(cf))
     if failed.size:
         i = failed[0]
-        raise _cf_failure(a, b, float(x[i])) if low[i] else _cf_failure(b, a, float(1.0 - x[i]))
+        p, q, v = (a, b, x[i]) if low[i] else (b, a, 1.0 - x[i])  # the failed fraction's arguments
+        raise RuntimeError(f"beta continued fraction failed for a={p}, b={q}, x={float(v)}")
     out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
     return float(out[0]) if shape == () else out.reshape(shape)

@@ -428,8 +428,9 @@ def _probe_tensors(state, setup: _TrainSetup):
 
 def _probe_grad_check(state, setup: _TrainSetup, rng) -> float:
     """Sampled-coordinate finite-difference check of the analytic gradients:
-    :func:`losses.grad_check` on a random sub-vector of each tensor."""
-    worst = 0.0
+    the worst :func:`losses.grad_check` error over a random sub-vector of
+    each tensor, NaN if any is NaN."""
+    errs = []
     for tensor, grad, rerun in _probe_tensors(state, setup):
         flat = tensor.reshape(-1)
         picks = rng.choice(flat.size, size=min(_PROBE_COORDS, flat.size), replace=False)
@@ -439,10 +440,9 @@ def _probe_grad_check(state, setup: _TrainSetup, rng) -> float:
             flat[picks] = values
             return rerun()
 
-        err = grad_check(objective, lambda _: grad.reshape(-1)[picks], orig)
+        errs.append(grad_check(objective, lambda _: grad.reshape(-1)[picks], orig))
         flat[picks] = orig
-        worst = max(worst, err)
-    return worst
+    return float(np.max(errs))  # max() would drop a NaN, as every comparison with NaN is false
 
 
 def _select_probe(scores):
@@ -533,8 +533,10 @@ def train(
     a given seed.  Experts have hidden width ``4 * dim``.  With
     ``capacity`` set, each step serves at most that many tokens per
     expert (in batch order) and the rest pass through the layer unchanged.
-    Every call trains with OpenBLAS on one thread and gives the caller's
-    count back, so its bits do not depend on the BLAS thread count.
+    A start-of-run probe error over ``grad_check_tol`` raises
+    AssertionError, and a NaN one RuntimeError.  Every call trains with
+    OpenBLAS on one thread and gives the caller's count back, so its bits
+    do not depend on the BLAS thread count.
     """
     if router_kind not in ("hash", "switch", "loc"):
         raise ValueError(f"unknown router kind {router_kind!r}")
@@ -595,6 +597,8 @@ def train(
         probe_idx = (np.arange(min(_PROBE_TOKENS, t)) if router_kind == "hash"
                      else _select_probe(_scores(state, setup)))
         probe_err = _probe_grad_check(state, setup_over(probe_idx), np.random.default_rng(seed + 1))
+        if not math.isfinite(probe_err):
+            raise RuntimeError(f"gradient check failed for router {router_kind!r}: max rel err {probe_err}")
         if probe_err > grad_check_tol:
             raise AssertionError(
                 f"gradient check failed for router {router_kind!r}: "
@@ -639,14 +643,15 @@ def train(
     )
 
 
-def _train_paired(kind, corpus, n_experts, placement, topology, epochs, seed) -> TrainRun:
-    return train(corpus, kind, n_experts, placement, topology,
+def _train_paired(kind, corpus, placement, topology, epochs, seed) -> TrainRun:
+    return train(corpus, kind, placement.n_experts, placement, topology,
                  epochs=epochs, loss_cfg=COMPARE_LOSSES[kind], seed=seed)
 
 
-def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlacement,
-                    topology: ClusterTopology, *, epochs: int, seed: int) -> dict[str, TrainRun]:
-    """The paired runs: each router of :data:`COMPARE_LOSSES`, in order, trained with its losses.
+def compare_routers(corpus: TokenBatch, placement: ExpertPlacement, topology: ClusterTopology,
+                    *, epochs: int, seed: int) -> dict[str, TrainRun]:
+    """The paired runs: each router of :data:`COMPARE_LOSSES`, in order,
+    trained with its losses over the placement's experts.
 
     The runs are independent, so they train at once: the first router in
     this process and each other router in its own forked worker, up to
@@ -662,8 +667,8 @@ def compare_routers(corpus: TokenBatch, n_experts: int, placement: ExpertPlaceme
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    run = functools.partial(_train_paired, corpus=corpus, n_experts=n_experts, placement=placement,
-                            topology=topology, epochs=epochs, seed=seed)
+    run = functools.partial(_train_paired, corpus=corpus, placement=placement, topology=topology,
+                            epochs=epochs, seed=seed)
     if _openblas_thread_fns() is None or "fork" not in multiprocessing.get_all_start_methods():
         return {kind: run(kind) for kind in COMPARE_LOSSES}
     first, *rest = COMPARE_LOSSES

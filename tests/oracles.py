@@ -367,12 +367,12 @@ def per_point_cap_identity(delta, dim):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def sequential_compare_routers(corpus, n_experts, placement, topology, *, epochs, seed):
+def sequential_compare_routers(corpus, placement, topology, *, epochs, seed):
     """The paired runs as one loop in this process: each router of
-    COMPARE_LOSSES, in order, trained with its losses."""
+    COMPARE_LOSSES, in order, trained with its losses over the placement's experts."""
     from moelab import toymoe
 
-    return {kind: toymoe.train(corpus, kind, n_experts, placement, topology,
+    return {kind: toymoe.train(corpus, kind, placement.n_experts, placement, topology,
                                epochs=epochs, loss_cfg=loss_cfg, seed=seed)
             for kind, loss_cfg in toymoe.COMPARE_LOSSES.items()}
 

@@ -88,8 +88,8 @@ def default_runs():
     placement = defaults.default_placement()
     topo = defaults.DEFAULT_TOPOLOGY
     t0 = time.monotonic()
-    runs = compare_routers(make_synthetic_corpus(defaults.DEFAULT_CORPUS), defaults.DEFAULT_N_EXPERTS,
-                           placement, topo, epochs=defaults.DEFAULT_EPOCHS, seed=SEED)
+    runs = compare_routers(make_synthetic_corpus(defaults.DEFAULT_CORPUS), placement, topo,
+                           epochs=defaults.DEFAULT_EPOCHS, seed=SEED)
     return runs, time.monotonic() - t0, placement, topo
 
 

@@ -137,6 +137,15 @@ def test_usage_error_is_one_error_line_and_writes_nothing(argv, message, tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+@pytest.mark.parametrize("command, key", [("train-toy", "lr"), ("route-sim", "noise-std")])
+def test_config_int_too_large_for_a_float_flag_is_usage_error(command, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(f'{{"{key}": {"9" * 400}}}')
+    assert run([command, "--config", "c.json", "--out", "out.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: config value {key} is too large for a float\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 class TestCapacityCommand:
     def test_json_query(self, tmp_path, capsys):
         out = tmp_path / "cap.json"
@@ -572,12 +581,12 @@ class TestTrainToyCommand:
             assert run(["train-toy", "--config", str(config), "--out", str(out)]) == 2
             assert "is not of type" in capsys.readouterr().err
             assert not out.exists()
-        # an int serves a float flag and is recorded as given
+        # an int serves a float flag and is converted, as the flag's value is
         config.write_text(json.dumps({"lr": 1, "epochs": 1, "tokens-per-cluster": 16}))
         assert run(["train-toy", "--router", "hash", "--config", str(config),
                     "--out", str(out)]) == 0
         meta = (tmp_path / "run.csv.meta.json").read_text()
-        assert '"lr": 1,' in meta
+        assert '"lr": 1.0,' in meta
 
     @pytest.mark.parametrize("content", ['"epochs"', "[1, 2]"])
     def test_config_file_that_is_not_an_object_is_usage_error(self, content, tmp_path, capsys):
@@ -598,7 +607,7 @@ class TestTrainToyCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--router", "switch", "--lr", "1e9", "--epochs", "20", "--tokens-per-cluster", "64"],
          "non-finite objective nan at epoch 5"),
-        (["--router", "loc", "--mu", "1e308"], "non-finite objective inf at epoch 0"),
+        (["--router", "loc", "--mu", "1e308"], "gradient check failed for router 'loc': max rel err nan"),
     ])
     def test_divergence_is_a_runtime_error_and_its_one_line(self, argv, message, tmp_path, capsys):
         # no floating-point warning either: the suite makes a RuntimeWarning an error
@@ -1127,22 +1136,36 @@ class TestDeterminism:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_train_toy_config_file_equals_flags(self, tmp_path):
-        # every value-taking train-toy flag, set from a config file or as flags
-        values = {"router": "switch", "epochs": 3, "lr": 0.5, "alpha": 0.3, "mu": 0.05,
-                  "clusters": 3, "dim": 24, "experts": 8, "nodes": 1, "devices-per-node": 8,
-                  "tokens-per-cluster": 32, "concentration": 6.0, "seed": 5}
+    @pytest.mark.parametrize("command, values", [
+        ("capacity", {"delta": 0, "dim": 64, "experts": 8, "mc-samples": 1000}),
+        ("capacity", {"grid": "0.1:0.5:5", "dim": 64, "experts": 8}),
+        ("route-sim", {"router": "block", "tokens": 500, "dim": 16, "experts": 4, "noise-std": 0,
+                       "capacity-factor": 1}),
+        ("comm-sim", {"volumes": "v.csv", "topology": "topo.json", "tp-group": 2}),
+        # every value-taking train-toy flag
+        ("train-toy", {"router": "switch", "epochs": 3, "lr": 1, "alpha": 0.3, "mu": 0, "clusters": 3,
+                       "dim": 24, "experts": 8, "nodes": 1, "devices-per-node": 8, "tokens-per-cluster": 32,
+                       "concentration": 6, "seed": 5}),
+    ], ids=["capacity-point", "capacity-grid", "route-sim", "comm-sim-volumes", "train-toy"])
+    def test_config_file_writes_the_bytes_of_the_same_flags(self, command, values, tmp_path, monkeypatch):
+        # integral values for float flags too: a config value is converted as its flag's value is
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "topo.json").write_text(json.dumps({
+            "n_nodes": 2, "devices_per_node": 2,
+            "intra_bw": 2e9, "inter_bw": 1e9, "intra_latency": 1e-6, "inter_latency": 2e-6,
+        }))
+        (tmp_path / "v.csv").write_text("to_dev_0,to_dev_1,to_dev_2,to_dev_3\n"
+                                        + "0,1,2,3\n4,0,6,7\n8,9,0,11\n12,13,14,0\n")
+        name = "out.json" if command == "capacity" and "grid" not in values else "out.csv"
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
-        flags = [f"--{key}={value}" for key, value in values.items()]
-        assert run(["train-toy", *flags, "--out", str(a / "run.csv")]) == 0
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({**values, "out": str(b / "run.csv")}))
-        assert run(["train-toy", "--config", str(config)]) == 0
+        assert run([command, *(f"--{key}={value}" for key, value in values.items()), "--out", str(a / name)]) == 0
+        (tmp_path / "c.json").write_text(json.dumps({**values, "out": str(b / name)}))
+        assert run([command, "--config", "c.json"]) == 0
         names = sorted(path.name for path in a.iterdir())
-        assert len(names) == 6 and names == sorted(path.name for path in b.iterdir())
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert names and names == sorted(path.name for path in b.iterdir())
+        for written in names:
+            assert (a / written).read_bytes() == (b / written).read_bytes(), written
 
     def test_config_file_out_is_honoured(self, tmp_path):
         out = tmp_path / "cap.json"

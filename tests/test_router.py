@@ -15,7 +15,6 @@ from moelab.router import (
     route_top1,
     softmax,
     softmax_backward,
-    switch_route,
     top1,
 )
 from moelab.capacity import SphereSampleConfig, sample_unit_sphere
@@ -242,17 +241,19 @@ class TestHashRoute:
 
 
 class TestSwitchRoute:
+    """The switch (dense) router: route_top1 over the raw inner products tokens @ W.T."""
+
     def test_matches_block_gating_on_nonnegative_tokens(self):
         w = build_block_gating(4, 8)
         rng = np.random.default_rng(10)
         tokens = np.abs(rng.standard_normal((50, 8)))
         relu_based = route_top1(gate_scores(tokens, w))
-        dense = switch_route(tokens, w)
+        dense = route_top1(tokens @ w.T)
         assert np.array_equal(relu_based.expert_of_token, dense.expert_of_token)
 
     def test_zero_matrix_routes_to_expert_zero(self):
         tokens = np.random.default_rng(1).standard_normal((6, 4))
-        out = switch_route(tokens, np.zeros((3, 4)))
+        out = route_top1(tokens @ np.zeros((3, 4)).T)
         assert np.all(out.expert_of_token == 0)
         assert np.allclose(out.gate_value, 1 / 3)
 
@@ -260,12 +261,12 @@ class TestSwitchRoute:
         rng = np.random.default_rng(12)
         tokens = rng.standard_normal((100, 6))
         w = rng.standard_normal((5, 6))
-        out = switch_route(tokens, w)
+        out = route_top1(tokens @ w.T)
         assert np.array_equal(out.expert_of_token, np.argmax(tokens @ w.T, axis=1))
 
     def test_rejects_non_finite_weights(self):
-        with pytest.raises(ValueError):
-            switch_route(np.array([[1.0, 2.0]]), np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="scores contain non-finite entries"):
+            route_top1(np.array([[1.0, 2.0]]) @ np.array([[np.nan, 1.0]]).T)
 
     def test_softmax_backward_is_the_jacobian_product_per_row(self):
         rng = np.random.default_rng(13)

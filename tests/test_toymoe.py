@@ -26,7 +26,6 @@ from moelab.router import (
     gate_scores,
     hash_route,
     route_top1,
-    switch_route,
 )
 from moelab.special import erf
 from moelab.toymoe import (
@@ -154,7 +153,7 @@ class TestMoeForward:
         d, h, n = 8, 16, 2
         w_in = rng.standard_normal((n, h, d))
         batch = TokenBatch(tokens=rng.standard_normal((10, d)), token_ids=np.arange(10))
-        outcome = apply_capacity(switch_route(batch.tokens, rng.standard_normal((n, d))), 1)
+        outcome = apply_capacity(route_top1(batch.tokens @ rng.standard_normal((n, d)).T), 1)
         y = moe_forward(batch, outcome, w_in, np.zeros((n, d, h)))
         served = ~outcome.dropped
         assert np.all(y[served] == 0.0)
@@ -190,7 +189,7 @@ class TestMoeForward:
         d, n = 8, 2
         experts = init_experts(n, d, 16, rng)
         batch = TokenBatch(tokens=rng.standard_normal((20, d)), token_ids=np.arange(20))
-        outcome = apply_capacity(switch_route(batch.tokens, np.zeros((n, d))), 1)
+        outcome = apply_capacity(route_top1(batch.tokens @ np.zeros((n, d)).T), 1)
         y = moe_forward(batch, outcome, *experts)
         dropped = outcome.dropped
         assert dropped.sum() == 19  # everything ties to expert 0, cap 1
@@ -299,7 +298,7 @@ class TestTraining:
             if kind == "hash":
                 ref = hash_route(corpus.token_ids, 8)
             elif kind == "switch":
-                ref = switch_route(corpus.tokens, run.params["gating"])
+                ref = route_top1(corpus.tokens @ run.params["gating"].T)
             else:
                 proj = corpus.tokens @ run.params["gating"].T
                 ref = route_top1(gate_scores(proj, block_w))
@@ -340,6 +339,16 @@ class TestTraining:
             run = train(corpus, kind, 2, placement, TOPO, epochs=1, lr=0.5, seed=0,
                         capacity=1, check_gradients=True)
             assert run.probe_grad_rel_err <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
+    def test_a_nan_probe_error_is_a_runtime_error(self, kind, monkeypatch):
+        # a NaN gradient makes every probe error NaN, which must fail the
+        # probe whatever its tolerance, not read as a zero error
+        monkeypatch.setattr(toymoe, "cross_entropy_grad", lambda logits, labels: np.full(logits.shape, np.nan))
+        corpus = small_corpus()
+        with pytest.raises(RuntimeError, match=f"gradient check failed for router '{kind}': max rel err nan"):
+            train(corpus, kind, 8, round_robin_placement(8, TOPO), TOPO, epochs=1, seed=0,
+                  grad_check_tol=math.inf)
 
     def test_hash_counts_are_constant_and_balanced(self):
         corpus = small_corpus()  # 256 tokens, multiple of 16
@@ -401,7 +410,7 @@ class TestTraining:
     def test_compare_routers_trains_each_router_with_its_compare_losses(self):
         corpus = small_corpus()
         placement = round_robin_placement(8, TOPO)
-        runs = compare_routers(corpus, 8, placement, TOPO, epochs=3, seed=0)
+        runs = compare_routers(corpus, placement, TOPO, epochs=3, seed=0)
         assert list(runs) == ["hash", "switch", "loc"]
         for kind, run in runs.items():
             want = train(corpus, kind, 8, placement, TOPO, epochs=3,
@@ -512,15 +521,15 @@ class TestCompareRouters:
 
     @staticmethod
     def small():
-        return small_corpus(), 8, round_robin_placement(8, TOPO), TOPO
+        return small_corpus(), round_robin_placement(8, TOPO), TOPO
 
     @pytest.mark.parametrize("corpus, epochs", [("small", 3), ("default", 2)])
     def test_equals_the_sequential_oracle_bit_for_bit(self, corpus, epochs):
         if corpus == "small":
             args = self.small()
         else:
-            args = (make_synthetic_corpus(defaults.DEFAULT_CORPUS), defaults.DEFAULT_N_EXPERTS,
-                    defaults.default_placement(), defaults.DEFAULT_TOPOLOGY)
+            args = (make_synthetic_corpus(defaults.DEFAULT_CORPUS), defaults.default_placement(),
+                    defaults.DEFAULT_TOPOLOGY)
         seed = 0 if corpus == "small" else defaults.DEFAULT_SEED
         got = compare_routers(*args, epochs=epochs, seed=seed)
         assert_same_bits(got, sequential_compare_routers(*args, epochs=epochs, seed=seed), "runs")
