@@ -1136,34 +1136,28 @@ class TestDeterminism:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("command, values", [
-        ("capacity", {"delta": 0, "dim": 64, "experts": 8, "mc-samples": 1000}),
-        ("capacity", {"grid": "0.1:0.5:5", "dim": 64, "experts": 8}),
+    @pytest.mark.parametrize("command, values, names", [
+        ("capacity", {"delta": 0, "dim": 64, "experts": 8, "mc-samples": 1000}, ["out.json"]),
         ("route-sim", {"router": "block", "tokens": 500, "dim": 16, "experts": 4, "noise-std": 0,
-                       "capacity-factor": 1}),
-        ("comm-sim", {"volumes": "v.csv", "topology": "topo.json", "tp-group": 2}),
+                       "capacity-factor": 1}, ["out.csv", "out.csv.meta.json"]),
         # every value-taking train-toy flag
         ("train-toy", {"router": "switch", "epochs": 3, "lr": 1, "alpha": 0.3, "mu": 0, "clusters": 3,
                        "dim": 24, "experts": 8, "nodes": 1, "devices-per-node": 8, "tokens-per-cluster": 32,
-                       "concentration": 6, "seed": 5}),
-    ], ids=["capacity-point", "capacity-grid", "route-sim", "comm-sim-volumes", "train-toy"])
-    def test_config_file_writes_the_bytes_of_the_same_flags(self, command, values, tmp_path, monkeypatch):
+                       "concentration": 6, "seed": 5},
+         ["out.csv", "out.csv.meta.json", "out.report.csv", "out.report.csv.meta.json",
+          "out.volumes.csv", "out.volumes.csv.meta.json"]),
+    ], ids=["capacity", "route-sim", "train-toy"])
+    def test_config_file_writes_the_bytes_of_the_same_flags(self, command, values, names, tmp_path):
         # integral values for float flags too: a config value is converted as its flag's value is
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "topo.json").write_text(json.dumps({
-            "n_nodes": 2, "devices_per_node": 2,
-            "intra_bw": 2e9, "inter_bw": 1e9, "intra_latency": 1e-6, "inter_latency": 2e-6,
-        }))
-        (tmp_path / "v.csv").write_text("to_dev_0,to_dev_1,to_dev_2,to_dev_3\n"
-                                        + "0,1,2,3\n4,0,6,7\n8,9,0,11\n12,13,14,0\n")
-        name = "out.json" if command == "capacity" and "grid" not in values else "out.csv"
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
-        assert run([command, *(f"--{key}={value}" for key, value in values.items()), "--out", str(a / name)]) == 0
-        (tmp_path / "c.json").write_text(json.dumps({**values, "out": str(b / name)}))
-        assert run([command, "--config", "c.json"]) == 0
-        names = sorted(path.name for path in a.iterdir())
-        assert names and names == sorted(path.name for path in b.iterdir())
+        flags = [f"--{key}={value}" for key, value in values.items()]
+        assert run([command, *flags, "--out", str(a / names[0])]) == 0
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**values, "out": str(b / names[0])}))
+        assert run([command, "--config", str(config)]) == 0
+        for out in (a, b):
+            assert sorted(path.name for path in out.iterdir()) == names
         for written in names:
             assert (a / written).read_bytes() == (b / written).read_bytes(), written
 
