@@ -43,6 +43,11 @@ class CapacityTheoryInput:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.n_experts < 1:
             raise ValueError(f"n_experts must be >= 1, got {self.n_experts}")
+        for name in ("dim", "n_experts"):  # the bound is float arithmetic in both
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,8 @@ def cmd_capacity(args) -> int:
             raise UsageError(f"{flag} does not apply with --grid")
     if args.mc_samples is not None and args.mc_samples < 1:
         raise UsageError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    if args.mc_samples is not None and args.mc_samples > sys.maxsize:
+        raise UsageError(f"--mc-samples must be <= {sys.maxsize}, numpy's largest length")
     with _usage_errors():
         query = capacity.CapacityTheoryInput(args.delta if grid is None else grid[0], args.dim, args.experts)
 
@@ -502,7 +504,10 @@ def _comm_sim_compare(args, topology, out) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The moelab parser, built on the first call and shared by every later
+    one; nothing changes it after it is built, not even a --config file."""
     parser = argparse.ArgumentParser(
         prog="moelab",
         description="Routing, capacity-theory, toy-training and communication-model workbench.",
@@ -571,21 +576,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-routers", action="store_true", help="paired hash/switch/loc runs compared")
     p.set_defaults(fn=cmd_comm_sim)
 
-    for p in sub.choices.values():  # what a --config file's values become defaults of
+    for p in sub.choices.values():  # the parser main reparses a --config command with
         p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    A --config file's values fill the namespace the command parses its flags
+    into again: argparse sets a default only where the namespace has no value,
+    and a flag given overwrites one, so flags win and the parser stays as built.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if getattr(args, "config", None) is not None:
-            args.command_parser.set_defaults(**_config_defaults(args.command_parser, args.config))
-            args = parser.parse_args(argv)
+            config = _config_defaults(args.command_parser, args.config)
+            args = args.command_parser.parse_args(argv[argv.index(args.command) + 1:],
+                                                  argparse.Namespace(command=args.command, **config))
         _check_args(args)
         return args.fn(args)
     except UsageError as exc:

@@ -105,6 +105,9 @@ class TestPDelta:
             theory(1.2, 16)
         with pytest.raises(ValueError):
             CapacityTheoryInput(delta=0.5, dim=1, n_experts=4)
+        for dim, n in ((10**400, 4), (16, 10**400)):
+            with pytest.raises(ValueError, match="too large for a float"):
+                CapacityTheoryInput(delta=0.5, dim=dim, n_experts=n)
 
 
 class TestMonteCarloPDelta:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import moelab
-from moelab import capacity, cli, verify
+from moelab import capacity, cli, defaults, verify
 from moelab.cli import main
 from oracles import fnv1a64_reference, rowwise_csv
 
@@ -146,6 +147,66 @@ def test_config_int_too_large_for_a_float_flag_is_usage_error(command, key, tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+class TestOneParser:
+    """main builds its parser once and reuses it; a --config file fills in one
+    call's values without changing the parser."""
+
+    def test_main_builds_its_parser_at_most_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": 0.1, "dim": 16, "experts": 4}))
+        for argv, code in ((["capacity", "--delta", "0.1", *DIM_AND_EXPERTS], 0),
+                           (["capacity", "--config", str(config)], 0),
+                           (["capacity", "--dim", "x"], 2),
+                           (["verify", "--only", "nope"], 2)):
+            assert run(argv) == code
+        capsys.readouterr()
+        assert built.count("moelab") <= 1
+
+    def test_config_values_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": 0.3, "dim": 128, "experts": 4}))
+        assert run(["capacity", "--config", str(config), "--out", str(tmp_path / "a.json")]) == 0
+        assert run(["capacity", "--dim", "64", "--out", str(tmp_path / "b.json")]) == 2
+        assert capsys.readouterr() == ("", "error: capacity requires --dim and --experts\n")
+        assert not (tmp_path / "b.json").exists()
+        config.write_text(json.dumps({"lr": 0.5}))
+        small = ["--router", "hash", "--epochs", "1", "--tokens-per-cluster", "16"]
+        assert run(["train-toy", *small, "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 0
+        assert run(["train-toy", *small, "--out", str(tmp_path / "d.csv")]) == 0
+        assert json.loads((tmp_path / "c.csv.meta.json").read_text())["config"]["lr"] == 0.5
+        assert json.loads((tmp_path / "d.csv.meta.json").read_text())["config"]["lr"] == defaults.DEFAULT_LR
+
+    def test_a_flag_given_at_its_default_wins_over_the_config(self, tmp_path):
+        # the given values equal the defaults, and the small int and the short
+        # string may even be the default objects: only "was it given" tells
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"lr": 0.5, "router": "hash", "seed": 3}))
+        out = tmp_path / "run.csv"
+        assert run(["train-toy", "--config", str(config), "--lr", str(defaults.DEFAULT_LR),
+                    "--router", "loc", "--seed", str(defaults.DEFAULT_SEED),
+                    "--epochs", "1", "--tokens-per-cluster", "16", "--out", str(out)]) == 0
+        recorded = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert {key: recorded["config"][key] for key in ("lr", "router", "seed")} == {
+            "lr": defaults.DEFAULT_LR, "router": "loc", "seed": defaults.DEFAULT_SEED}
+
+    def test_a_flag_beside_a_config_is_still_parsed_by_its_type(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": 0.1, "dim": 64, "experts": 8}))
+        assert run(["capacity", "--config", str(config), "--dim", "x",
+                    "--out", str(tmp_path / "cap.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("moelab capacity: error: argument --dim: invalid int value: 'x'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 class TestCapacityCommand:
     def test_json_query(self, tmp_path, capsys):
         out = tmp_path / "cap.json"
@@ -212,6 +273,24 @@ class TestCapacityCommand:
         assert run(["capacity", *argv, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, message", [
+        ("dim", "dim is too large for a float"),
+        ("experts", "n_experts is too large for a float"),
+        ("mc-samples", f"--mc-samples must be <= {sys.maxsize}, numpy's largest length"),
+    ], ids=["dim", "experts", "mc-samples"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_value_too_large_is_usage_error(self, key, message, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        values = {"delta": 0.1, "dim": 64, "experts": 4, key: 10**400}
+        if source == "flag":
+            argv = [f"--{name}={value}" for name, value in values.items()]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps(values))
+            argv = ["--config", "c.json"]
+        assert run(["capacity", *argv, "--out", "cap.json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if source == "config" else [])
 
     @pytest.mark.parametrize("flag, value", [("--delta", "0.1"), ("--mc-samples", "100")])
     def test_flag_the_grid_never_reads_is_usage_error(self, flag, value, tmp_path, capsys):
