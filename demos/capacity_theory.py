@@ -14,9 +14,7 @@ import math
 import numpy as np
 
 from moelab.capacity import (
-    CapacityTheoryInput,
     cap_area_identity_check,
-    capacity_curve,
     ec_min,
     empirical_capacity,
     mc_p_delta,
@@ -27,7 +25,7 @@ from moelab.capacity import (
 
 print("Two-cap assignment probability p(delta, d), analytic vs Monte Carlo:")
 for delta, d in [(0.5, 8), (0.25, 16), (0.1, 64), (0.03, 4096)]:
-    analytic = p_delta(CapacityTheoryInput(delta, d, 1))
+    analytic = p_delta(delta, d)
     est, se = mc_p_delta(delta, d, 200_000, seed=0)
     print(
         f"  delta={delta:<5} d={d:<5} analytic={analytic:.6f}  "
@@ -37,7 +35,7 @@ for delta, d in [(0.5, 8), (0.25, 16), (0.1, 64), (0.03, 4096)]:
 # At delta ~ 1/sqrt(d) the probability settles near 0.3 for large d.
 for d in (1024, 4096):
     delta = 1.0 / math.sqrt(d - 1.5)
-    print(f"  delta=1/sqrt(d-3/2), d={d}: p = {p_delta(CapacityTheoryInput(delta, d, 1)):.4f}")
+    print(f"  delta=1/sqrt(d-3/2), d={d}: p = {p_delta(delta, d):.4f}")
 
 # --- the spherical-cap identity behind the formula ------------------------
 
@@ -51,15 +49,15 @@ for d, delta in [(3, 0.5), (8, 0.3), (20, 0.7)]:
 print("\nCapacity lower bound at d=4096, n=16 (the erfc form always exceeds")
 print("the exponential form; at finite d it also sits a hair above the exact value):")
 for delta in (0.01, 0.03, 0.05, 0.08):
-    res = ec_min(CapacityTheoryInput(delta, 4096, 16))
+    res = ec_min(delta, 4096, 16)
     print(
         f"  delta={delta:<5} exact={res.ec_min:10.4f}  erfc-form={res.erfc_bound:10.4f}  "
         f"exp-form={res.exp_bound:10.4f}  degenerate={res.degenerate}"
     )
 
 print("\nCapacity grows steeply as the required angle shrinks (d=512, n=16):")
-curve = capacity_curve(512, 16, np.linspace(0.05, 0.4, 8))
-for delta, bound in zip(curve["delta"], curve["ec_min"]):
+deltas = np.linspace(0.05, 0.4, 8)
+for delta, bound in zip(deltas, ec_min(deltas, 512, 16).ec_min):
     print(f"  delta={delta:.3f}  ec_min={bound:12.2f}")
 
 # --- the everyday ceiling formula used by schedulers ----------------------

@@ -29,30 +29,9 @@ _BLOCK_ROWS = 4096  # rows the sphere Monte Carlo draws and reduces at a time
 
 
 @dataclass(frozen=True)
-class CapacityTheoryInput:
-    """(delta, dim, n_experts) query for the capacity bound."""
-
-    delta: float
-    dim: int
-    n_experts: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.n_experts < 1:
-            raise ValueError(f"n_experts must be >= 1, got {self.n_experts}")
-        for name in ("dim", "n_experts"):  # the bound is float arithmetic in both
-            try:
-                float(getattr(self, name))
-            except OverflowError:
-                raise ValueError(f"{name} is too large for a float") from None
-
-
-@dataclass(frozen=True)
 class CapacityTheoryResult:
-    """Capacity bound in its exact, erfc, and exponential forms.
+    """Capacity bound in its exact, erfc, and exponential forms, each field
+    a float (a bool for the flags) for one delta or a 1-d array over many.
 
     ``degenerate`` flags queries where n * p_delta > 1, i.e. the premise
     that 1/(n p_delta) is a probability's reciprocal is vacuous; the
@@ -60,12 +39,12 @@ class CapacityTheoryResult:
     the exact bound is infinite.
     """
 
-    p_delta: float
-    ec_min: float
-    erfc_bound: float
-    exp_bound: float
-    degenerate: bool
-    unbounded: bool
+    p_delta: float | np.ndarray
+    ec_min: float | np.ndarray
+    erfc_bound: float | np.ndarray
+    exp_bound: float | np.ndarray
+    degenerate: bool | np.ndarray
+    unbounded: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,15 +60,33 @@ class SphereSampleConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
-def p_delta(inp: CapacityTheoryInput) -> float:
-    """Two-cap assignment probability 1 - I_{delta^2}(1/2, (d-1)/2)."""
-    return _p_delta(inp.delta, inp.dim)
+def _check_query(delta, dim: int, n_experts: int = 1):
+    """Raise ValueError at the first delta outside [0, 1] (NaN included), a
+    dim below 2, an n_experts below 1, or a dim or n_experts too large for
+    a float (the bound is float arithmetic in both)."""
+    flat = np.ravel(delta)
+    bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()
+    if bad:
+        raise ValueError(f"delta must lie in [0, 1], got {bad[0]}")
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if n_experts < 1:
+        raise ValueError(f"n_experts must be >= 1, got {n_experts}")
+    for name, value in (("dim", dim), ("n_experts", n_experts)):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
 
 
-def _p_delta(delta, dim: int):
-    """p_delta elementwise in delta (a float or an array), as the identity
-    I_{1-delta^2}((d-1)/2, 1/2): the deep tail (delta close to 1) comes
-    straight from the continued fraction, at full relative accuracy."""
+def p_delta(delta, dim: int):
+    """Two-cap assignment probability 1 - I_{delta^2}(1/2, (d-1)/2),
+    elementwise in delta: a float gives a float and an array an array of
+    its shape.  It is evaluated as the identity I_{1-delta^2}((d-1)/2, 1/2),
+    so the deep tail (delta close to 1) comes straight from the continued
+    fraction, at full relative accuracy."""
+    _check_query(delta, dim)
+    delta = np.asarray(delta, dtype=float)
     return reg_incomplete_beta(1.0 - delta * delta, (dim - 1) / 2.0, 0.5)
 
 
@@ -107,38 +104,37 @@ def _reciprocal_or_inf(n: int, v: np.ndarray) -> np.ndarray:
         return np.divide(1.0, n * v, out=np.full_like(v, math.inf), where=v != 0.0)
 
 
-def _ec_min(delta, dim: int, n: int) -> dict[str, np.ndarray]:
-    """ec_min's result fields, by name, as 1-d arrays over a float or a 1-d
-    array of deltas; the exp form is libm's per point.  Raises RuntimeError
-    at the first delta whose erfc form is not above its exp form."""
-    d2 = delta * delta
-    y2 = d2 * dim / (2.0 - d2)
-    y = np.sqrt(y2)
-    p, e, y2, y = np.atleast_1d(_p_delta(delta, dim), erfc(y), y2, y)
-    ec = _reciprocal_or_inf(n, p)
-    erfc_bound = _reciprocal_or_inf(n, e)
-    exp_bound = np.array([_exp_or_inf(v) for v in y2.tolist()]) / n
-    broken = (0.0 < y) & np.isfinite(erfc_bound) & np.isfinite(exp_bound) & ~(erfc_bound > exp_bound)
-    if broken.any():
-        i = np.argmax(broken)
-        raise RuntimeError(
-            f"erfc-form bound {float(erfc_bound[i])} not above exp-form {float(exp_bound[i])}"
-        )
-    return {"p_delta": p, "ec_min": ec, "erfc_bound": erfc_bound, "exp_bound": exp_bound,
-            "degenerate": n * p > 1.0, "unbounded": p == 0.0}
-
-
-def ec_min(inp: CapacityTheoryInput) -> CapacityTheoryResult:
-    """Capacity lower bound in all three printed forms.
+def ec_min(delta, dim: int, n_experts: int) -> CapacityTheoryResult:
+    """Capacity lower bound in all three printed forms, elementwise in
+    delta: a float gives float fields (and bool flags), a 1-d array gives
+    1-d array fields, float64 or bool, with one entry per delta.
 
     The exact value is 1 / (n * p_delta).  The code checks the provable
     leg of the chain, erfc form > exponential form, which reduces to
-    exp(y^2) * erfc(y) < 1 for y > 0, and raises RuntimeError if it
-    fails.  The exact and erfc forms are both reported so their
-    (approximation-order) gap can be inspected.
+    exp(y^2) * erfc(y) < 1 for y > 0, and raises RuntimeError naming
+    (delta, dim) at the first delta where it fails.  The exact and erfc
+    forms are both reported so their (approximation-order) gap can be
+    inspected; the exp form is libm's, point by point.
     """
-    fields = _ec_min(inp.delta, inp.dim, inp.n_experts)
-    return CapacityTheoryResult(**{name: col[0].item() for name, col in fields.items()})
+    _check_query(delta, dim, n_experts)
+    d = np.asarray(delta, dtype=float)
+    d2 = d * d
+    y2 = d2 * dim / (2.0 - d2)
+    y = np.sqrt(y2)
+    p, e, y2, y, d = np.atleast_1d(p_delta(d, dim), erfc(y), y2, y, d)
+    ec = _reciprocal_or_inf(n_experts, p)
+    erfc_bound = _reciprocal_or_inf(n_experts, e)
+    exp_bound = np.array([_exp_or_inf(v) for v in y2.tolist()]) / n_experts
+    broken = (0.0 < y) & np.isfinite(erfc_bound) & np.isfinite(exp_bound) & ~(erfc_bound > exp_bound)
+    if broken.any():
+        i = np.argmax(broken)
+        raise RuntimeError(f"erfc-form bound {float(erfc_bound[i])} not above exp-form "
+                           f"{float(exp_bound[i])} at {(float(d[i]), dim)}")
+    fields = {"p_delta": p, "ec_min": ec, "erfc_bound": erfc_bound, "exp_bound": exp_bound,
+              "degenerate": n_experts * p > 1.0, "unbounded": p == 0.0}
+    if np.ndim(delta) == 0:
+        fields = {name: col[0].item() for name, col in fields.items()}
+    return CapacityTheoryResult(**fields)
 
 
 def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel: int, n_experts: int) -> int:
@@ -154,27 +150,6 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
         raise ValueError(f"capacity budget {batch_size} * {capacity_factor} / "
                          f"({expert_parallel} * {n_experts}) is not finite")
     return math.ceil(budget)
-
-
-def capacity_curve(dim: int, n_experts: int, delta_grid) -> dict[str, np.ndarray]:
-    """Capacity bounds along a grid of cosine thresholds, as columns: ``"delta"``
-    (the grid) and then each CapacityTheoryResult field, in field order, each
-    a 1-d array with one entry per grid point (float64, or bool for the
-    flags).  The whole grid is evaluated at once, with the bits of one ec_min
-    call per point.
-
-    The grid must be strictly increasing inside (0, 1); the exact bound is
-    then non-decreasing along it because p_delta is decreasing in delta.
-    """
-    grid = np.array(delta_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("delta grid must be a non-empty 1-d sequence")
-    if not ((grid > 0) & (grid < 1)).all():  # NaN is not inside either
-        raise ValueError("delta grid values must lie strictly inside (0, 1)")
-    if not (np.diff(grid) > 0).all():
-        raise ValueError("delta grid must be strictly increasing")
-    CapacityTheoryInput(float(grid[0]), dim, n_experts)  # checks dim and n_experts
-    return {"delta": grid, **_ec_min(grid, dim, n_experts)}
 
 
 def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):
@@ -206,10 +181,7 @@ def mc_p_delta(delta: float, dim: int, n_samples: int, seed: int = 0) -> tuple[f
     are sampled.  Memory is flat in ``dim``: the ``g`` draw plus one block
     of the chi-square draw that follows it in the stream.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    _check_query(delta, dim)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -264,19 +236,15 @@ def cap_area_identity_check(delta, dim: int):
     Returns (lhs, rhs, abs_err): three floats for a float delta, else
     three arrays of delta's shape.
     """
-    flat = np.ravel(delta)
-    bad = flat[~((flat >= 0.0) & (flat <= 1.0))].tolist()  # NaN included
-    if bad:
-        raise ValueError(f"delta must lie in [0, 1], got {bad[0]}")
     if dim < 3:
         raise ValueError(f"dim must be >= 3 for the cap quadrature, got {dim}")
+    rhs = p_delta(delta, dim)  # checks delta
     # A_cap / A_total = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * integral
     ratio = math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)) / math.sqrt(math.pi)
     nodes, weights = _legendre_rule()
-    halves = [0.5 * math.acos(v) for v in flat.tolist()]  # over [0, acos(delta)], midpoint = half-width
+    halves = [0.5 * math.acos(v) for v in np.ravel(delta).tolist()]  # over [0, acos(delta)], midpoint = half-width
     lhs = np.array([2.0 * ratio * (h * np.sum(weights * np.sin(h + h * nodes) ** (dim - 2)))
                     for h in halves]).reshape(np.shape(delta))
-    rhs = _p_delta(np.asarray(delta, dtype=float), dim)
     err = np.abs(lhs - rhs)
     return (float(lhs), rhs, float(err)) if lhs.ndim == 0 else (lhs, rhs, err)
 

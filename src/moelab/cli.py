@@ -229,19 +229,19 @@ def cmd_capacity(args) -> int:
         raise UsageError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     if args.mc_samples is not None and args.mc_samples > sys.maxsize:
         raise UsageError(f"--mc-samples must be <= {sys.maxsize}, numpy's largest length")
-    with _usage_errors():
-        query = capacity.CapacityTheoryInput(args.delta if grid is None else grid[0], args.dim, args.experts)
 
     if grid is not None:
         _check_outputs(args.force, out)
+        with _usage_errors():
+            res = capacity.ec_min(grid, args.dim, args.experts)
         resolved = {"dim": args.dim, "experts": args.experts, "grid": args.grid, "seed": args.seed}
-        _write_csv(out, capacity.capacity_curve(args.dim, args.experts, grid), args.seed, resolved)
+        _write_csv(out, {"delta": grid, **dataclasses.asdict(res)}, args.seed, resolved)
         return 0
 
     _check_outputs(args.force, json_path=out)
-
+    with _usage_errors():
+        res = capacity.ec_min(args.delta, args.dim, args.experts)
     resolved = {"delta": args.delta, "dim": args.dim, "experts": args.experts, "seed": args.seed}
-    res = capacity.ec_min(query)
     result = dataclasses.asdict(res)
     if args.mc_samples is not None:
         est, stderr = capacity.mc_p_delta(args.delta, args.dim, args.mc_samples, seed=args.seed)
@@ -605,6 +605,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the failed allocation; a bare one has none
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

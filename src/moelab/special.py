@@ -232,8 +232,10 @@ def reg_incomplete_beta(x, a: float, b: float):
     the direct continued fraction when x is below the symmetry threshold
     and the complementary expansion otherwise, which keeps both tails
     accurate without cancellation.  The prefactor comes from libm, point by
-    point.  A point whose continued fraction does not converge raises
-    RuntimeError, at the first such point.
+    point; where it underflows to 0 the value is 0 on the direct tail and 1
+    on the complementary one, and no continued fraction is run.  A point
+    whose continued fraction does not converge raises RuntimeError, at the
+    first such point.
     """
     _check_unit(x)
     if a <= 0.0 or b <= 0.0:
@@ -246,11 +248,11 @@ def reg_incomplete_beta(x, a: float, b: float):
     ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     front = np.array([math.exp(ln_norm + a * math.log(v) + b * math.log1p(-v)) for v in x.tolist()])
     low = x < (a + 1.0) / (a + b + 2.0)
-    cf = np.empty_like(x)
-    if low.any():
-        cf[low] = _beta_cf(a, b, x[low])
-    if not low.all():
-        cf[~low] = _beta_cf(b, a, 1.0 - x[~low])
+    cf = np.zeros_like(x)  # where front is 0 the value is 0 (low) or 1, with no fraction run
+    for tail, p, q, v in ((low, a, b, x), (~low, b, a, 1.0 - x)):
+        tail = tail & (front != 0.0)
+        if tail.any():
+            cf[tail] = _beta_cf(p, q, v[tail])
     failed = np.flatnonzero(np.isnan(cf))
     if failed.size:
         i = failed[0]

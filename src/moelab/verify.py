@@ -67,7 +67,7 @@ def check_cap_probability_mc(seed: int = 2) -> CheckResult:
     within 3 binomial standard errors on every grid case."""
     zs = []
     for i, (delta, dim) in enumerate(_MC_GRID):
-        analytic = cap.p_delta(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=1))
+        analytic = cap.p_delta(delta, dim)
         est, stderr = cap.mc_p_delta(delta, dim, _MC_SAMPLES, seed=seed + i)
         zs.append(abs(est - analytic) / max(stderr, 1e-12))
     i = int(np.argmax(zs))  # the first worst case, or the first NaN one
@@ -99,17 +99,18 @@ def check_capacity_bounds() -> CheckResult:
     worst_gap = 0.0
     n_points = 0
     for dim in (256, 512, 1024, 2048, 4096):
-        for mult in (1.0, 1.5, 2.0, 3.0, 5.0):
-            delta = mult / math.sqrt(dim)
-            try:
-                res = cap.ec_min(cap.CapacityTheoryInput(delta=delta, dim=dim, n_experts=_BOUNDS_EXPERTS))
-            except RuntimeError as exc:
-                return CheckResult("capacity-bounds", False, f"{exc} at {(delta, dim)}")
-            if any(math.isnan(b) for b in (res.ec_min, res.erfc_bound, res.exp_bound)):  # inf is legal
-                return CheckResult("capacity-bounds", False, f"NaN bound at {(delta, dim)}")
-            n_points += 1
-            if math.isfinite(res.ec_min) and math.isfinite(res.erfc_bound):
-                worst_gap = max(worst_gap, (res.erfc_bound - res.ec_min) / res.ec_min)
+        deltas = np.array((1.0, 1.5, 2.0, 3.0, 5.0)) / math.sqrt(dim)
+        try:
+            res = cap.ec_min(deltas, dim, _BOUNDS_EXPERTS)  # names the first failing (delta, dim)
+        except RuntimeError as exc:
+            return CheckResult("capacity-bounds", False, str(exc))
+        nan = np.isnan(res.ec_min) | np.isnan(res.erfc_bound) | np.isnan(res.exp_bound)  # inf is legal
+        if nan.any():
+            return CheckResult("capacity-bounds", False, f"NaN bound at {(float(deltas[nan.argmax()]), dim)}")
+        n_points += deltas.size
+        finite = np.isfinite(res.ec_min) & np.isfinite(res.erfc_bound)
+        exact, erfc_form = res.ec_min[finite], res.erfc_bound[finite]
+        worst_gap = max([worst_gap, *((erfc_form - exact) / exact).tolist()])
     return CheckResult(
         "capacity-bounds",
         True,

@@ -143,7 +143,10 @@ def float_reg_incomplete_beta(x, a, b):
         + b * math.log1p(-x)
     )
     front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
+    low = x < (a + 1.0) / (a + b + 2.0)
+    if front == 0.0:  # the tail's limit; no continued fraction is run
+        return 0.0 if low else 1.0
+    if low:
         return front * _float_beta_cf(a, b, x) / a
     return 1.0 - front * _float_beta_cf(b, a, 1.0 - x) / b
 

@@ -24,7 +24,6 @@ import pytest
 
 from moelab import defaults
 from moelab.capacity import (
-    CapacityTheoryInput,
     ec_min,
     mc_assignment_fractions,
     mc_p_delta,
@@ -98,7 +97,7 @@ def test_criterion_1_cap_probability_and_monte_carlo():
     ok = True
     details = []
     for d in (1024, 4096):
-        value = p_delta(CapacityTheoryInput(1.0 / math.sqrt(d - 1.5), d, 1))
+        value = p_delta(1.0 / math.sqrt(d - 1.5), d)
         details.append(f"p(d={d})={value:.4f}")
         ok &= 0.28 <= value <= 0.34
     grid = [
@@ -107,7 +106,7 @@ def test_criterion_1_cap_probability_and_monte_carlo():
     ]
     zs = []
     for i, (delta, dim) in enumerate(grid):
-        analytic = p_delta(CapacityTheoryInput(delta, dim, 1))
+        analytic = p_delta(delta, dim)
         est, stderr = mc_p_delta(delta, dim, 1_000_000, seed=SEED + i)
         zs.append(abs(est - analytic) / max(stderr, 1e-300))
     worst_z = nan_max(zs)
@@ -140,7 +139,7 @@ def test_criterion_3_capacity_bound_chain_as_printed():
     gap = {}
     for dim in dims:
         for mult in mults:
-            res = ec_min(CapacityTheoryInput(mult / math.sqrt(dim), dim, n))
+            res = ec_min(mult / math.sqrt(dim), dim, n)
             exact_ok &= res.ec_min >= res.exp_bound
             erfc_exp_ok &= res.erfc_bound > res.exp_bound
             erfc_above_ok &= res.erfc_bound > res.ec_min

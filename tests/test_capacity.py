@@ -16,11 +16,9 @@ from moelab.capacity import (
     _BLOCK_ROWS,
     HIST_BINS,
     HIST_TOKENS_PER_EXPERT,
-    CapacityTheoryInput,
     CapacityTheoryResult,
     SphereSampleConfig,
     cap_area_identity_check,
-    capacity_curve,
     cosine_histograms,
     ec_min,
     empirical_capacity,
@@ -45,22 +43,18 @@ from oracles import (
 SRC = str(Path(moelab.__file__).resolve().parents[1])
 
 
-def theory(delta, dim, n=16):
-    return CapacityTheoryInput(delta=delta, dim=dim, n_experts=n)
-
-
 class TestPDelta:
     def test_boundaries(self):
-        assert p_delta(theory(0.0, 64)) == 1.0
-        assert p_delta(theory(1.0, 64)) == 0.0
+        assert p_delta(0.0, 64) == 1.0
+        assert p_delta(1.0, 64) == 0.0
 
     def test_large_dim_value_near_point_three(self):
         for d in (1024, 4096):
             delta = 1.0 / math.sqrt(d - 1.5)
-            assert 0.28 <= p_delta(theory(delta, d)) <= 0.34
+            assert 0.28 <= p_delta(delta, d) <= 0.34
 
     def test_against_quadrature_oracle(self):
-        value = p_delta(theory(0.25, 16))
+        value = p_delta(0.25, 16)
         expected = 1.0 - reg_beta_quad(0.25**2, 0.5, 7.5)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -69,12 +63,13 @@ class TestPDelta:
         # would lose every digit to cancellation; one point, then the array path
         deltas = np.sqrt([0.75, 0.8])
         want = [reg_beta_quad(0.25, 127.5, 0.5), reg_beta_quad(0.2, 127.5, 0.5)]
-        points = [p_delta(theory(float(delta), 256)) for delta in deltas]
+        points = [p_delta(float(delta), 256) for delta in deltas]
         assert points == pytest.approx(want, rel=1e-10)
         assert all(0.0 < v < 1e-15 for v in points)
-        assert capacity_curve(256, 16, deltas)["p_delta"] == pytest.approx(want, rel=1e-10)
+        assert p_delta(deltas, 256) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("query", [p_delta, ec_min])
+    @pytest.mark.parametrize("query", [lambda: p_delta(0.3, 256), lambda: ec_min(0.3, 256, 16)],
+                             ids=["p_delta", "ec_min"])
     def test_one_point_checks_its_argument_once_and_runs_one_tail(self, query, monkeypatch):
         calls = dict.fromkeys(["_check_unit", "_beta_cf"], 0)
 
@@ -86,28 +81,48 @@ class TestPDelta:
 
         for name in calls:
             monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
-        query(theory(0.3, 256))
+        query()
         assert calls == {"_check_unit": 1, "_beta_cf": 1}
 
     def test_monotone_decreasing_in_delta_and_dim(self):
         deltas = np.linspace(0.05, 0.95, 10)
         for d in (8, 16, 64, 256):
-            vals = [p_delta(theory(float(x), d)) for x in deltas]
+            vals = [p_delta(float(x), d) for x in deltas]
             assert all(a > b for a, b in zip(vals, vals[1:]))
         for delta in (0.1, 0.3, 0.6):
-            vals = [p_delta(theory(delta, d)) for d in (8, 16, 32, 64, 128)]
+            vals = [p_delta(delta, d) for d in (8, 16, 32, 64, 128)]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            theory(-0.1, 16)
-        with pytest.raises(ValueError):
-            theory(1.2, 16)
-        with pytest.raises(ValueError):
-            CapacityTheoryInput(delta=0.5, dim=1, n_experts=4)
-        for dim, n in ((10**400, 4), (16, 10**400)):
-            with pytest.raises(ValueError, match="too large for a float"):
-                CapacityTheoryInput(delta=0.5, dim=dim, n_experts=n)
+    @pytest.mark.parametrize("query", [p_delta, lambda delta, dim: ec_min(delta, dim, 4),
+                                       lambda delta, dim: mc_p_delta(delta, dim, 100)],
+                             ids=["p_delta", "ec_min", "mc_p_delta"])
+    @pytest.mark.parametrize("delta, dim, message", [
+        (-0.1, 16, "delta must lie in [0, 1], got -0.1"),
+        (1.2, 16, "delta must lie in [0, 1], got 1.2"),
+        (np.array([0.1, math.nan, 2.0]), 16, "delta must lie in [0, 1], got nan"),
+        (0.5, 1, "dim must be >= 2, got 1"),
+        (0.5, 10**400, "dim is too large for a float"),
+    ], ids=["delta-negative", "delta-above-one", "delta-nan-in-array", "dim-1", "dim-too-large"])
+    def test_input_validation(self, query, delta, dim, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            query(delta, dim)
+
+    @pytest.mark.parametrize("n, message", [(0, "n_experts must be >= 1, got 0"),
+                                            (10**400, "n_experts is too large for a float")],
+                             ids=["zero", "too-large"])
+    def test_expert_count_validation(self, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ec_min(0.5, 16, n)
+
+    def test_the_check_runs_before_anything_is_computed(self, monkeypatch):
+        def no_bound(*args):
+            raise AssertionError("an invalid query must be refused before any bound is computed")
+
+        monkeypatch.setattr(moelab.capacity, "reg_incomplete_beta", no_bound)
+        monkeypatch.setattr(moelab.capacity, "erfc", no_bound)
+        for args in ((np.array([0.1, math.inf]), 64, 8), (0.1, 64, 0)):
+            with pytest.raises(ValueError):
+                ec_min(*args)
 
 
 class TestMonteCarloPDelta:
@@ -118,7 +133,7 @@ class TestMonteCarloPDelta:
     def test_agreement_with_analytic(self):
         # analytic formula as the oracle, 3 binomial sigma
         for i, (delta, dim) in enumerate([(0.5, 8), (0.25, 16), (0.1, 64)]):
-            analytic = p_delta(theory(delta, dim))
+            analytic = p_delta(delta, dim)
             est, stderr = mc_p_delta(delta, dim, 200_000, seed=20 + i)
             assert abs(est - analytic) <= 3 * stderr
 
@@ -130,14 +145,14 @@ class TestMonteCarloPDelta:
 
 class TestEcMin:
     def test_zero_delta_gives_one_over_n(self):
-        res = ec_min(theory(0.0, 128, n=8))
+        res = ec_min(0.0, 128, 8)
         assert res.ec_min == pytest.approx(1 / 8, abs=1e-15)
         assert res.degenerate  # 8 * p_delta = 8 > 1
         assert not res.unbounded
 
     def test_paper_scale_point_and_bound_order(self):
         # erfc form must exceed the exponential form
-        res = ec_min(theory(0.03, 4096, n=16))
+        res = ec_min(0.03, 4096, 16)
         assert isinstance(res, CapacityTheoryResult)
         assert res.erfc_bound > res.exp_bound
         assert res.ec_min > 1.0
@@ -146,12 +161,12 @@ class TestEcMin:
     def test_exact_vs_erfc_gap_reported(self):
         # the erfc approximation sits within a few percent of the exact
         # bound in the moderate regime
-        res = ec_min(theory(0.1, 1024, n=8))
+        res = ec_min(0.1, 1024, 8)
         gap = abs(res.erfc_bound - res.ec_min) / res.ec_min
         assert gap < 0.05
 
     def test_unbounded_flag_instead_of_crash(self):
-        res = ec_min(theory(1.0, 64, n=4))
+        res = ec_min(1.0, 64, 4)
         assert res.unbounded and res.ec_min == math.inf
 
     def test_broken_invariant_raises_even_under_optimize(self):
@@ -159,7 +174,7 @@ class TestEcMin:
         # the check must survive python -O, which strips asserts
         code = (
             "import moelab.capacity as c; c.erfc = lambda y: 1.0; "
-            "c.ec_min(c.CapacityTheoryInput(0.1, 512, 16))"
+            "c.ec_min(0.1, 512, 16)"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -172,7 +187,7 @@ class TestEcMin:
         # ec_min >= exp_bound whenever the chain applies
         for dim in (256, 1024, 4096):
             for mult in (1.0, 2.0, 4.0):
-                res = ec_min(theory(mult / math.sqrt(dim), dim, n=16))
+                res = ec_min(mult / math.sqrt(dim), dim, 16)
                 if math.isfinite(res.ec_min):
                     assert res.ec_min >= res.exp_bound
 
@@ -206,37 +221,35 @@ class TestEmpiricalCapacity:
 CURVE_COLUMNS = ["delta", *(field.name for field in dataclasses.fields(CapacityTheoryResult))]
 
 
-class TestCapacityCurve:
-    def test_columns_are_the_grid_then_the_result_fields(self):
+class TestEcMinOverAGrid:
+    def test_a_float_gives_floats_and_an_array_gives_arrays(self):
+        point = ec_min(0.1, 512, 16)
+        assert [type(v) for v in dataclasses.astuple(point)] == [float] * 4 + [bool] * 2
         grid = np.linspace(0.01, 0.5, 50)
-        curve = capacity_curve(512, 16, grid)
-        assert list(curve) == CURVE_COLUMNS
-        for name, col in curve.items():
+        res = ec_min(grid, 512, 16)
+        assert list(dataclasses.asdict(res)) == CURVE_COLUMNS[1:]
+        for name, col in dataclasses.asdict(res).items():
             assert isinstance(col, np.ndarray) and col.shape == grid.shape, name
             assert col.dtype == (bool if name in ("degenerate", "unbounded") else np.float64), name
-        assert np.array_equal(curve["delta"], grid)
 
     def test_monotone_non_decreasing(self):
-        values = capacity_curve(512, 16, np.linspace(0.01, 0.5, 50))["ec_min"]
+        values = ec_min(np.linspace(0.01, 0.5, 50), 512, 16).ec_min
         assert (np.diff(values) >= 0).all()
 
     def test_small_delta_limit(self):
-        curve = capacity_curve(512, 16, [1e-9, 1e-6])
-        assert curve["ec_min"][0] == pytest.approx(1 / 16, rel=1e-6)
+        res = ec_min(np.array([1e-9, 1e-6]), 512, 16)
+        assert res.ec_min[0] == pytest.approx(1 / 16, rel=1e-6)
 
     def test_spot_value_vs_quadrature(self):
-        (bound,) = capacity_curve(512, 16, [0.1])["ec_min"]
+        (bound,) = ec_min(np.array([0.1]), 512, 16).ec_min
         p = 1.0 - reg_beta_quad(0.01, 0.5, 255.5)
         assert bound == pytest.approx(1.0 / (16 * p), rel=1e-9)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            capacity_curve(64, 8, [0.5, 0.4])
-        with pytest.raises(ValueError):
-            capacity_curve(64, 8, [0.0, 0.5])
-        for grid in ([0.1, math.nan], [math.nan], [0.1, math.inf]):  # rejected before any point is computed
-            with pytest.raises(ValueError, match=re.escape("strictly inside (0, 1)")):
-                capacity_curve(64, 8, grid)
+    def test_a_grid_entry_outside_the_unit_interval_is_named(self):
+        for grid, bad in (([0.1, math.nan], "nan"), ([math.nan], "nan"), ([0.1, math.inf], "inf"),
+                          ([0.5, -0.25], "-0.25")):
+            with pytest.raises(ValueError, match=re.escape(f"delta must lie in [0, 1], got {bad}")):
+                ec_min(np.array(grid), 64, 8)
 
 
 def column_bits(column):
@@ -252,7 +265,7 @@ def row_bits(rows):
     return [tuple(v.hex() if type(v) is float else (type(v), v) for v in row) for row in rows]
 
 
-class TestCapacityCurveOracle:
+class TestEcMinGridOracle:
     GRIDS = [
         (256, 16, np.linspace(0.02 / 16, 5.0 / 16, 400)),  # the benchmark's range at d = 256
         (16, 4, np.geomspace(1e-9, 0.999, 200)),  # degenerate rows; 1 - delta^2 rounds to 1
@@ -264,11 +277,11 @@ class TestCapacityCurveOracle:
         seen = dict.fromkeys(["low branch", "high branch", "degenerate", "unbounded", "exp overflow"], 0)
         for dim, n, grid in self.GRIDS:
             want = per_point_capacity_curve(dim, n, grid)
-            curve = capacity_curve(dim, n, grid)
+            curve = {"delta": grid, **dataclasses.asdict(ec_min(grid, dim, n))}
             assert list(curve) == CURVE_COLUMNS
             for name, col in zip(CURVE_COLUMNS, zip(*want)):
                 assert column_bits(curve[name]) == column_bits(col), name
-            points = [(delta, *dataclasses.astuple(ec_min(theory(delta, dim, n)))) for delta in grid.tolist()]
+            points = [(delta, *dataclasses.astuple(ec_min(delta, dim, n))) for delta in grid.tolist()]
             assert row_bits(points) == row_bits(want)
             # p_delta is I_x((d - 1) / 2, 1/2) at x = 1 - delta^2; its branch is set by x
             x, a = 1.0 - grid * grid, (dim - 1) / 2.0
@@ -287,10 +300,11 @@ class TestCapacityCurveOracle:
         grid = np.linspace(0.01, 0.5, 50)
         with pytest.raises(RuntimeError) as first:
             for delta in grid.tolist():
-                ec_min(theory(delta, 512))
-        assert "erfc-form bound" in str(first.value)
+                ec_min(delta, 512, 16)
+        assert str(first.value).startswith("erfc-form bound")
+        assert str(first.value).endswith(f" at {(delta, 512)}")  # the delta that raised
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(first.value))}$"):
-            capacity_curve(512, 16, grid)
+            ec_min(grid, 512, 16)
 
 
 class TestSphereSampling:

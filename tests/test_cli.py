@@ -138,6 +138,23 @@ def test_usage_error_is_one_error_line_and_writes_nothing(argv, message, tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+@pytest.mark.parametrize("argv, name, message", [
+    (["capacity", "--delta", "0.1", "--dim", "64", "--experts", "4", "--mc-samples", "1000000000000"],
+     "mc_p_delta", "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"),
+    (["route-sim", "--router", "hash", "--tokens", "1000000000000"], "sample_unit_sphere", ""),
+], ids=["capacity-mc-samples", "route-sim-tokens"])
+def test_running_out_of_memory_is_a_runtime_error(argv, name, message, tmp_path, capsys, monkeypatch):
+    # the library call that would allocate raises instead, so no large allocation is made
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(capacity, name, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "out.json"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory" + (f": {message}" if message else "") + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, key", [("train-toy", "lr"), ("route-sim", "noise-std")])
 def test_config_int_too_large_for_a_float_flag_is_usage_error(command, key, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -232,6 +249,14 @@ class TestCapacityCommand:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_a_dim_whose_cap_probability_underflows_is_unbounded(self, capsys):
+        # at d = 1e300 p_delta is 0 in double precision: the bound is infinite, not a failure
+        assert run(["capacity", "--delta", "0.1", "--dim", "1" + "0" * 300, "--experts", "4"]) == 0
+        out, err = capsys.readouterr()
+        result = json.loads(out)["result"]
+        assert err == ""
+        assert (result["p_delta"], result["ec_min"], result["unbounded"]) == (0.0, math.inf, True)
+
     def test_missing_dim_is_usage_error(self, capsys):
         assert run(["capacity", "--delta", "0.1", "--experts", "8"]) == 2
         assert "dim" in capsys.readouterr().err
@@ -304,7 +329,7 @@ class TestCapacityCommand:
         # 100 points between 0.5 and its second float above round onto repeats
         def no_curve(*args, **kwargs):
             raise AssertionError("a usage error must be found before any bound is computed")
-        monkeypatch.setattr(capacity, "capacity_curve", no_curve)
+        monkeypatch.setattr(capacity, "ec_min", no_curve)
         out = tmp_path / "curve.csv"
         assert run(["capacity", "--grid", "0.5:0.5000000000000002:100", "--dim", "16",
                     "--experts", "4", "--out", str(out)]) == 2
@@ -318,7 +343,7 @@ class TestCapacityCommand:
     ])
     def test_existing_output_is_refused_before_any_bound_is_computed(self, query, existing, tmp_path,
                                                                      capsys, monkeypatch):
-        for name in ("capacity_curve", "ec_min", "mc_p_delta"):
+        for name in ("ec_min", "mc_p_delta"):
             monkeypatch.setattr(capacity, name, _no_bounds)
         refuses(["capacity", *query, "--dim", "16", "--experts", "8", "--out", str(tmp_path / "curve.out")],
                 tmp_path, existing, capsys)
@@ -326,7 +351,7 @@ class TestCapacityCommand:
     @pytest.mark.parametrize("query", [["--grid", "0.1:0.5:3"], ["--delta", "0.1", "--mc-samples", "100"]])
     def test_output_without_a_directory_is_refused_before_any_bound_is_computed(self, query, tmp_path,
                                                                                  capsys, monkeypatch):
-        for name in ("capacity_curve", "ec_min", "mc_p_delta"):
+        for name in ("ec_min", "mc_p_delta"):
             monkeypatch.setattr(capacity, name, _no_bounds)
         refuses_bad_directory(["capacity", *query, "--dim", "16", "--experts", "8"], "curve.out",
                               tmp_path, capsys)
@@ -346,6 +371,18 @@ class TestVerifyCommand:
     def test_capacity_bounds_pass_on_the_grid(self, capsys):
         assert run(["verify", "--only", "capacity-bounds"]) == 0
         assert "capacity-bounds  PASS  erfc-form > exp-form at 25 points;" in capsys.readouterr().out
+
+    def test_capacity_bounds_makes_one_ec_min_call_per_dim(self, monkeypatch):
+        real, calls = capacity.ec_min, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(capacity, "ec_min", counted)
+        assert verify.check_capacity_bounds().passed
+        assert len(calls) == 5
+        assert [(np.size(delta), dim) for delta, dim, _ in calls] == [(5, d) for d in (256, 512, 1024, 2048, 4096)]
 
     def test_capacity_bounds_failure_is_a_fail_row(self, capsys, monkeypatch):
         # ec_min raises where the erfc form is not above the exp form
@@ -370,7 +407,7 @@ class TestVerifyCommand:
             z_balance.append(float(np.abs(f - 1.0 / n).max() / sigma))
         z_mc = 0.0
         for i, (delta, dim) in enumerate(verify._MC_GRID):
-            analytic = capacity.p_delta(capacity.CapacityTheoryInput(delta, dim, 1))
+            analytic = capacity.p_delta(delta, dim)
             est, stderr = capacity.mc_p_delta(delta, dim, samples, seed=seed + i)
             z_mc = max(z_mc, abs(est - analytic) / max(stderr, 1e-12))
 
@@ -391,10 +428,10 @@ class TestVerifyCommand:
 
         def nan_here(*args, **kwargs):
             got = real(*args, **kwargs)
-            if not where(*args):
+            if not np.any(where(*args)):
                 return got
-            if name == "ec_min":
-                return dataclasses.replace(got, erfc_bound=math.nan)
+            if name == "ec_min":  # NaN at each delta where it holds
+                return dataclasses.replace(got, erfc_bound=np.where(where(*args), math.nan, got.erfc_bound))
             est, spread = got
             return est * math.nan, spread
 
@@ -405,7 +442,7 @@ class TestVerifyCommand:
          "; (d=128,n=16) max|f-1/n|=nan sigma"),
         ("cap-probability-mc", "mc_p_delta", lambda delta, *_: delta == 0.1,
          "  10 cases, worst |mc-analytic| = nan sigma at (0.1, 64)"),
-        ("capacity-bounds", "ec_min", lambda inp: inp.dim == 1024 and inp.delta == 2.0 / 32,
+        ("capacity-bounds", "ec_min", lambda delta, dim, n: (dim == 1024) & (delta == 2.0 / 32),
          "  NaN bound at (0.0625, 1024)"),
     ], ids=["uniform-balance", "cap-probability-mc", "capacity-bounds"])
     def test_a_nan_fails_its_suite_and_is_named(self, suite, name, where, text, capsys, monkeypatch):
@@ -430,8 +467,9 @@ class TestVerifyCommand:
 
     def test_an_infinite_bound_is_legal(self, capsys, monkeypatch):
         real = capacity.ec_min
-        monkeypatch.setattr(capacity, "ec_min", lambda inp: dataclasses.replace(
-            real(inp), ec_min=math.inf, erfc_bound=math.inf, exp_bound=math.inf) if inp.dim == 256 else real(inp))
+        monkeypatch.setattr(capacity, "ec_min", lambda delta, dim, n: dataclasses.replace(
+            real(delta, dim, n), **dict.fromkeys(["ec_min", "erfc_bound", "exp_bound"], np.full(delta.shape, math.inf)))
+            if dim == 256 else real(delta, dim, n))
         assert run(["verify", "--only", "capacity-bounds"]) == 0
         assert "capacity-bounds  PASS  erfc-form > exp-form at 25 points;" in capsys.readouterr().out
 

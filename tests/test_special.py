@@ -199,6 +199,18 @@ class TestIncompleteBeta:
             with pytest.raises(ValueError, match="shape parameters must be positive"):
                 reg_incomplete_beta(np.array([0.5]), a, b)
 
+    def test_a_prefactor_that_underflows_gives_the_tail_limit(self, monkeypatch):
+        # at a = 5e299 the prefactor x^a (1-x)^b / (a B(a, b)) is 0 in double precision;
+        # the continued fraction is not run there, and would not converge
+        def no_fraction(*args):
+            raise AssertionError("no continued fraction runs where the prefactor is 0")
+
+        monkeypatch.setattr(special, "_beta_cf", no_fraction)
+        assert reg_incomplete_beta(0.99, 5e299, 0.5) == 0.0  # the direct tail
+        assert reg_incomplete_beta(0.01, 0.5, 5e299) == 1.0  # the complementary tail
+        got = reg_incomplete_beta(np.array([0.0, 0.01, 0.5, 1.0]), 0.5, 5e299)
+        assert bits(got).tolist() == bits([0.0, 1.0, 1.0, 1.0]).tolist()
+
 
 # the shapes the capacity theory uses: a = 1/2 and b = (d - 1) / 2, and swapped
 beta_shapes = st.sampled_from([0.5] + [(d - 1) / 2.0 for d in range(2, 8193)])
