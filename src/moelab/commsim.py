@@ -4,12 +4,11 @@ Devices live on nodes; links within a node are faster than links between
 nodes.  All-to-All is modeled as D-1 serialized ring rotations where
 round r lets device s exchange with device (s + r) mod D and costs the
 worst pair in that round (latency plus bytes over the pair's bandwidth
-class).  Rounds are evaluated a block of senders at a time, as per-round
-maxima of the pairs' costs summed in round order; a maximum is exact in
-any order, so that is bit for bit a loop over rounds.  The group-wise
-variant sends only 1/g of each device's inter-node bytes (the rest is
-reconstructed by an intra-node ring All-Gather across the g-device
-group), trading slow-link volume for fast-link replication.
+class).  The class is fixed by r and the sender's position p in its node,
+and cost is monotone in bytes, so each (p, r) cell costs its byte maximum.
+The group-wise variant sends only 1/g of each device's inter-node bytes
+(the rest is reconstructed by an intra-node ring All-Gather across the
+g-device group), trading slow-link volume for fast-link replication.
 
 Bandwidths and latencies here are illustrative configuration, not
 measurements; the CLI's default topology lives in :mod:`moelab.defaults`.
@@ -18,13 +17,15 @@ measurements; the CLI's default topology lives in :mod:`moelab.defaults`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 OVERLAP_RATIO = 0.5  # share of modeled compute that hides communication in compare_strategies
 DEVICE_FLOPS = 1e12  # illustrative per-device flop/s behind modeled compute time
-_BLOCK_PAIRS = 1 << 16  # sender-receiver pairs alltoall_cost holds per block of senders
+_BLOCK_PAIRS = 1 << 15  # sender-receiver pairs per block of whole nodes; doubled, the scan holds 2x
 
 
 @dataclass(frozen=True)
@@ -156,41 +157,43 @@ def check_volume(volume, topology: ClusterTopology) -> np.ndarray:
     return volume
 
 
+def _round_maxima(volume: np.ndarray, topology: ClusterTopology) -> np.ndarray:
+    """(k, D-1) table: at (p, r-1) the most bytes any sender at node position p sends in round r."""
+    d, k = topology.total_devices, topology.devices_per_node
+    rows = k * max(1, _BLOCK_PAIRS // (d * k))
+    table = np.zeros((k, d - 1))
+    for lo in range(0, d, rows):
+        doubled = np.hstack([volume[lo:lo + rows]] * 2)
+        step, col = sum(doubled.strides), doubled.itemsize  # row i holds round r at column lo+i+r
+        diag = as_strided(doubled[:, lo + 1:], (len(doubled) // k, k, d - 1), (k * step, step, col))
+        np.maximum(table, diag.max(axis=0), out=table)
+    return table
+
+
+def _ring_seconds(volume: np.ndarray, topology: ClusterTopology, g: int = 1) -> float:
+    """The ring's seconds from its round maxima, inter-node bytes sent 1/g each."""
+    d, k = topology.total_devices, topology.devices_per_node
+    maxima, pos, rounds = _round_maxima(volume, topology), np.arange(k)[:, None], np.arange(1, d)
+    # (p+r) stays on p's node iff the step stays in it or wraps past device d-1 back into it
+    same = (rounds < k - pos) | (rounds >= d - pos)
+    cost = np.where(same, maxima / topology.intra_bw + topology.intra_latency,
+                    maxima / g / topology.inter_bw + topology.inter_latency)
+    return reduce(add, cost.max(axis=0).tolist(), 0.0)  # in round order, unlike np.sum's pairwise sum
+
+
 def alltoall_cost(volume: np.ndarray, topology: ClusterTopology) -> float:
     """Ring-scheduled pairwise exchange cost in seconds.
 
     D-1 serialized rounds; in round r device s sends volume[s, (s+r) % D].
     Each round costs its slowest pair: latency(s,t) + bytes/bw(s,t).  With
     zero volume this degenerates to (D-1) times the worst round latency.
-
-    Senders are costed a block of rows at a time (about 1.5 MB of working
-    arrays for D up to 2**16), each round keeping a running maximum over
-    its pairs, and the round costs are summed in round order.  That is bit
-    for bit a loop over rounds: every pair's cost is the same IEEE
-    expression, a maximum is exact in any order, and the sum keeps its
-    order.
+    fl(fl(bytes / bw) + latency) is monotone in bytes, and each (position,
+    round) cell holds one pair per node, all of one link class, so its byte
+    maximum costs its slowest pair bit for bit.  Round costs, maxima over
+    positions, sum in round order; the scan holds one block of whole nodes
+    (at least k rows x 2D floats).
     """
-    volume = check_volume(volume, topology)
-    d, k = topology.total_devices, topology.devices_per_node
-    rounds = np.arange(1, d)
-    step = max(1, _BLOCK_PAIRS // d)
-    worst = np.full(d - 1, -np.inf)
-    for lo in range(0, d, step):
-        block = volume[lo:lo + step]
-        senders = np.arange(lo, lo + len(block))
-        # pairs[i, r-1] = volume[s, (s+r) % d] for s = senders[i]: a window of the doubled row
-        pairs = sliding_window_view(np.hstack([block, block]), d - 1, axis=1)[senders - lo, senders + 1]
-        # (s+r) % d shares s's node iff the step stays in it or wraps past device d-1 back into it
-        pos = (senders % k)[:, None]
-        same = (rounds < k - pos) | (rounds >= d - pos)
-        pairs /= np.where(same, topology.intra_bw, topology.inter_bw)
-        pairs += np.where(same, topology.intra_latency, topology.inter_latency)
-        np.maximum(worst, pairs.max(axis=0), out=worst)
-        del pairs  # before the next block's gather, which would otherwise overlap it
-    total = 0.0
-    for cost in worst.tolist():  # in round order: np.sum's pairwise order could differ
-        total += cost
-    return total
+    return _ring_seconds(check_volume(volume, topology), topology)
 
 
 def groupwise_alltoall_cost(
@@ -201,37 +204,34 @@ def groupwise_alltoall_cost(
     """Cost of the sharded exchange: thin inter-node All-to-All plus
     intra-node All-Gather.
 
-    Each device sends only 1/g of its own inter-node bytes in phase one
-    (its g-device group covers the rest); intra-node bytes are unchanged.
-    Phase two runs a ring All-Gather inside every group so each member
-    ends up with the group's full remote payload: per group,
-    (g-1)/g * gathered bytes / intra_bw + (g-1) * intra_latency, groups in
-    parallel.  With g = 1 both phases collapse to the plain cost exactly.
+    Each device sends only 1/g of its own inter-node bytes in phase one (its
+    g-device group covers the rest): the round maxima with inter-node cells
+    divided by g, as fl(bytes / g) is monotone.  Phase two, a ring All-Gather
+    in every group, gives each member the group's full remote payload: per
+    group, (g-1)/g * gathered bytes / intra_bw + (g-1) * intra_latency, groups
+    in parallel.  With g = 1 both phases collapse to the plain cost exactly.
     """
     volume = check_volume(volume, topology)
-    d = topology.total_devices
     g = tp_group_size
     topology.check_group_size(g)
-
-    devices = np.arange(d)
-    inter = topology.node_of(devices)[:, None] != topology.node_of(devices)[None, :]
+    total = _ring_seconds(volume, topology, g)
+    # the sharded copy feeds only the plan and phase two, so it is built after phase one
+    nodes = topology.node_of(np.arange(topology.total_devices))
+    inter = nodes[:, None] != nodes[None, :]
     sharded = volume.copy()
     np.divide(sharded, g, out=sharded, where=inter)
-    phase1_cost = alltoall_cost(sharded, topology)
     phases = [CommPhase(kind="all_to_all", volume=sharded)]
-
-    phase2_cost = 0.0
     if g > 1:
         # consecutive devices within a node form a group: one row per group
         received = sharded.sum(axis=0, where=inter).reshape(-1, g)
         gathered = received.sum(axis=1)
         cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
-        phase2_cost = float(cost.max())
+        total += float(cost.max())
         # each member's accumulated shards pass over its edge to the next
         # member; the shard originating at the edge's head never crosses it
         edges = gathered[:, None] - np.roll(received, -1, axis=1)
         phases.append(CommPhase(kind="all_gather", volume=edges.reshape(-1)))
-    return phase1_cost + phase2_cost, CommPlan(phases=tuple(phases))
+    return total, CommPlan(phases=tuple(phases))
 
 
 def locality_fraction(outcome, placement: ExpertPlacement, source_map, topology: ClusterTopology) -> float:

@@ -155,6 +155,26 @@ def test_running_out_of_memory_is_a_runtime_error(argv, name, message, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+BEYOND_INT64 = str(2**63)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-toy", "--router", "hash", "--epochs", "1", "--tokens-per-cluster", BEYOND_INT64],
+    ["train-toy", "--router", "hash", "--epochs", "1", "--nodes", BEYOND_INT64],
+    ["train-toy", "--router", "loc", "--devices-per-node", BEYOND_INT64],
+    ["comm-sim", "--compare-routers", "--epochs", "1", "--tokens-per-cluster", BEYOND_INT64],
+], ids=["tokens-per-cluster", "nodes", "devices-per-node", "compare-routers-tokens-per-cluster"])
+def test_an_int_beyond_int64_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    # argparse's int takes it and numpy's int64 does not: a usage or runtime
+    # error either way, never a traceback
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "out.csv"]) in (1, 2)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, key", [("train-toy", "lr"), ("route-sim", "noise-std")])
 def test_config_int_too_large_for_a_float_flag_is_usage_error(command, key, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
