@@ -31,20 +31,20 @@ caller's count back on return: the toy's matrices are too small for BLAS
 threads to pay, and the pin makes a run's bits the same whatever thread
 count the caller, the CLI included, has.  :func:`compare_routers` trains
 the paired runs at once, in up to three processes (the caller and two
-forked workers of about 58 MB peak RSS each).
+forked workers of about 58 MB peak RSS each), through
+:func:`moelab._fork.fork_map`: the first failing run, in order, raises its
+own exception, and a worker that dies raises ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._fork import _one_blas_thread, _openblas_thread_fns, fork_map
 from .commsim import ClusterTopology, ExpertPlacement, locality_fraction
 from .losses import (
     LossConfig,
@@ -460,54 +460,6 @@ def _select_probe(scores):
     return ok[:_PROBE_TOKENS]
 
 
-# (getter, setter) symbol pairs an OpenBLAS build may export
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-def _openblas_thread_fns():
-    """(get, set) of the loaded OpenBLAS's thread count, or None when no
-    loaded OpenBLAS exports both."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    libs = {ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run each call of the decorated function with OpenBLAS on one thread
-    and give the caller's count back afterwards, also on error; without a
-    loaded OpenBLAS setter, change nothing."""
-    fns = _openblas_thread_fns()
-    if fns is None:
-        yield
-        return
-    get, put = fns
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 @_one_blas_thread()
 def train(
     corpus: TokenBatch,
@@ -653,30 +605,21 @@ def compare_routers(corpus: TokenBatch, placement: ExpertPlacement, topology: Cl
     """The paired runs: each router of :data:`COMPARE_LOSSES`, in order,
     trained with its losses over the placement's experts.
 
-    The runs are independent, so they train at once: the first router in
-    this process and each other router in its own forked worker, up to
-    three processes in all (a worker peaks at about 58 MB RSS on the
-    default corpus), each on the one OpenBLAS thread :func:`train` holds.
-    Where OpenBLAS cannot be pinned (three processes of several BLAS
-    threads each would crowd the cores) or there is no ``fork`` start
-    method, the runs train here, in order.  The first router, in order,
-    whose run fails raises its own exception; a worker that dies raises
-    ``BrokenProcessPool`` (a RuntimeError).  No worker outlives the call.
+    The runs are independent, so they train at once through
+    :func:`moelab._fork.fork_map`: the first router in this process and
+    each other router in its own forked worker, three processes in all (a
+    worker peaks at about 58 MB RSS on the default corpus), each on the one
+    OpenBLAS thread :func:`train` holds.  Where OpenBLAS cannot be pinned
+    (three processes of several BLAS threads each would crowd the cores) or
+    there is no ``fork`` start method, the runs train here, in order.  The
+    first router, in order, whose run fails raises its own exception; a
+    worker that dies raises ``BrokenProcessPool`` (a RuntimeError).  No
+    worker outlives the call.
     """
-    # imported here, not with the module: they would add some 30 modules to every command's start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     run = functools.partial(_train_paired, corpus=corpus, placement=placement, topology=topology,
                             epochs=epochs, seed=seed)
-    if _openblas_thread_fns() is None or "fork" not in multiprocessing.get_all_start_methods():
-        return {kind: run(kind) for kind in COMPARE_LOSSES}
-    first, *rest = COMPARE_LOSSES
-    with ProcessPoolExecutor(len(rest), mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {kind: pool.submit(run, kind) for kind in rest}
-        runs = {first: run(first)}
-        runs.update((kind, future.result()) for kind, future in futures.items())
-    return runs
+    processes = 1 if _openblas_thread_fns() is None else len(COMPARE_LOSSES)
+    return dict(zip(COMPARE_LOSSES, fork_map(run, COMPARE_LOSSES, processes)))
 
 
 def entropy(f) -> float:

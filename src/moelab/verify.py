@@ -2,6 +2,14 @@
 independent numeric oracle (Monte Carlo, quadrature, or finite
 differences).  The CLI's ``verify`` subcommand runs these and turns the
 results into a pass/fail table.
+
+The Monte Carlo suites run their cases at once through
+:func:`moelab._fork.fork_map`, across up to min(usable CPUs, cases)
+processes, this one included, each on one OpenBLAS thread; each case
+keeps its own seeded stream, so the results are those of running the
+cases in order.  The first case, in
+order, that fails raises its own exception; a worker that dies raises
+``BrokenProcessPool`` (a RuntimeError).  No worker outlives the suite.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import losses
+from ._fork import fork_map, usable_cpus
 from .router import softmax, softmax_backward
 
 _BALANCE_SAMPLES = 100_000  # sphere tokens per uniform-balance case
@@ -36,15 +45,23 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _capacity_call(case):
+    """``capacity.<name>(*args)`` for a ``(name, *args)`` case.  The
+    function is looked up when the case runs, so a replaced one (a test's
+    stub, a tracer's wrapper) runs, in a forked worker too, and only its
+    name is pickled."""
+    name, *args = case
+    return getattr(cap, name)(*args)
+
+
 def check_uniform_balance(seed: int = 2) -> CheckResult:
     """Orthogonal equal-norm gating must route uniform sphere tokens
     evenly: every assignment fraction within 3 binomial sigma of 1/n."""
-    zs = []
-    detail = []
-    for dim, n in ((64, 8), (128, 16)):
-        f, sigma = cap.mc_assignment_fractions(dim, n, _BALANCE_SAMPLES, seed=seed)
-        zs.append(float(np.abs(f - 1.0 / n).max() / sigma))
-        detail.append(f"(d={dim},n={n}) max|f-1/n|={zs[-1]:.2f} sigma")
+    grid = ((64, 8), (128, 16))
+    cases = [("mc_assignment_fractions", dim, n, _BALANCE_SAMPLES, seed) for dim, n in grid]
+    runs = fork_map(_capacity_call, cases, usable_cpus())
+    zs = [float(np.abs(f - 1.0 / n).max() / sigma) for (_, n), (f, sigma) in zip(grid, runs)]
+    detail = [f"(d={dim},n={n}) max|f-1/n|={z:.2f} sigma" for (dim, n), z in zip(grid, zs)]
     return CheckResult("uniform-balance", _worst(zs) <= 3.0, "; ".join(detail))
 
 
@@ -65,11 +82,10 @@ _MC_GRID = (
 def check_cap_probability_mc(seed: int = 2) -> CheckResult:
     """Monte Carlo two-cap probability vs. the incomplete-beta formula,
     within 3 binomial standard errors on every grid case."""
-    zs = []
-    for i, (delta, dim) in enumerate(_MC_GRID):
-        analytic = cap.p_delta(delta, dim)
-        est, stderr = cap.mc_p_delta(delta, dim, _MC_SAMPLES, seed=seed + i)
-        zs.append(abs(est - analytic) / max(stderr, 1e-12))
+    cases = [("mc_p_delta", delta, dim, _MC_SAMPLES, seed + i) for i, (delta, dim) in enumerate(_MC_GRID)]
+    runs = fork_map(_capacity_call, cases, usable_cpus())
+    zs = [abs(est - cap.p_delta(delta, dim)) / max(stderr, 1e-12)
+          for (delta, dim), (est, stderr) in zip(_MC_GRID, runs)]
     i = int(np.argmax(zs))  # the first worst case, or the first NaN one
     return CheckResult(
         "cap-probability-mc",

@@ -7,7 +7,9 @@ by power substitutions before applying composite Gauss-Legendre rules.
 """
 
 import csv
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -397,3 +399,34 @@ def rowwise_csv(path, rows):
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+
+
+def numpy_blas():
+    """(name, version) of the BLAS numpy was built with, None if unknown."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return None
+    return blas.get("name"), blas.get("version")
+
+
+def openblas_kernel():
+    """The kernel the loaded OpenBLAS picked at run time (``SkylakeX``,
+    ``Haswell``, ...; ``OPENBLAS_CORETYPE`` overrides the CPU's pick), None
+    if no loaded OpenBLAS reports one.  numpy's build configuration names
+    only the build's baseline, not this kernel."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for lib in sorted({ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import moelab
 from moelab import capacity, cli, defaults, verify
 from moelab.cli import main
-from oracles import fnv1a64_reference, rowwise_csv
+from oracles import fnv1a64_reference, numpy_blas, openblas_kernel, rowwise_csv
 
 SRC = Path(moelab.__file__).resolve().parents[1]
 
@@ -462,14 +463,66 @@ class TestVerifyCommand:
          "; (d=128,n=16) max|f-1/n|=nan sigma"),
         ("cap-probability-mc", "mc_p_delta", lambda delta, *_: delta == 0.1,
          "  10 cases, worst |mc-analytic| = nan sigma at (0.1, 64)"),
+        ("cap-probability-mc", "mc_p_delta", lambda delta, *_: delta == 0.015625,
+         "  10 cases, worst |mc-analytic| = nan sigma at (0.015625, 4096)"),
         ("capacity-bounds", "ec_min", lambda delta, dim, n: (dim == 1024) & (delta == 2.0 / 32),
          "  NaN bound at (0.0625, 1024)"),
-    ], ids=["uniform-balance", "cap-probability-mc", "capacity-bounds"])
+    ], ids=["uniform-balance", "cap-probability-mc", "cap-probability-mc-odd-case", "capacity-bounds"])
     def test_a_nan_fails_its_suite_and_is_named(self, suite, name, where, text, capsys, monkeypatch):
         monkeypatch.setattr(capacity, name, self._nan_at(name, where))
         assert run(["verify", "--only", suite]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"{suite}  FAIL") and out.endswith(f"{text}\n")
+
+    @pytest.mark.parametrize("seed", [0, 1, 14])
+    def test_forked_monte_carlo_suites_equal_the_in_order_suites(self, seed, monkeypatch):
+        monkeypatch.setattr(verify, "_BALANCE_SAMPLES", 2000)
+        monkeypatch.setattr(verify, "_MC_SAMPLES", 2000)
+        suites = (verify.check_uniform_balance, verify.check_cap_probability_mc)
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 4)  # forks whatever this host's CPU count
+        forked = [suite(seed) for suite in suites]
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+        assert forked == [suite(seed) for suite in suites]
+
+    def test_a_worker_that_dies_is_one_error_line(self, capfd, monkeypatch):
+        monkeypatch.setattr(verify, "_BALANCE_SAMPLES", 2000)
+        monkeypatch.setattr(verify, "_MC_SAMPLES", 2000)
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+        real, caller = capacity.mc_p_delta, os.getpid()
+
+        def exit_in_a_worker(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(capacity, "mc_p_delta", exit_in_a_worker)
+        assert run(["verify"]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    # `verify --seed 7`, which fails uniform-balance, pinned with the
+    # OpenBLAS that numpy bundles, running its SkylakeX kernel, as the
+    # probe pins are; another BLAS may round the gating products and the
+    # gradient check differently, so elsewhere the pin is skipped.
+    PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
+    PINNED_KERNEL = "SkylakeX"
+    PINNED_SEED_7 = (
+        "uniform-balance     FAIL  (d=64,n=8) max|f-1/n|=3.02 sigma; (d=128,n=16) max|f-1/n|=2.47 sigma\n"
+        "cap-probability-mc  PASS  10 cases, worst |mc-analytic| = 1.04 sigma at (0.35, 10)\n"
+        "cap-identity        PASS  max abs err 8.44e-15\n"
+        "capacity-bounds     PASS  erfc-form > exp-form at 25 points; max rel gap of erfc form above exact: 6.99e-02\n"
+        "grad-check          PASS  100 points, max rel err 2.74e-07\n"
+    )
+
+    def test_seed_7_output_is_pinned(self, capsys):
+        if numpy_blas() != self.PINNED_BLAS:
+            pytest.skip(f"pin taken with {self.PINNED_BLAS}, numpy uses {numpy_blas()}")
+        if openblas_kernel() != self.PINNED_KERNEL:
+            pytest.skip(f"pin taken on the {self.PINNED_KERNEL} kernel, OpenBLAS runs {openblas_kernel()}")
+        assert run(["verify", "--seed", "7"]) == 1
+        assert capsys.readouterr().out == self.PINNED_SEED_7
 
     def test_nan_errors_fail_cap_identity_and_grad_check(self, capsys, monkeypatch):
         real_identity = capacity.cap_area_identity_check

@@ -12,7 +12,7 @@ SRC = Path(moelab.__file__).resolve().parents[1]
 @pytest.mark.parametrize("module, unwanted", [
     # the package re-exports nothing; callers import from its modules
     ("moelab", "(m for m in sys.modules if m.startswith('moelab.'))"),
-    # compare_routers imports these itself; at module level they would add
+    # _fork.fork_map imports these itself; at module level they would add
     # some 30 modules to every command's start-up
     ("moelab.cli", "(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)"),
 ], ids=["moelab", "moelab.cli"])

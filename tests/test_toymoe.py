@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -8,7 +7,6 @@ import pickle
 import tracemalloc
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,40 +41,9 @@ from moelab.toymoe import (
     train,
 )
 
-from oracles import sequential_compare_routers, straight_line_moe_forward
+from oracles import numpy_blas, openblas_kernel, sequential_compare_routers, straight_line_moe_forward
 
 TOPO = ClusterTopology(2, 4, 100e9, 25e9, 10e-6, 30e-6)
-
-
-def _numpy_blas():
-    """(name, version) of the BLAS numpy was built with, None if unknown."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
-        return None
-    return blas.get("name"), blas.get("version")
-
-
-def _openblas_kernel():
-    """The kernel the loaded OpenBLAS picked at run time (``SkylakeX``,
-    ``Haswell``, ...; ``OPENBLAS_CORETYPE`` overrides the CPU's pick), None
-    if no loaded OpenBLAS reports one.  numpy's build configuration names
-    only the build's baseline, not this kernel."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    for lib in sorted({ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "openblas_get_corename64_"):
-            corename = getattr(handle, name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
 
 
 def small_corpus(**overrides):
@@ -782,10 +749,10 @@ class TestExpertLayerCache:
 
     @pytest.mark.parametrize("kind", ["hash", "switch", "loc"])
     def test_probe_and_loss_are_bitwise_pinned(self, kind):
-        if _numpy_blas() != self.PINNED_BLAS:
-            pytest.skip(f"pins taken with {self.PINNED_BLAS}, numpy uses {_numpy_blas()}")
-        if _openblas_kernel() != self.PINNED_KERNEL:
-            pytest.skip(f"pins taken on the {self.PINNED_KERNEL} kernel, OpenBLAS runs {_openblas_kernel()}")
+        if numpy_blas() != self.PINNED_BLAS:
+            pytest.skip(f"pins taken with {self.PINNED_BLAS}, numpy uses {numpy_blas()}")
+        if openblas_kernel() != self.PINNED_KERNEL:
+            pytest.skip(f"pins taken on the {self.PINNED_KERNEL} kernel, OpenBLAS runs {openblas_kernel()}")
         topology = defaults.DEFAULT_TOPOLOGY
         run = train(make_synthetic_corpus(defaults.DEFAULT_CORPUS), kind, 16,
                     defaults.default_placement(16, topology), topology,
