@@ -25,7 +25,7 @@ import numpy as np
 from .router import RoutingOutcome, TokenBatch, build_block_gating
 from .special import erfc, reg_incomplete_beta
 
-_BLOCK_ROWS = 4096  # rows the sphere Monte Carlo draws and reduces at a time
+_BLOCK_ROWS = 4096  # rows the sphere Monte Carlo and the histograms draw or reduce at a time
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,19 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
     return math.ceil(budget)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The (rows, 1) Euclidean norms of a real 2-d array: the bits of
+    ``np.linalg.norm(x, axis=1, keepdims=True)``, without its ``x.conj()`` copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+
+
 def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):
     """Yield one draw's rows, _BLOCK_ROWS at a time, normalized in place (in ``out`` if given)."""
     rng = np.random.default_rng(cfg.seed)
     for start in range(0, cfg.n_samples, _BLOCK_ROWS):
         shape = (min(_BLOCK_ROWS, cfg.n_samples - start), cfg.dim)
         block = rng.standard_normal(shape, out=None if out is None else out[start:start + shape[0]])
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        block /= _row_norms(block)
         yield block
 
 
@@ -275,7 +281,9 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
 
     Token-token histograms are computed per expert pair over at most
     ``HIST_TOKENS_PER_EXPERT`` tokens per expert (the first so many in batch
-    order, for determinism).  Token-weight histograms use every token.
+    order, for determinism).  Token-weight histograms use every token; they
+    are binned _BLOCK_ROWS tokens at a time and the integer counts summed,
+    so no (T, n) cosine table is held.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
@@ -288,7 +296,7 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
     groups = []  # only the rows histogrammed are normalized
     for i in range(n):
         rows = batch.tokens[np.flatnonzero(outcome.expert_of_token == i)[:HIST_TOKENS_PER_EXPERT]]
-        groups.append(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        groups.append(rows / _row_norms(rows))
 
     pair_counts = np.zeros((n, n, HIST_BINS), dtype=np.int64)
     for i in range(n):
@@ -298,18 +306,17 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
             pair_counts[i, j], _ = np.histogram(vals, bins=edges)
             pair_counts[j, i] = pair_counts[i, j]
 
-    wn = weights / np.linalg.norm(weights, axis=1, keepdims=True)
-    cos_w = np.empty((batch.n_tokens, n))
-    for start in range(0, batch.n_tokens, _BLOCK_ROWS):
-        rows = batch.tokens[start:start + _BLOCK_ROWS]
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        np.clip(rows @ wn.T, -1.0, 1.0, out=cos_w[start:start + _BLOCK_ROWS])
+    wn = weights / _row_norms(weights)
     routed = np.zeros((n, HIST_BINS), dtype=np.int64)
     nonrouted = np.zeros((n, HIST_BINS), dtype=np.int64)
-    for i in range(n):
-        mine = outcome.expert_of_token == i
-        routed[i], _ = np.histogram(cos_w[mine, i], bins=edges)
-        nonrouted[i], _ = np.histogram(cos_w[~mine, i], bins=edges)
+    for start in range(0, batch.n_tokens, _BLOCK_ROWS):
+        rows = batch.tokens[start:start + _BLOCK_ROWS]
+        cos = np.clip((rows / _row_norms(rows)) @ wn.T, -1.0, 1.0)
+        expert = outcome.expert_of_token[start:start + _BLOCK_ROWS]
+        for i in range(n):
+            mine = expert == i
+            routed[i] += np.histogram(cos[mine, i], bins=edges)[0]
+            nonrouted[i] += np.histogram(cos[~mine, i], bins=edges)[0]
     return CosineHistograms(
         bin_edges=edges,
         pair_counts=pair_counts,

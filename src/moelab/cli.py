@@ -109,12 +109,18 @@ def _write_csv(path: Path, columns: dict, seed, config: dict):
     A column is a list or 1-d array of one type.  numpy gives it one dtype and
     ``str`` prints each entry (``repr`` for a float), so a list mixing ints and
     floats, or ints past int64, prints as floats, and a string loses any
-    trailing NUL."""
-    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    trailing NUL.  A table of only bool, int and float columns has no cell
+    that needs quoting, so its rows are joined and written at once; any other
+    goes through ``csv.writer``, as the header always does."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    rows = zip(*(map(str, a.tolist()) for a in arrays))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        if all(a.dtype.kind in "biuf" for a in arrays):
+            fh.write("".join(",".join(row) + "\n" for row in rows))
+        else:
+            writer.writerows(rows)
     _sidecar(path).write_text(json.dumps(_meta(seed, config), sort_keys=True, indent=2) + "\n")
 
 
@@ -330,11 +336,13 @@ def cmd_route_sim(args) -> int:
     return 0
 
 
+_TOPOLOGY_FIELDS = typing.get_type_hints(ClusterTopology)  # name -> int or float
+
+
 def _topology_from_json(path: str | None) -> ClusterTopology:
     if path is None:
         return defaults.DEFAULT_TOPOLOGY
-    fields = typing.get_type_hints(ClusterTopology)  # name -> int or float
-    values = _json_fields(path, _read_json(path), fields, "topology")
+    values = _json_fields(path, _read_json(path), _TOPOLOGY_FIELDS, "topology")
     for name, value in values.items():  # JSON's NaN and Infinity parse as floats
         if not math.isfinite(value):
             raise UsageError(f"{path}: topology field {name} must be finite, got {value}")

@@ -140,7 +140,8 @@ def gate_scores(
     Gaussian drawn as one (T, n) array from a generator seeded by
     ``seed``, so entry (m, i) is a pure function of (seed, m, i)
     regardless of evaluation order.  ``noise_std=0`` is fully
-    deterministic.
+    deterministic.  The result is a fresh array: the noise and the relu
+    act on the product in place, and no input is written.
     """
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
@@ -151,17 +152,18 @@ def gate_scores(
         )
     scores = tokens @ weights.T
     if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        scores = scores + rng.normal(0.0, noise_std, size=scores.shape)
-    return np.maximum(scores, 0.0)
+        scores += np.random.default_rng(seed).normal(0.0, noise_std, size=scores.shape)
+    return np.maximum(scores, 0.0, out=scores)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction."""
+    """Row-wise softmax with max-subtraction, in a fresh array that it
+    shifts, exponentiates and normalizes in place; ``scores`` is not written."""
     scores = np.asarray(scores, dtype=float)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = scores - scores.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ by power substitutions before applying composite Gauss-Legendre rules.
 import csv
 import ctypes
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,24 @@ def softmax_reference(row):
     exps = [math.exp(v - m) for v in row]
     s = sum(exps)
     return [e / s for e in exps]
+
+
+def fresh_array_softmax(scores):
+    """Row-wise softmax in one fresh array per step: shift, exponentiate,
+    divide.  The bitwise reference for ``router.softmax``."""
+    scores = np.asarray(scores, dtype=float)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def fresh_array_gate_scores(tokens, weights, noise_std, seed):
+    """relu(tokens @ weights.T + noise) with a fresh array per step: the
+    bitwise reference for ``router.gate_scores``."""
+    scores = tokens @ np.asarray(weights, dtype=float).T
+    if noise_std > 0:
+        scores = scores + np.random.default_rng(seed).normal(0.0, noise_std, size=scores.shape)
+    return np.maximum(scores, 0.0)
 
 
 def straight_line_moe_forward(tokens, expert_of_token, gate, dropped, w_in, w_out):
@@ -430,3 +449,14 @@ def openblas_kernel():
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return None
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while fn runs), after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

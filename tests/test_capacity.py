@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from oracles import (
     per_point_cap_identity,
     per_point_capacity_curve,
     reg_beta_quad,
+    traced_peak,
 )
 
 SRC = str(Path(moelab.__file__).resolve().parents[1])
@@ -483,17 +483,6 @@ STRADDLE = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def traced_peak(fn):
-    """(result, peak bytes traced while fn runs), after one warm-up call."""
-    fn()
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestBlockStreaming:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -1360,3 +1361,49 @@ class TestDeterminism:
         assert run(["capacity", "--delta", "0.1", "--dim", "64", "--experts", "8",
                     "--out", str(flagged)]) == 0
         assert out.read_bytes() == flagged.read_bytes()
+
+
+class TestTheoryArtifactPins:
+    """SHA-256 of theory step-2 artifacts, each CSV and its sidecar: the
+    benchmark's d = 4096 grid and three route-sim runs.  Sphere draws follow
+    numpy's generators and the scores its BLAS, so the pins hold only under
+    the numpy, BLAS and OpenBLAS kernel they were taken with."""
+
+    PINNED_NUMPY = "2.4.6"
+    PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
+    PINNED_KERNEL = "SkylakeX"
+    GRID = f"{0.02 / math.sqrt(4096)!r}:{5.0 / math.sqrt(4096)!r}:2000"
+    PINS = {
+        "grid-4096": (["capacity", "--grid", GRID, "--dim", "4096", "--experts", "16"], {
+            "a.csv": "95bfc77f04cd69bc8e18b67541fa4a689b34695bf971b87925f4f217a0a52c0a",
+            "a.csv.meta.json": "4e7ebf74103881acaa31715e15f3fab2fb726e34507bbbf47069a23f5885ee32",
+        }),
+        "block-histograms": (["route-sim", "--router", "block", "--tokens", "20000", "--histograms",
+                              "--capacity-factor", "1.0"], {
+            "a.csv": "a39c1464d52ead733dc7816cd0a27ce27ac9a7b1858ed10172f3c2d7e8862ac0",
+            "a.csv.meta.json": "428c18f721db16e689db4e56f11cdbd397f6da00fb9de195f4a8fa130dca34fa",
+            "a.histograms.csv": "6631b3562674c4883505ca9729c48cb853c47e952375f50731ed3752c26df79b",
+            "a.histograms.csv.meta.json": "428c18f721db16e689db4e56f11cdbd397f6da00fb9de195f4a8fa130dca34fa",
+        }),
+        "block-noise": (["route-sim", "--router", "block", "--tokens", "20000", "--noise-std", "0.05"], {
+            "a.csv": "7447287ce536e9f7df2f3cfdc28ee4ef3215f4a4dfcc533aa36d56ef811071c2",
+            "a.csv.meta.json": "b27ce05ee88ac8f4e45d0e0118b2f97a17dceb3d575d0d8faea2eeebac23a6ab",
+        }),
+        "switch-4097": (["route-sim", "--router", "switch", "--tokens", "4097"], {
+            "a.csv": "5b248acf94d431185f34a7e437b985cc41f8447e00e7484b110969ebe0af7e92",
+            "a.csv.meta.json": "0b24b883b087de82dd1d721b2445227bbe0ada2d385a26bff6eda486222e129c",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_artifacts_keep_their_bytes(self, name, tmp_path):
+        if np.__version__ != self.PINNED_NUMPY:
+            pytest.skip(f"pins taken with numpy {self.PINNED_NUMPY}, this is {np.__version__}")
+        if numpy_blas() != self.PINNED_BLAS:
+            pytest.skip(f"pins taken with {self.PINNED_BLAS}, numpy uses {numpy_blas()}")
+        if openblas_kernel() != self.PINNED_KERNEL:
+            pytest.skip(f"pins taken on the {self.PINNED_KERNEL} kernel, OpenBLAS runs {openblas_kernel()}")
+        argv, pins = self.PINS[name]
+        assert run([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert got == pins

@@ -28,8 +28,8 @@ from oracles import (
     ring_allgather_edges_reference,
     ring_alltoall_reference,
     ring_cost_reference,
+    traced_peak,
 )
-from test_capacity import traced_peak
 
 TOPO = ClusterTopology(
     n_nodes=2, devices_per_node=8,

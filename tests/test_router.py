@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moelab.router import (
     RoutingOutcome,
@@ -17,9 +18,15 @@ from moelab.router import (
     softmax_backward,
     top1,
 )
-from moelab.capacity import SphereSampleConfig, sample_unit_sphere
+from moelab.capacity import SphereSampleConfig, cosine_histograms, sample_unit_sphere
 
-from oracles import fnv1a64_reference, softmax_reference
+from oracles import (
+    fnv1a64_reference,
+    fresh_array_gate_scores,
+    fresh_array_softmax,
+    softmax_reference,
+    traced_peak,
+)
 
 
 class TestConfig:
@@ -312,3 +319,67 @@ class TestRoutingProperties:
             got = route(scores).expert_of_token
             for m, row in enumerate(scores):
                 assert got[m] == min(i for i, v in enumerate(row) if v == row.max())
+
+
+# few distinct values make ties common; NaN and +-inf make non-finite rows
+SCORE_CELLS = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e3, 1e3),
+                        st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+class TestKernelBits:
+    """softmax and gate_scores work in place in their own fresh arrays and
+    give the bits of the one-array-per-step expressions."""
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=SCORE_CELLS))
+    @example(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [math.nan] * 3, [math.inf, 0.0, -math.inf],
+                       [-math.inf] * 3, [-3.0, 2.0, 2.0]]))
+    @example(np.array([[0.5], [math.nan], [-math.inf], [math.inf]]))
+    def test_softmax_matches_the_fresh_array_expression(self, scores):
+        before = scores.tobytes()
+        with np.errstate(all="ignore"):
+            got, want = softmax(scores), fresh_array_softmax(scores)
+        assert scores.tobytes() == before
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(8)), elements=st.floats(-4.0, 4.0)),
+           st.sampled_from([0.0, 0.05, 1.0]), st.integers(0, 2**32 - 1))
+    def test_gate_scores_match_the_fresh_array_expression(self, tokens, noise_std, seed):
+        weights = build_block_gating(4, 8)
+        before = tokens.tobytes(), weights.tobytes()
+        got = gate_scores(tokens, weights, noise_std, seed)
+        want = fresh_array_gate_scores(tokens, weights, noise_std, seed)
+        assert (tokens.tobytes(), weights.tobytes()) == before
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRouteSimMemory:
+    """Traced peaks of route-sim's kernels at its default (T, n, d), in
+    units of one (T, n) float array: no kernel holds a transient (T, n) copy
+    beyond what it returns."""
+
+    T, N, D = 100_000, 8, 64
+    UNIT = T * N * 8
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        batch = sample_unit_sphere(SphereSampleConfig(dim=self.D, n_samples=self.T, seed=0))
+        weights = build_block_gating(self.N, self.D)
+        scores = gate_scores(batch.tokens, weights)
+        return batch, weights, scores, route_top1(scores)
+
+    def test_route_top1_is_its_probabilities_plus_vectors(self, routed):
+        _, _, scores, _ = routed
+        _, peak = traced_peak(lambda: route_top1(scores))
+        assert peak <= 2.0 * self.UNIT
+
+    def test_gate_scores_is_its_output(self, routed):
+        batch, weights, _, _ = routed
+        _, peak = traced_peak(lambda: gate_scores(batch.tokens, weights))
+        assert peak <= 1.25 * self.UNIT
+
+    def test_cosine_histograms_hold_no_cosine_table(self, routed):
+        batch, weights, _, outcome = routed
+        _, peak = traced_peak(lambda: cosine_histograms(batch, outcome, weights))
+        assert peak <= 1.0 * self.UNIT
