@@ -44,7 +44,7 @@ print(f"  f is still accounted pre-drop: sum(f) = {capped.f.sum():.12f}")
 
 # --- cosine structure -------------------------------------------------------
 
-hist = cosine_histograms(batch, scored, weights)
+hist = cosine_histograms([(batch.tokens, scored.expert_of_token)], weights)
 mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
 routed = hist.routed_counts.sum(axis=0)
 other = hist.nonrouted_counts.sum(axis=0)

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .router import RoutingOutcome, TokenBatch, build_block_gating
+from .router import _BLOCK_ROWS, TokenBatch, apply_capacity, build_block_gating
 from .special import erfc, reg_incomplete_beta
-
-_BLOCK_ROWS = 4096  # rows the sphere Monte Carlo and the histograms draw or reduce at a time
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class CapacityTheoryResult:
 class SphereSampleConfig:
     dim: int
     n_samples: int
-    seed: int = 0
+    seed: int | np.random.Generator = 0  # a Generator is drawn from as is
 
     def __post_init__(self):
         if self.dim < 2:
@@ -276,28 +274,43 @@ HIST_BINS = 64  # equal-width cosine bins over [-1, 1]
 HIST_TOKENS_PER_EXPERT = 256  # tokens per expert in the token-token histograms
 
 
-def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.ndarray) -> CosineHistograms:
+def cosine_histograms(blocks, weights: np.ndarray) -> CosineHistograms:
     """Histogram token-token and token-gating-weight cosine similarities.
 
-    Token-token histograms are computed per expert pair over at most
-    ``HIST_TOKENS_PER_EXPERT`` tokens per expert (the first so many in batch
-    order, for determinism).  Token-weight histograms use every token; they
-    are binned _BLOCK_ROWS tokens at a time and the integer counts summed,
-    so no (T, n) cosine table is held.
+    ``blocks`` yields a batch as (tokens, expert_of_token) pairs in order,
+    one pair for a whole batch.  Token-token histograms are computed per
+    expert pair over at most ``HIST_TOKENS_PER_EXPERT`` tokens per expert
+    (the first so many in batch order, for determinism), the only rows kept
+    past their block.  Token-weight histograms use every token; they are
+    binned _BLOCK_ROWS tokens at a time and the integer counts summed, so no
+    (T, n) cosine table is held.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
-    if batch.n_tokens != outcome.expert_of_token.shape[0]:
-        raise ValueError("batch and routing outcome disagree on token count")
-    if batch.dim != weights.shape[1]:
-        raise ValueError("token dim does not match gating dim")
     edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
+    wn = weights / _row_norms(weights)
+    kept = [np.empty((0, weights.shape[1])) for _ in range(n)]
+    routed = np.zeros((n, HIST_BINS), dtype=np.int64)
+    nonrouted = np.zeros((n, HIST_BINS), dtype=np.int64)
+    for tokens, expert_of_token in blocks:
+        if tokens.shape[0] != expert_of_token.shape[0]:
+            raise ValueError("batch and routing outcome disagree on token count")
+        if tokens.shape[1] != weights.shape[1]:
+            raise ValueError("token dim does not match gating dim")
+        for i in range(n):
+            if len(kept[i]) < HIST_TOKENS_PER_EXPERT:
+                mine = np.flatnonzero(expert_of_token == i)[:HIST_TOKENS_PER_EXPERT - len(kept[i])]
+                kept[i] = np.concatenate([kept[i], tokens[mine]])
+        for start in range(0, tokens.shape[0], _BLOCK_ROWS):
+            rows = tokens[start:start + _BLOCK_ROWS]
+            cos = np.clip((rows / _row_norms(rows)) @ wn.T, -1.0, 1.0)
+            expert = expert_of_token[start:start + _BLOCK_ROWS]
+            for i in range(n):
+                mine = expert == i
+                routed[i] += np.histogram(cos[mine, i], bins=edges)[0]
+                nonrouted[i] += np.histogram(cos[~mine, i], bins=edges)[0]
 
-    groups = []  # only the rows histogrammed are normalized
-    for i in range(n):
-        rows = batch.tokens[np.flatnonzero(outcome.expert_of_token == i)[:HIST_TOKENS_PER_EXPERT]]
-        groups.append(rows / _row_norms(rows))
-
+    groups = [rows / _row_norms(rows) for rows in kept]  # only the rows histogrammed are normed
     pair_counts = np.zeros((n, n, HIST_BINS), dtype=np.int64)
     for i in range(n):
         for j in range(i, n):
@@ -305,21 +318,41 @@ def cosine_histograms(batch: TokenBatch, outcome: RoutingOutcome, weights: np.nd
             vals = cos[np.triu_indices(len(cos), k=1)] if i == j else cos.ravel()
             pair_counts[i, j], _ = np.histogram(vals, bins=edges)
             pair_counts[j, i] = pair_counts[i, j]
-
-    wn = weights / _row_norms(weights)
-    routed = np.zeros((n, HIST_BINS), dtype=np.int64)
-    nonrouted = np.zeros((n, HIST_BINS), dtype=np.int64)
-    for start in range(0, batch.n_tokens, _BLOCK_ROWS):
-        rows = batch.tokens[start:start + _BLOCK_ROWS]
-        cos = np.clip((rows / _row_norms(rows)) @ wn.T, -1.0, 1.0)
-        expert = outcome.expert_of_token[start:start + _BLOCK_ROWS]
-        for i in range(n):
-            mine = expert == i
-            routed[i] += np.histogram(cos[mine, i], bins=edges)[0]
-            nonrouted[i] += np.histogram(cos[~mine, i], bins=edges)[0]
     return CosineHistograms(
         bin_edges=edges,
         pair_counts=pair_counts,
         routed_counts=routed,
         nonrouted_counts=nonrouted,
     )
+
+
+
+def route_sphere(cfg: SphereSampleConfig, route, n_experts: int, cap: int | None = None, weights=None):
+    """Route ``cfg``'s sphere draw one _BLOCK_ROWS block at a time, so memory
+    is one block plus per-expert state whatever the sample.  ``route(batch)``
+    routes a block whose ids continue the blocks before it; ``cap`` budgets
+    each expert over the whole draw, and ``weights`` also bins the blocks
+    through :func:`cosine_histograms`.  Returns per-expert (assigned, served,
+    P) and the histograms (None without weights), the bits of one pass over
+    the whole batch: P is summed in row order and divided once."""
+    sphere = np.random.default_rng(cfg.seed)
+    assigned, served = np.zeros((2, n_experts), dtype=np.int64)
+    p_sum = np.zeros((1, n_experts))
+
+    def blocks():
+        for start in range(0, cfg.n_samples, _BLOCK_ROWS):
+            batch = sample_unit_sphere(SphereSampleConfig(cfg.dim, min(_BLOCK_ROWS, cfg.n_samples - start), sphere))
+            batch.token_ids += start
+            outcome = route(batch)
+            if cap is not None:
+                outcome = apply_capacity(outcome, cap, assigned)
+            assigned[:] += outcome.assigned_counts()
+            served[:] += outcome.served_counts()
+            p_sum[:] = np.add.reduce(np.concatenate([p_sum, outcome.probs]), axis=0, keepdims=True)
+            yield batch.tokens, outcome.expert_of_token
+
+    stream = blocks()
+    histograms = None if weights is None else cosine_histograms(stream, weights)
+    for _ in stream:  # drives the draw when no histograms consume it
+        pass
+    return assigned, served, p_sum[0] / cfg.n_samples, histograms

@@ -41,7 +41,7 @@ from .commsim import (
     groupwise_alltoall_cost,
 )
 from .losses import LossConfig
-from .router import apply_capacity, build_block_gating, gate_scores, hash_route, route_top1
+from .router import build_block_gating, gate_scores, hash_route, route_top1
 from .toymoe import (
     COMPARE_LOSSES,
     SyntheticCorpusConfig,
@@ -289,11 +289,13 @@ def cmd_route_sim(args) -> int:
     with _usage_errors():
         sphere = capacity.SphereSampleConfig(dim=dim, n_samples=tokens, seed=seed)
         if router == "block":
-            weights = build_block_gating(experts, dim)
+            weights, noise = build_block_gating(experts, dim), np.random.default_rng(seed)
+            route = lambda batch: route_top1(gate_scores(batch.tokens, weights, args.noise_std, seed=noise))
         elif router == "switch":
             weights = np.random.default_rng(seed).standard_normal((experts, dim)) / np.sqrt(dim)
+            route = lambda batch: route_top1(batch.tokens @ weights.T)
         else:
-            weights = None
+            weights, route = None, lambda batch: hash_route(batch.token_ids, experts)
         cap_tokens = (None if args.capacity_factor is None
                       else capacity.empirical_capacity(tokens, args.capacity_factor, 1, experts))
     resolved = {
@@ -302,24 +304,14 @@ def cmd_route_sim(args) -> int:
     }
     _check_outputs(args.force, out, *([hist_out] if args.histograms else []))
 
-    batch = capacity.sample_unit_sphere(sphere)
-    if router == "block":
-        outcome = route_top1(gate_scores(batch.tokens, weights, args.noise_std, seed=seed))
-    elif router == "switch":
-        outcome = route_top1(batch.tokens @ weights.T)
-    else:
-        outcome = hash_route(batch.token_ids, experts)
+    assigned, served, p_mean, hist = capacity.route_sphere(sphere, route, experts, cap_tokens,
+                                                           weights if args.histograms else None)
     if cap_tokens is not None:
-        outcome = apply_capacity(outcome, cap_tokens)
         resolved["applied_capacity"] = cap_tokens
-
-    assigned = outcome.assigned_counts()
-    served = outcome.served_counts()
     _write_csv(out, {"expert": np.arange(experts), "assigned": assigned, "served": served,
-                     "dropped": assigned - served, "f": outcome.f, "P": outcome.P}, seed, resolved)
+                     "dropped": assigned - served, "f": assigned / tokens, "P": p_mean}, seed, resolved)
 
     if args.histograms:
-        hist = capacity.cosine_histograms(batch, outcome, weights)
         # token_pair rows over (i, j, bin), then weight_routed and weight_other over (i, bin)
         i, j, pair_bin = (a.ravel() for a in np.indices(hist.pair_counts.shape))
         w, w_bin, kind = (a.ravel() for a in np.indices((*hist.routed_counts.shape, 2)))

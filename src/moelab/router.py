@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+_BLOCK_ROWS = 4096  # rows a batch is drawn, routed or reduced in at a time
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
@@ -132,16 +133,17 @@ def gate_scores(
     tokens: np.ndarray,
     weights: np.ndarray,
     noise_std: float = 0.0,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Pre-softmax gating scores: relu(w_i . x_m + eps_i) per (token, expert).
 
     ``tokens`` is the (T, d) token array.  The optional noise is zero-mean
-    Gaussian drawn as one (T, n) array from a generator seeded by
-    ``seed``, so entry (m, i) is a pure function of (seed, m, i)
-    regardless of evaluation order.  ``noise_std=0`` is fully
-    deterministic.  The result is a fresh array: the noise and the relu
-    act on the product in place, and no input is written.
+    Gaussian from ``np.random.default_rng(seed)`` (a Generator is drawn from
+    as is), drawn _BLOCK_ROWS rows at a time with the bits of one (T, n)
+    draw, so entry (m, i) is a pure function of (seed, m, i) regardless of
+    evaluation order.  ``noise_std=0`` is fully deterministic.  The result
+    is a fresh array that the noise and the relu act on in place; no input
+    is written.
     """
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
@@ -152,7 +154,10 @@ def gate_scores(
         )
     scores = tokens @ weights.T
     if noise_std > 0:
-        scores += np.random.default_rng(seed).normal(0.0, noise_std, size=scores.shape)
+        rng = np.random.default_rng(seed)
+        for start in range(0, scores.shape[0], _BLOCK_ROWS):
+            block = scores[start:start + _BLOCK_ROWS]
+            block += rng.normal(0.0, noise_std, size=block.shape)
     return np.maximum(scores, 0.0, out=scores)
 
 
@@ -200,11 +205,14 @@ def top1(scores: np.ndarray) -> RoutingOutcome:
     return RoutingOutcome(expert_of_token=np.argmax(scores, axis=1), probs=softmax(scores))
 
 
-def apply_capacity(outcome: RoutingOutcome, cap: int) -> RoutingOutcome:
+def apply_capacity(outcome: RoutingOutcome, cap: int,
+                   assigned_before: np.ndarray | None = None) -> RoutingOutcome:
     """Mark tokens beyond the first ``cap`` per expert (in batch order) as dropped.
 
-    Assignment, gate values, ``f`` and ``P`` are untouched; dropped tokens
-    simply bypass their expert downstream.
+    Expert i's rank counts ``assigned_before[i]`` tokens of earlier blocks
+    first, so chained blocks drop what their whole batch drops.  Assignment,
+    gate values, ``f`` and ``P`` are untouched; dropped tokens simply bypass
+    their expert downstream.
     """
     if cap < 1:
         raise ValueError(f"capacity must be >= 1, got {cap}")
@@ -213,6 +221,7 @@ def apply_capacity(outcome: RoutingOutcome, cap: int) -> RoutingOutcome:
     order = np.argsort(expert, kind="stable")
     sorted_e = expert[order]
     starts = np.searchsorted(sorted_e, np.arange(outcome.n_experts))
+    starts = starts if assigned_before is None else starts - assigned_before
     rank_sorted = np.arange(t) - starts[sorted_e]
     rank = np.empty(t, dtype=np.int64)
     rank[order] = rank_sorted

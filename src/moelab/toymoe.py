@@ -181,7 +181,8 @@ def gelu_grad(x, cdf=None):
         cdf = _normal_cdf(x)
     # past _PDF_ZERO the pdf is 0.0 and x * pdf is +-0, so clipping x there
     # changes no finite result and keeps x*x from overflowing (and inf * 0 out)
-    x = np.clip(x, -_PDF_ZERO, _PDF_ZERO)
+    x = np.maximum(x, -_PDF_ZERO, out=np.empty_like(x))
+    np.minimum(x, _PDF_ZERO, out=x)
     # cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), temporaries updated in place
     out = -0.5 * x
     out *= x
@@ -204,11 +205,12 @@ def init_experts(n_experts: int, dim: int, hidden: int, rng) -> tuple[np.ndarray
 
 
 def _expert_ffn(x, w_in, w_out):
-    """One expert on its served tokens ``x``: the pre-activation z, Phi(z)
-    and the ungated output gelu(z) @ w_out.T."""
+    """One expert on its served tokens ``x``: the pre-activation z, Phi(z),
+    the activation h = gelu(z) and the ungated output h @ w_out.T."""
     z = x @ w_in.T
     cdf = _normal_cdf(z)
-    return z, cdf, gelu(z, cdf) @ w_out.T
+    h = gelu(z, cdf)
+    return z, cdf, h, h @ w_out.T
 
 
 def _mix(tokens, outcome: RoutingOutcome, raw):
@@ -220,10 +222,10 @@ def _mix(tokens, outcome: RoutingOutcome, raw):
 
 def _moe_apply(tokens, outcome: RoutingOutcome, w_in, w_out):
     """The MoE layer; returns its output, the ungated expert output (0 where
-    dropped) and per-expert caches ``(idx, z, cdf)``: the served token
-    indices, the pre-activation z and Phi(z), from which the backward pass
-    rebuilds the activation and GeLU's derivative without evaluating erf
-    again (None for an expert serving no token)."""
+    dropped) and per-expert caches ``(idx, h, dh)``: the served token
+    indices, the activation h = gelu(z) and its derivative gelu'(z), both
+    from the one Phi(z), which the backward pass uses as they are and so
+    evaluates no erf (None for an expert serving no token)."""
     n = len(w_in)
     # one stable sort groups the served tokens by expert, each group in
     # batch order; dropped tokens are keyed past the last expert
@@ -235,8 +237,8 @@ def _moe_apply(tokens, outcome: RoutingOutcome, w_in, w_out):
     caches = [None] * n
     for e in np.flatnonzero(counts):
         idx = order[ends[e] - counts[e] : ends[e]]
-        z, cdf, raw[idx] = _expert_ffn(tokens[idx], w_in[e], w_out[e])
-        caches[e] = (idx, z, cdf)
+        z, cdf, h, raw[idx] = _expert_ffn(tokens[idx], w_in[e], w_out[e])
+        caches[e] = (idx, h, gelu_grad(z, cdf))
     return _mix(tokens, outcome, raw), raw, caches
 
 
@@ -368,10 +370,10 @@ def _train_backward(state, setup: _TrainSetup, cache):
     for e, c in enumerate(cache["expert_caches"]):
         if c is None:
             continue
-        idx, z, cdf = c
+        idx, h, dh = c
         d_o = d_expert_raw[idx]
-        g_out[e] = d_o.T @ gelu(z, cdf)
-        d_z = (d_o @ state["w_out"][e]) * gelu_grad(z, cdf)
+        g_out[e] = d_o.T @ h
+        d_z = (d_o @ state["w_out"][e]) * dh
         g_in[e] = d_z.T @ tokens[idx]
 
     if setup.router_kind == "hash":
@@ -413,7 +415,7 @@ def _probe_tensors(state, setup: _TrainSetup):
 
     def expert(e, idx):
         raw = cache["expert_raw"].copy()
-        raw[idx] = _expert_ffn(setup.tokens[idx], state["w_in"][e], state["w_out"][e])[2]
+        raw[idx] = _expert_ffn(setup.tokens[idx], state["w_in"][e], state["w_out"][e])[3]
         return head(_mix(setup.tokens, cache["outcome"], raw))
 
     out = [(state["head"], grads["head"], head)]

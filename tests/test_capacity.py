@@ -26,7 +26,7 @@ from moelab.capacity import (
     p_delta,
     sample_unit_sphere,
 )
-from moelab.router import TokenBatch, build_block_gating, gate_scores, route_top1
+from moelab.router import build_block_gating, gate_scores, route_top1
 from moelab.toymoe import SyntheticCorpusConfig, make_synthetic_corpus
 
 from oracles import (
@@ -413,7 +413,7 @@ class TestCosineHistograms:
 
         batch = TokenBatch(tokens=np.tile(w, (3, 1)), token_ids=np.arange(12))
         outcome = route_top1(gate_scores(batch.tokens, w))
-        hist = cosine_histograms(batch, outcome, w)
+        hist = cosine_histograms([(batch.tokens, outcome.expert_of_token)], w)
         for i in range(4):
             counts = hist.pair_counts[i, i]
             assert counts.sum() > 0
@@ -426,7 +426,7 @@ class TestCosineHistograms:
         )
         w = build_block_gating(8, 64)
         outcome = route_top1(gate_scores(corpus.tokens, w))
-        hist = cosine_histograms(corpus, outcome, w)
+        hist = cosine_histograms([(corpus.tokens, outcome.expert_of_token)], w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
 
         def mean_of(counts):
@@ -451,7 +451,7 @@ class TestCosineHistograms:
         batch = sample_unit_sphere(SphereSampleConfig(dim=d, n_samples=600, seed=6))
         w = build_block_gating(8, d)
         outcome = route_top1(gate_scores(batch.tokens, w))
-        hist = cosine_histograms(batch, outcome, w)
+        hist = cosine_histograms([(batch.tokens, outcome.expert_of_token)], w)
         mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
         total = hist.pair_counts.sum(axis=(0, 1))
         mean = float((total * mids).sum() / total.sum())
@@ -468,7 +468,7 @@ class TestCosineHistograms:
             tokens=np.vstack([np.tile(w[0], (5, 1)), w[2]]), token_ids=np.arange(6)
         )
         outcome = route_top1(gate_scores(batch.tokens, w))
-        hist = cosine_histograms(batch, outcome, w)
+        hist = cosine_histograms([(batch.tokens, outcome.expert_of_token)], w)
         assert hist.pair_counts[1, 1].sum() == 0
         assert hist.pair_counts[1, 2].sum() == 0
         assert hist.pair_counts[2, 2].sum() == 0  # one token has no distinct pair
@@ -519,7 +519,7 @@ class TestBlockStreaming:
         scores[:, 3] = scores.min() - 1.0
         outcome = route_top1(scores)
         assert not (outcome.expert_of_token == 3).any()
-        hist = cosine_histograms(TokenBatch(tokens=tokens, token_ids=np.arange(t)), outcome, w)
+        hist = cosine_histograms([(tokens, outcome.expert_of_token)], w)
         ref = one_shot_cosine_histograms(tokens, outcome.expert_of_token, w,
                                          HIST_TOKENS_PER_EXPERT, hist.bin_edges)
         assert same_bits(hist.bin_edges, np.linspace(-1.0, 1.0, HIST_BINS + 1))

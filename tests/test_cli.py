@@ -630,6 +630,20 @@ class TestRouteSimCommand:
         assert rows[:, 5].tolist() == rows[:, 4].tolist()  # P equals f
         assert json.loads((tmp_path / "route.csv.meta.json").read_text())["config"]["applied_capacity"] == cap
 
+    def test_hash_ids_run_on_across_blocks(self, tmp_path):
+        # route-sim hashes ids 0..T-1 over its 4096-row blocks. Six experts: an id
+        # and the same id 4096 later differ only in bits that fnv1a64 mod 8 ignores
+        t, n = 3 * 4096 + 5, 6
+        out = tmp_path / "route.csv"
+        assert run(["route-sim", "--router", "hash", "--tokens", str(t), "--experts", str(n),
+                    "--capacity-factor", "0.9", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assigned = np.bincount([fnv1a64_reference(i) % n for i in range(t)], minlength=n)
+        served = np.minimum(assigned, math.ceil(t * 0.9 / n))
+        assert (served < assigned).any()
+        assert rows[:, 1].tolist() == assigned.tolist()
+        assert rows[:, 2].tolist() == served.tolist()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "route.csv"
         assert run(["route-sim", "--tokens", "100", "--seed", "-1", "--out", str(out)]) == 2
@@ -1365,7 +1379,7 @@ class TestDeterminism:
 
 class TestTheoryArtifactPins:
     """SHA-256 of theory step-2 artifacts, each CSV and its sidecar: the
-    benchmark's d = 4096 grid and three route-sim runs.  Sphere draws follow
+    benchmark's d = 4096 grid and six route-sim runs.  Sphere draws follow
     numpy's generators and the scores its BLAS, so the pins hold only under
     the numpy, BLAS and OpenBLAS kernel they were taken with."""
 
@@ -1392,6 +1406,23 @@ class TestTheoryArtifactPins:
         "switch-4097": (["route-sim", "--router", "switch", "--tokens", "4097"], {
             "a.csv": "5b248acf94d431185f34a7e437b985cc41f8447e00e7484b110969ebe0af7e92",
             "a.csv.meta.json": "0b24b883b087de82dd1d721b2445227bbe0ada2d385a26bff6eda486222e129c",
+        }),
+        # three runs whose capacity drops fall in more than one 4096-row block
+        "hash-4097-drops": (["route-sim", "--router", "hash", "--tokens", "4097", "--capacity-factor", "0.9"], {
+            "a.csv": "ffddb46607ceea19f971a243b96886dfeffb974c9d2cf54df0497c24e837fe7b",
+            "a.csv.meta.json": "76bbf95e2f38d486a4c1efefbc1390b0f8b698d46a05480e9fd2b69240bf95b4",
+        }),
+        "switch-histograms-drops": (["route-sim", "--router", "switch", "--tokens", "12289", "--histograms",
+                                     "--capacity-factor", "0.9"], {
+            "a.csv": "3f330a7186e743cfa68f34f3b0ed8eff183dc7d04bf773135a94d449d889e063",
+            "a.csv.meta.json": "d582dd3c49789a019009f0f19e81081fe9eb7f77f34954a3a2db4f6e788272cf",
+            "a.histograms.csv": "405bdb529ac54ac62936d802edf6104b98756503ba641f3ff72d7067aaf553e5",
+            "a.histograms.csv.meta.json": "d582dd3c49789a019009f0f19e81081fe9eb7f77f34954a3a2db4f6e788272cf",
+        }),
+        "block-noise-drops": (["route-sim", "--router", "block", "--tokens", "8193", "--noise-std", "0.05",
+                               "--capacity-factor", "0.9"], {
+            "a.csv": "88d31ab5bc4fdab7dd0c9619d68ea6bce38458565c2a89322bab61b819c302db",
+            "a.csv.meta.json": "4202438286f791e4b85f621f00ea8bbd485f5dd10d73239d38e344d03375f9fb",
         }),
     }
 

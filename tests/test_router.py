@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from moelab import cli
 from moelab.router import (
+    _BLOCK_ROWS,
     RoutingOutcome,
     apply_capacity,
     build_block_gating,
@@ -297,6 +299,26 @@ class TestRoutingProperties:
             mine = np.flatnonzero(expert == e)
             assert np.array_equal(np.flatnonzero(~capped.dropped & (expert == e)), mine[:cap])
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.integers(1, 6),
+           st.lists(st.integers(0, 60), max_size=6))
+    @example([0] * 10 + [1] * 3 + [0] * 2, 1, [3, 5, 12])  # cuts inside expert 0's run, cap 1
+    @example([2] * 9, 4, [2, 6, 7])
+    def test_blocks_chained_by_their_counts_drop_what_the_whole_batch_drops(self, assigned, cap, cuts):
+        expert = np.array(assigned)
+        bounds = [0, *sorted(min(c, expert.size) for c in cuts), expert.size]
+        whole = apply_capacity(RoutingOutcome(expert_of_token=expert, probs=np.eye(4)[expert]), cap)
+        before = np.zeros(4, dtype=np.int64)
+        dropped = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            part = expert[lo:hi]
+            block = RoutingOutcome(expert_of_token=part, probs=np.eye(4)[part])
+            dropped.append(apply_capacity(block, cap, before).dropped)
+            before += block.assigned_counts()
+        assert np.array_equal(np.concatenate(dropped), whole.dropped)
+
     # coarse integer scores make ties common
     @settings(deadline=None)
     @given(st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -353,6 +375,18 @@ class TestKernelBits:
         assert (tokens.tobytes(), weights.tobytes()) == before
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("t", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+    def test_noise_drawn_by_block_is_one_draw(self, t):
+        tokens = np.random.default_rng(t).standard_normal((t, 8))
+        weights = build_block_gating(4, 8)
+        want = fresh_array_gate_scores(tokens, weights, 0.05, t)
+        assert gate_scores(tokens, weights, 0.05, t).tobytes() == want.tobytes()
+        # blocks scored with one Generator continue its stream: the whole batch's noise
+        rng = np.random.default_rng(t)
+        cuts = range(0, t, 1000)
+        blocks = [gate_scores(tokens[lo:lo + 1000], weights, 0.05, seed=rng) for lo in cuts]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
 
 class TestRouteSimMemory:
     """Traced peaks of route-sim's kernels at its default (T, n, d), in
@@ -379,7 +413,22 @@ class TestRouteSimMemory:
         _, peak = traced_peak(lambda: gate_scores(batch.tokens, weights))
         assert peak <= 1.25 * self.UNIT
 
+    def test_noisy_gate_scores_hold_one_noise_block(self, routed):
+        batch, weights, _, _ = routed
+        _, peak = traced_peak(lambda: gate_scores(batch.tokens, weights, 0.05, seed=1))
+        assert peak <= 1.25 * self.UNIT
+
     def test_cosine_histograms_hold_no_cosine_table(self, routed):
         batch, weights, _, outcome = routed
-        _, peak = traced_peak(lambda: cosine_histograms(batch, outcome, weights))
+        _, peak = traced_peak(lambda: cosine_histograms([(batch.tokens, outcome.expert_of_token)], weights))
         assert peak <= 1.0 * self.UNIT
+
+    def test_route_sim_peak_does_not_grow_with_tokens(self, tmp_path):
+        def peak(tokens):
+            argv = ["route-sim", "--tokens", str(tokens), "--capacity-factor", "1.0", "--histograms",
+                    "--force", "--out", str(tmp_path / "r.csv")]
+            rc, traced = traced_peak(lambda: cli.main(argv))
+            assert rc == 0
+            return traced
+
+        assert peak(4 * self.T) <= 1.1 * peak(self.T)

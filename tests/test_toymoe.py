@@ -670,9 +670,9 @@ class TestEmptySourceNodes:
 
 class TestExpertLayerCache:
     def test_backward_reuses_the_forward_cdf(self, monkeypatch):
-        # the expert caches carry Phi(z), so the backward pass evaluates no
-        # erf, and its expert gradients are bitwise the ones gelu(z) and
-        # gelu_grad(z) give from the same cache
+        # the expert caches carry gelu(z) and gelu'(z) from the forward's
+        # Phi(z), so the backward pass evaluates no erf, and its expert
+        # gradients are bitwise the ones gelu(z) and gelu_grad(z) give
         erf_calls = []
         monkeypatch.setattr(toymoe, "erf", lambda x: erf_calls.append(1) or erf(x))
         real_backward = toymoe._train_backward
@@ -689,7 +689,8 @@ class TestExpertLayerCache:
                 if c is None:
                     assert not grads["w_in"][e].any() and not grads["w_out"][e].any()
                     continue
-                idx, z, _ = c
+                idx = c[0]
+                z = tokens[idx] @ state["w_in"][e].T
                 d_o = d_raw[idx]
                 assert np.array_equal(grads["w_out"][e], d_o.T @ gelu(z))
                 d_z = (d_o @ state["w_out"][e]) * gelu_grad(z)
