@@ -150,10 +150,25 @@ def empirical_capacity(batch_size: int, capacity_factor: float, expert_parallel:
     return math.ceil(budget)
 
 
+_NORM_SLICE = 1 << 16  # elements _row_norms squares at a time: 512 KiB of float64
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """The (rows, 1) Euclidean norms of a real 2-d array: the bits of
-    ``np.linalg.norm(x, axis=1, keepdims=True)``, without its ``x.conj()`` copy."""
-    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    ``np.linalg.norm(x, axis=1, keepdims=True)``, without its ``x.conj()``
+    copy or a squared copy of the whole input.  Rows are squared and summed
+    ``max(1, _NORM_SLICE // d)`` at a time; a contiguous row's sum is the
+    same ``np.add.reduce`` whichever slice holds it, so the bits hold.  Rows
+    that are not contiguous (a Fortran array) are squared whole, since numpy
+    sums them in buffered chunks whose bounds move with the array's size."""
+    if x.strides[1:] != (x.itemsize,):
+        return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    out = np.empty((x.shape[0], 1), dtype=np.result_type(x, 1.0))
+    step = max(1, _NORM_SLICE // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        part = x[start:start + step]
+        np.sqrt(np.add.reduce(part * part, axis=1, keepdims=True), out=out[start:start + step])
+    return out
 
 
 def _sphere_blocks(cfg: SphereSampleConfig, out: np.ndarray | None = None):

@@ -16,6 +16,7 @@ measurements; the CLI's default topology lives in :mod:`moelab.defaults`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -176,8 +177,9 @@ def _ring_seconds(volume: np.ndarray, topology: ClusterTopology, g: int = 1) -> 
     maxima, pos, rounds = _round_maxima(volume, topology), np.arange(k)[:, None], np.arange(1, d)
     # (p+r) stays on p's node iff the step stays in it or wraps past device d-1 back into it
     same = (rounds < k - pos) | (rounds >= d - pos)
-    cost = np.where(same, maxima / topology.intra_bw + topology.intra_latency,
-                    maxima / g / topology.inter_bw + topology.inter_latency)
+    with np.errstate(over="ignore"):  # bytes over a subnormal bandwidth take inf seconds
+        cost = np.where(same, maxima / topology.intra_bw + topology.intra_latency,
+                        maxima / g / topology.inter_bw + topology.inter_latency)
     return reduce(add, cost.max(axis=0).tolist(), 0.0)  # in round order, unlike np.sum's pairwise sum
 
 
@@ -225,7 +227,8 @@ def groupwise_alltoall_cost(
         # consecutive devices within a node form a group: one row per group
         received = sharded.sum(axis=0, where=inter).reshape(-1, g)
         gathered = received.sum(axis=1)
-        cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
+        with np.errstate(over="ignore"):
+            cost = (g - 1) / g * gathered / topology.intra_bw + (g - 1) * topology.intra_latency
         total += float(cost.max())
         # each member's accumulated shards pass over its edge to the next
         # member; the shard originating at the edge's head never crosses it
@@ -274,7 +277,8 @@ def compare_strategies(
     seconds, the compute (the run's :func:`forward_flops` spread evenly
     over the devices at DEVICE_FLOPS each), the visible communication
     max(0, plain - OVERLAP_RATIO * compute), a deliberately coarse stand-in
-    for interleaved execution, and its share of compute plus visible comm.
+    for interleaved execution, and its share of compute plus visible comm
+    (1.0 where the visible comm is infinite, 0.0 where both are zero).
     """
     columns = {name: [] for name in ("plain_alltoall_s", "groupwise_alltoall_s", "modeled_compute_s",
                                      "visible_comm_s", "comm_share")}
@@ -285,7 +289,7 @@ def compare_strategies(
         hidden, dim = run.params["w_in"].shape[1:]
         compute = forward_flops(run.final_outcome, dim, hidden) / (DEVICE_FLOPS * topology.total_devices)
         visible = max(0.0, plain - OVERLAP_RATIO * compute)
-        share = visible / (compute + visible) if compute + visible > 0 else 0.0
+        share = visible / (compute + visible) if 0 < compute + visible < math.inf else float(visible > 0)
         for name, value in zip(columns, (plain, grouped, compute, visible, share)):
             columns[name].append(value)
     return columns

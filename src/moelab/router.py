@@ -16,7 +16,8 @@ inputs plus an explicit seed, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,8 +212,9 @@ def apply_capacity(outcome: RoutingOutcome, cap: int,
 
     Expert i's rank counts ``assigned_before[i]`` tokens of earlier blocks
     first, so chained blocks drop what their whole batch drops.  Assignment,
-    gate values, ``f`` and ``P`` are untouched; dropped tokens simply bypass
-    their expert downstream.
+    gate values, ``f`` and ``P`` are untouched, and the capped outcome is a
+    shallow copy that shares them rather than deriving them again; dropped
+    tokens simply bypass their expert downstream.
     """
     if cap < 1:
         raise ValueError(f"capacity must be >= 1, got {cap}")
@@ -225,7 +227,9 @@ def apply_capacity(outcome: RoutingOutcome, cap: int,
     rank_sorted = np.arange(t) - starts[sorted_e]
     rank = np.empty(t, dtype=np.int64)
     rank[order] = rank_sorted
-    return replace(outcome, dropped=outcome.dropped | (rank >= cap))
+    capped = copy.copy(outcome)
+    capped.dropped = outcome.dropped | (rank >= cap)
+    return capped
 
 
 def fnv1a64(token_ids) -> np.ndarray:

@@ -585,7 +585,7 @@ def train(
             grads = _train_backward(state, setup, cache)
             for name, g in grads.items():
                 state[name] -= lr * g
-        del cache  # free this epoch's z/Phi cache before the next forward
+        del cache  # free this epoch's gelu(z)/gelu'(z) cache before the next forward
 
     return TrainRun(
         router_kind=router_kind,

@@ -335,6 +335,23 @@ def one_shot_assignment_fractions(weights, n_samples, seed):
     return np.bincount(assign, minlength=weights.shape[0]) / n_samples
 
 
+def block_mean_balance_z(dim, n, n_samples, seed):
+    """max|f - 1/n| / sigma of ``n_samples`` uniform sphere tokens, each sent
+    to the expert whose block of dim / n coordinates has the largest mean:
+    block gating written out without a gating matrix or a matrix product.
+    The normalized Gaussians come from ``default_rng(seed)`` 4096 rows at a
+    time, the bits of one draw; sigma is the binomial std of one fraction."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, n_samples, 4096):
+        x = rng.standard_normal((min(4096, n_samples - start), dim))
+        x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
+        block_means = x.reshape(len(x), n, dim // n).mean(axis=2)
+        counts += np.bincount(block_means.argmax(axis=1), minlength=n)
+    sigma = math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / n_samples)
+    return float(np.abs(counts / n_samples - 1.0 / n).max() / sigma)
+
+
 def one_shot_cosine_histograms(tokens, expert_of_token, weights, per_expert, edges):
     """(pair_counts, routed_counts, nonrouted_counts) over the first
     ``per_expert`` tokens of each expert, from one normalized copy."""

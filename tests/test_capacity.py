@@ -13,10 +13,12 @@ import moelab
 from moelab import special, verify
 from moelab.capacity import (
     _BLOCK_ROWS,
+    _NORM_SLICE,
     HIST_BINS,
     HIST_TOKENS_PER_EXPERT,
     CapacityTheoryResult,
     SphereSampleConfig,
+    _row_norms,
     cap_area_identity_check,
     cosine_histograms,
     ec_min,
@@ -527,6 +529,27 @@ class TestBlockStreaming:
             assert same_bits(got, want)
         assert hist.pair_counts[3].sum() == hist.routed_counts[3].sum() == 0
         assert hist.nonrouted_counts[3].sum() == t
+
+
+class TestRowNorms:
+    """_row_norms squares its rows a slice at a time and keeps the bits of
+    np.linalg.norm, whichever slice holds a row."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 64, 1024])
+    def test_matches_linalg_norm_bits(self, dim):
+        step = _NORM_SLICE // dim
+        rng = np.random.default_rng(dim)
+        for rows in (0, 1, step - 1, step, step + 1, _BLOCK_ROWS + 1):
+            x = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, (rows, 1))
+            for layout in (x, np.asfortranarray(x)):  # a Fortran array is squared whole
+                assert same_bits(_row_norms(layout), np.linalg.norm(layout, axis=1, keepdims=True)), rows
+
+    def test_holds_its_output_plus_one_slice(self):
+        x = np.random.default_rng(0).standard_normal((_BLOCK_ROWS, 1024))
+        norms, peak = traced_peak(lambda: _row_norms(x))
+        step = _NORM_SLICE // 1024
+        # one slice squared, plus its (step, 1) sums and a few array headers
+        assert peak <= norms.nbytes + _NORM_SLICE * 8 + step * 8 + 4096
 
 
 class TestMonteCarloMemory:

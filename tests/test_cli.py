@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import moelab
 from moelab import capacity, cli, defaults, verify
 from moelab.cli import main
-from oracles import fnv1a64_reference, numpy_blas, openblas_kernel, rowwise_csv
+from oracles import block_mean_balance_z, fnv1a64_reference, numpy_blas, openblas_kernel, rowwise_csv
 
 SRC = Path(moelab.__file__).resolve().parents[1]
 
@@ -442,6 +442,14 @@ class TestVerifyCommand:
             assert (name, status, code) == ((suite, "PASS", 0) if z <= 3.0 else (suite, "FAIL", 1))
             for text in texts:
                 assert text in detail
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_uniform_balance_matches_its_block_mean_oracle(self, seed):
+        # 100 000 tokens per case, written out here, so a cut sample fails under any BLAS kernel
+        zs = [block_mean_balance_z(dim, n, 100_000, seed) for dim, n in ((64, 8), (128, 16))]
+        result = verify.check_uniform_balance(seed)
+        assert result.detail == f"(d=64,n=8) max|f-1/n|={zs[0]:.2f} sigma; (d=128,n=16) max|f-1/n|={zs[1]:.2f} sigma"
+        assert result.passed == (max(zs) <= 3.0)
 
     @staticmethod
     def _nan_at(name, where):
@@ -1138,6 +1146,29 @@ class TestCommSimCommand:
         assert (f"error: {topo}: topology needs at least one node and one device per node"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_subnormal_inter_bw_costs_inf_seconds_without_a_warning(self, tmp_path, capsys):
+        # 1000 bytes / 8 / 1e-320 B/s overflows: the cost is inf, the warning (an error here) is gone
+        topo, volumes, out = tmp_path / "t.json", tmp_path / "v.csv", tmp_path / "c.csv"
+        topo.write_text(json.dumps({**self.TOPOLOGY, "inter_bw": 1e-320}))
+        np.savetxt(volumes, np.full((16, 16), 1000.0), delimiter=",", header="x", comments="")
+        assert run(["comm-sim", "--volumes", str(volumes), "--topology", str(topo),
+                    "--tp-group", "8", "--out", str(out)]) == 0
+        header, row = read_rows(out)
+        assert (row[header.index("plain_alltoall_s")], row[header.index("groupwise_total_s")]) == ("inf", "inf")
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_inter_bw_gives_every_router_a_whole_comm_share(self, tmp_path, capsys):
+        topo, out = tmp_path / "t.json", tmp_path / "cmp.csv"
+        topo.write_text(json.dumps({**self.TOPOLOGY, "inter_bw": 1e-320}))
+        assert run(["comm-sim", "--compare-routers", "--topology", str(topo), "--epochs", "1",
+                    "--tokens-per-cluster", "16", "--out", str(out)]) == 0
+        header, *cells = read_rows(out)
+        rows = [dict(zip(header, row)) for row in cells]
+        assert [row["router"] for row in rows] == ["hash", "switch", "loc"]
+        for row in rows:
+            assert (row["plain_alltoall_s"], row["visible_comm_s"], row["comm_share"]) == ("inf", "inf", "1.0")
+        assert capsys.readouterr().err == ""
 
     def _placement_error(self, tmp_path, capsys, content):
         placement = tmp_path / "p.json"

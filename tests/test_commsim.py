@@ -559,6 +559,14 @@ class TestModeledCompute:
             per_token.append(forward_flops(outcome, d, h) / served)
         assert per_token[0] == per_token[1] == per_token[2] == flops_per_served_token(d, h)
 
+    def test_compute_matches_literal_values(self):
+        # two 32 x 128 products at 2 flops per multiply-add, plus the hidden and output adds
+        assert flops_per_served_token(32, 128) == 16544
+        rng = np.random.default_rng(11)
+        runs = {"a": _FakeRun(outcome_for(rng.integers(0, 16, 4096), n_experts=16), rng.integers(0, D, 4096))}
+        compute = compare_strategies(runs, round_robin_placement(16, TOPO), TOPO, 4096)["modeled_compute_s"]
+        assert D == 16 and compute == [4096 * 16544 / 1.6e13]
+
     def test_compute_column_charges_the_served_tokens_of_real_runs(self):
         # one run serves every token, the other runs at a capacity below the
         # mean load; each costs its served tokens' flops over D devices

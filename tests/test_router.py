@@ -200,6 +200,18 @@ class TestApplyCapacity:
         assert np.array_equal(capped.expert_of_token, out.expert_of_token)
         assert np.array_equal(capped.gate_value, out.gate_value)
 
+    def test_capped_statistics_keep_the_input_bits(self):
+        rng = np.random.default_rng(10)
+        out = route_top1(rng.standard_normal((4097, 16)))
+        before = {name: getattr(out, name).tobytes()
+                  for name in ("expert_of_token", "probs", "dropped", "gate_value", "f", "P")}
+        capped = apply_capacity(out, 200)
+        assert capped.dropped.any()
+        for name in ("expert_of_token", "probs", "gate_value", "f", "P"):
+            assert getattr(capped, name).tobytes() == before[name]
+        assert {name: getattr(out, name).tobytes() for name in before} == before  # input unwritten
+        assert type(capped) is RoutingOutcome
+
     def test_batch_order_within_expert(self):
         scores = np.array([[1.0, 0], [0, 1.0], [1.0, 0], [1.0, 0], [0, 1.0]])
         capped = apply_capacity(route_top1(scores), 1)
